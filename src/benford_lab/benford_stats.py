@@ -66,8 +66,11 @@ class DigitHistogram:
 
     @classmethod
     def from_digits(cls, digits, base: int) -> "DigitHistogram":
-        counts = np.bincount(np.asarray(digits, dtype=np.int64),
-                             minlength=base)[1:base]
+        digits = np.asarray(digits, dtype=np.int64)
+        if digits.size and (digits.min() < 1 or digits.max() >= base):
+            raise DomainError(f"digits must lie in [1, {base - 1}], got "
+                              f"{digits.min()}..{digits.max()}")
+        counts = np.bincount(digits, minlength=base)[1:base]
         return cls(base, counts)
 
     @classmethod

@@ -3,8 +3,8 @@
 Every run is a pure function of its flags: the RNG is a counter-based
 generator (Philox) keyed by --seed, Monte Carlo work is sharded into fixed
 chunks whose streams are spawned up front, and output formatting is
-deterministic, so reruns with the same seed produce identical bytes no
-matter how many workers are used.
+deterministic, so reruns with the same seed produce identical bytes; the
+worker count shows only in the echoed metadata, never in the results.
 
 Output formats: ``csv`` (one '#'-prefixed JSON metadata line, then a header
 and rows), ``json`` (metadata plus the payload), and ``table`` (aligned text

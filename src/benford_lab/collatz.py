@@ -19,15 +19,14 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from numbers import Integral
 
 import mpmath
 import numpy as np
 
 from .benford_stats import DigitHistogram, benford_probabilities
-from .core_numeric import BigNat, DomainError, leading_digit, log_mantissa, \
-    shift_out_factor
+from .core_numeric import BigNat, DomainError, _exact_floor_log, \
+    leading_digit, log_mantissa, shift_out_factor
 
 __all__ = [
     "DghMap",
@@ -149,7 +148,9 @@ class StructurePrediction:
 def step(dmap: DghMap, x: BigNat) -> tuple[BigNat, int]:
     """One exact application: returns (y, k) with g*x + h = y * d**k."""
     if not dmap.in_domain(x):
-        raise DomainError(f"{x} is divisible by d or g (or < 1)")
+        raise DomainError(
+            f"x ({x.bit_length()} bits, x mod {dmap.d * dmap.g} = "
+            f"{x % (dmap.d * dmap.g)}) is < 1 or divisible by d or g")
     u = dmap.g * x
     u += dmap.h_at(u)
     y, k = shift_out_factor(u, dmap.d)
@@ -384,7 +385,8 @@ def ratio_statistic(x0: BigNat, m: int, base) -> float:
         raise DomainError("m must be >= 0")
     x = int(x0)
     if not THREE_X_PLUS_1.in_domain(x):
-        raise DomainError(f"{x0} is not in the 3x+1 domain")
+        raise DomainError(f"x0 ({x.bit_length()} bits, x0 mod 6 = {x % 6}) "
+                          "is not in the 3x+1 domain")
     for i in range(m):
         try:
             x, _ = step(THREE_X_PLUS_1, x)
@@ -438,27 +440,27 @@ def drift(dmap: DghMap) -> float:
 
 # ------------------------------------------------- exact ratio digit census --
 
-def _leading_digit_ratio(num: int, den: int, base: int) -> int:
-    """Exact leading base-`base` digit of the positive rational num/den."""
-    e = int(math.floor((num.bit_length() - den.bit_length())
-                       * _LN2 / math.log(base))) - 1
-    while num >= den * base ** (e + 1):
-        e += 1
-    while num < den * base ** e:
-        e -= 1
-    if e >= 0:
-        return num // (den * base ** e)
-    return (num * base ** (-e)) // den
-
-
-@lru_cache(maxsize=4096)
-def _pow2_digit(j: int, base: int) -> int:
-    """Exact leading digit of 2**j (j of either sign) in ``base``."""
-    return _leading_digit_ratio(1 << max(j, 0), 1 << max(-j, 0), base)
-
-
 def _ratio_digit_exact(x0: int, xm: int, m: int, base: int) -> int:
-    return _leading_digit_ratio(int(xm) << (2 * m), 3 ** m * int(x0), base)
+    """Exact leading digit of x_m 4^m / (3^m x_0)."""
+    _, a, b = _exact_floor_log(xm << (2 * m), base, den=3 ** m * x0)
+    return a // b
+
+
+def _pow2_lattice(j_lo: int, j_hi: int, base: int
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """For j = j_lo..j_hi: the exact leading digit d of 2**j in ``base`` and
+    its upward gap log2((d+1) B**e / 2**j), where B**e <= 2**j < B**(e+1).
+
+    Both come from integers; the gap is one correctly rounded integer
+    quotient followed by a log2 accurate to a few ulps.
+    """
+    digits, gaps = [], []
+    for j in range(j_lo, j_hi + 1):
+        _, a, b = _exact_floor_log(1 << max(j, 0), base, den=1 << max(-j, 0))
+        d = a // b
+        digits.append(d)
+        gaps.append(math.log2((d + 1) * b / a))
+    return np.array(digits, dtype=np.int64), np.array(gaps)
 
 
 @dataclass
@@ -500,61 +502,28 @@ def ratio_digit_experiment(seeds, m: int, base: int) -> RatioDigitResult:
     """Leading digit of x_m / ((3/4)^m x_0) over a census, exactly.
 
     The digit comes from exact integer data: with S the total multiplicity,
-    the ratio is 2^(2m-S) * u where u = prod(1 + 1/(3 x_i)) >= 1.  When u is
-    certifiably too small to push the mantissa over the next digit boundary
-    the digit is a table lookup on 2m-S; otherwise (tiny iterates, unusual
-    bases) it is recomputed from the full integer ratio.
+    the ratio is 2^j * u with j = 2m - S and u = prod(1 + 1/(3 x_i)) >= 1.
+    While log2(u) stays below half the exact upward gap g_j of 2^j to the
+    next digit boundary, the digit is the exact digit of 2^j; any other seed
+    (typically a tiny iterate) is recomputed from the full integer ratio.
     """
     base = int(base)
     if base < 2:
         raise DomainError("base must be >= 2")
     xm, s_tot, _ = _census_paths(seeds, m, THREE_X_PLUS_1)
-    n_pow = _exact_log2(base)
-    if isinstance(xm, list):
-        digits = [_ratio_digit_exact(int(s0), xi, m, base)
-                  for s0, xi in zip(list(seeds), xm)]
-        hist = DigitHistogram.from_digits(digits, base)
-        return RatioDigitResult(base, m, len(xm), hist,
-                                limit_law_digit_probabilities(base))
-    seeds_arr = np.asarray(seeds, dtype=np.int64)
     j = 2 * m - s_tot
-    # log2 of the correction u; exact arithmetic decides flagged seeds
-    ulog2 = (np.log2(xm.astype(np.float64)) + s_tot
-             - m * math.log2(3.0) - np.log2(seeds_arr.astype(np.float64)))
-    safe = _u_safety_threshold(base)
-    if n_pow is not None:
-        flagged = np.nonzero(ulog2 > safe)[0]
-        digits = (np.int64(1) << np.mod(j, n_pow)).astype(np.int64)
-    elif base == 10:
-        # the table gap bound is certified for |j| <= 128
-        flagged = np.nonzero((ulog2 > safe) | (np.abs(j) > 128))[0]
-        lut_off = int(j.min())
-        lut = np.array([_pow2_digit(int(v), 10)
-                        for v in range(lut_off, int(j.max()) + 1)],
-                       dtype=np.int64)
-        digits = lut[j - lut_off]
-    else:
-        flagged = np.arange(len(j))
-        digits = np.ones(len(j), dtype=np.int64)
-    for i in flagged:
-        digits[i] = _ratio_digit_exact(int(seeds_arr[i]), int(xm[i]), m, base)
+    j_lo = int(j.min())
+    lattice, gaps = _pow2_lattice(j_lo, int(j.max()), base)
+    # math.log2 takes the int64 and the big-int census output alike
+    ulog2 = (np.fromiter(map(math.log2, xm), np.float64, len(xm)) + s_tot
+             - m * math.log2(3.0)
+             - np.fromiter(map(math.log2, seeds), np.float64, len(xm)))
+    digits = lattice[j - j_lo]
+    for i in np.nonzero(ulog2 > 0.5 * gaps[j - j_lo])[0]:
+        digits[i] = _ratio_digit_exact(int(seeds[i]), int(xm[i]), m, base)
     hist = DigitHistogram.from_digits(digits, base)
     return RatioDigitResult(base, m, len(xm), hist,
                             limit_law_digit_probabilities(base))
-
-
-def _u_safety_threshold(base: int) -> float:
-    """Largest log2(u) that certifiably cannot move a lattice digit."""
-    n_pow = _exact_log2(base)
-    if n_pow is not None:
-        if n_pow == 1:
-            return math.inf  # base 2: the digit is 1 regardless of u
-        return 0.5 * math.log2(1.0 + 2.0 ** -(n_pow - 1))
-    if base == 10:
-        # min gap between the mantissa of 2^j and the next digit boundary
-        # over |j| <= 128 is log10(10/9.9035) ~ 4.2e-3 (at j = 93)
-        return 0.5 * 4.2e-3 / math.log10(2.0)
-    return -1.0  # unknown base: everything goes through the exact path
 
 
 def model_digit_experiment(m: int, base: int, n: int,
@@ -563,10 +532,9 @@ def model_digit_experiment(m: int, base: int, n: int,
     base = int(base)
     s = m + rng.negative_binomial(m, 0.5, size=n).astype(np.int64)
     j = s - 2 * m
-    lut_off = int(j.min())
-    lut = np.array([_pow2_digit(int(v), base)
-                    for v in range(lut_off, int(j.max()) + 1)], dtype=np.int64)
-    return DigitHistogram.from_digits(lut[j - lut_off], base)
+    j_lo = int(j.min())
+    lattice, _ = _pow2_lattice(j_lo, int(j.max()), base)
+    return DigitHistogram.from_digits(lattice[j - j_lo], base)
 
 
 def _log2_int(x: int) -> float:

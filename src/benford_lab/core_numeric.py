@@ -18,6 +18,7 @@ answer is recomputed with exact integer comparisons against powers of B.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 from numbers import Integral
@@ -32,6 +33,7 @@ __all__ = [
     "Mantissa",
     "mantissa",
     "leading_digit",
+    "digits_from_log",
     "log_mantissa",
     "mul_add_small",
     "shift_out_factor",
@@ -96,17 +98,33 @@ def _log_parts(x: int, base: float) -> tuple[float, float]:
     return v, margin
 
 
-def _exact_floor_log(x: int, base: int, estimate: int) -> tuple[int, int]:
-    """Exact ``e = floor(log_base x)`` and ``base**e`` by integer comparison."""
-    e = max(estimate - 1, 0)
-    p = base ** e
-    while p > x:
+def _exact_floor_log(num: int, base: int, den: int = 1
+                     ) -> tuple[int, int, int]:
+    """Exact ``e = floor(log_base(num/den))`` for positive integers, by
+    integer comparison only.
+
+    Also returns integers ``(a, b)`` with ``a/b = num / (den * base**e)`` in
+    ``[1, base)``: ``a // b`` is the leading digit and ``a / b`` the correctly
+    rounded significand.  For ``e < 0`` the power of the base multiplies
+    ``num`` instead of ``den``, so no float ever enters a comparison.
+    """
+    # lower bound from the bit lengths; the loops below correct it exactly
+    e = math.floor((num.bit_length() - den.bit_length() - 1)
+                   * _LN2 / math.log(base))
+    a, b = (num, den * base ** e) if e >= 0 else (num * base ** -e, den)
+    while a < b:
         e -= 1
-        p //= base
-    while p * base <= x:
+        if e >= 0:
+            b //= base
+        else:
+            a *= base
+    while a >= b * base:
         e += 1
-        p *= base
-    return e, p
+        if e > 0:
+            b *= base
+        else:
+            a //= base
+    return e, a, b
 
 
 @lru_cache(maxsize=64)
@@ -144,21 +162,28 @@ def _leading_digit_int(x: int, base: int) -> int:
     v, margin = _log_parts(x, base)
     f = v - math.floor(v)
     bounds = _digit_bounds(base)
-    # bisect for d with bounds[d-1] <= f < bounds[d]
-    lo, hi = 1, base
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if f >= bounds[mid - 1]:
-            lo = mid
-        else:
-            hi = mid
-    d = lo
+    d = bisect_right(bounds, f)
     pad = margin + 5e-16
     if f - bounds[d - 1] > pad and bounds[d] - f > pad:
         return d
     # bracket straddles a boundary: decide by exact integer arithmetic
-    _, p = _exact_floor_log(x, base, int(v))
-    return x // p
+    _, a, b = _exact_floor_log(x, base)
+    return a // b
+
+
+def digits_from_log(f, band, base: int) -> tuple[np.ndarray, np.ndarray]:
+    """Leading digits from fractional logs ``f = log_base(x) mod 1``.
+
+    The digit is d where ``log_base(d) <= f < log_base(d + 1)``.  It is
+    certified only where every value within ``band`` of ``f`` lies strictly
+    inside that same cell; callers re-derive uncertified digits some other
+    way.  ``f`` and ``band`` broadcast against each other.
+    """
+    bounds = np.asarray(_digit_bounds(base))
+    f = np.asarray(f, dtype=np.float64)
+    d = np.clip(np.searchsorted(bounds, f, side="right"), 1, base - 1)
+    certified = ((f - bounds[d - 1]) > band) & ((bounds[d] - f) > band)
+    return d.astype(np.int64), certified
 
 
 def log_mantissa(x: Real, base) -> float:
@@ -239,8 +264,8 @@ def _mantissa_int(x: int, b: float, base) -> Mantissa:
         if isinstance(base, Integral):
             # exact exponent, then a correctly rounded big-int ratio: this
             # stays right even when x sits one ulp from a power of the base
-            k, p = _exact_floor_log(x, int(base), int(v))
-            s = x / p
+            k, a, p = _exact_floor_log(x, int(base))
+            s = a / p
         else:
             f = _log_mantissa_big(x, b)
             # exponent from the certified total log; ambiguity here means x
@@ -268,7 +293,8 @@ def mul_add_small(x: BigNat, g: int, h: int) -> BigNat:
         raise DomainError("g must be >= 2")
     y = g * x + h
     if y < 0:
-        raise DomainError(f"g*x + h = {y} is negative")
+        raise DomainError(
+            f"g*x + h is negative (a {y.bit_length()}-bit magnitude)")
     return y
 
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .benford_stats import DigitHistogram
-from .core_numeric import DomainError
+from .core_numeric import DomainError, digits_from_log
 
 __all__ = [
     "EULER_GAMMA",
@@ -154,13 +154,6 @@ class CueResult:
                    f"{la / scale:.12e}"]
 
 
-def _digits_from_logs(log_abs: np.ndarray, base: int) -> np.ndarray:
-    lb = math.log(base)
-    f = np.mod(log_abs / lb, 1.0)
-    bounds = np.log(np.arange(1, base + 1)) / lb
-    return np.clip(np.searchsorted(bounds, f, side="right"), 1, base - 1)
-
-
 def _cue_chunk(n, count, base, gen, check_unitarity):
     us = _haar_batch(n, count, gen)
     resid = None
@@ -177,8 +170,9 @@ def _cue_chunk(n, count, base, gen, check_unitarity):
             break
         resampled += int(bad.sum())
         thetas[bad] = gen.uniform(0.0, 2.0 * math.pi, size=int(bad.sum()))
-    counts = np.bincount(_digits_from_logs(log_abs, base),
-                         minlength=base)[1:base]
+    digits, _ = digits_from_log(np.mod(log_abs / math.log(base), 1.0), 0.0,
+                                base)
+    counts = np.bincount(digits, minlength=base)[1:base]
     return thetas, log_abs, counts, resampled, resid
 
 

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .benford_stats import DigitHistogram
-from .core_numeric import DomainError
+from .core_numeric import DomainError, digits_from_log
 
 __all__ = [
     "AccuracyError",
@@ -193,23 +193,9 @@ def _em_tail(s: complex, big_n: float, n_pow_s: complex):
     return tail, rem
 
 
-def _euler_maclaurin(s: complex, n_cut: int | None = None
-                     ) -> tuple[complex, float]:
-    sigma, t = s.real, s.imag
-    big_n = n_cut or max(60, int(1.3 * abs(t)) + 8)
-    n = np.arange(1, big_n, dtype=np.float64)
-    ln_n = np.log(n.astype(np.longdouble))
-    phase = np.mod(np.longdouble(t) * ln_n, np.longdouble(_TWO_PI)
-                   ).astype(np.float64)
-    mag = n ** -sigma
-    head = complex((mag * np.cos(phase)).sum(), -(mag * np.sin(phase)).sum())
-    # the N phase in extended precision as well
-    ph_n = float(np.mod(np.longdouble(t) * np.log(np.longdouble(big_n)),
-                        np.longdouble(_TWO_PI)))
-    n_pow_s = big_n ** -sigma * complex(math.cos(ph_n), -math.sin(ph_n))
-    tail, rem = _em_tail(s, float(big_n), n_pow_s)
-    err = rem + _fp_floor(big_n, abs(t), float(mag.sum()) + abs(tail))
-    return head + tail, err
+def _euler_maclaurin(s: complex) -> tuple[complex, float]:
+    vals, errs = _euler_maclaurin_many(np.array([s.real]), np.array([s.imag]))
+    return complex(vals[0]), float(errs[0])
 
 
 def _fp_floor(big_n: int, t_abs: float, scale: float) -> float:
@@ -343,18 +329,6 @@ class ScanResult:
                    "cert_err")
 
 
-def _digit_and_margin(abs_vals, errs, base):
-    """Leading digit of each value plus whether the error band certifies it."""
-    lb = math.log(base)
-    f = np.mod(np.log(abs_vals) / lb, 1.0)
-    bounds = np.log(np.arange(1, base + 1)) / lb
-    d = np.searchsorted(bounds, f, side="right")
-    d = np.clip(d, 1, base - 1)
-    band = errs / (np.maximum(abs_vals, 1e-300) * lb) + 1e-13
-    certified = ((f - bounds[d - 1]) > band) & ((bounds[d] - f) > band)
-    return d.astype(np.int64), certified
-
-
 def scan_line(t_start: float, t_end: float, step: float, mode: SigmaMode,
               base: int = 10) -> ScanResult:
     """Evaluate |zeta| on a t grid, extract certified leading digits, and
@@ -412,9 +386,16 @@ def scan_line(t_start: float, t_end: float, step: float, mode: SigmaMode,
     abs_vals = np.abs(vals)
     digits = np.zeros(count, dtype=np.int64)
     certified = np.zeros(count, dtype=bool)
-    if np.any(ok):
-        digits[ok], certified[ok] = _digit_and_margin(
-            np.maximum(abs_vals[ok], 1e-300), errs[ok], base)
+    lb = math.log(base)
+
+    def certify(idx):
+        # the certified error of |zeta| becomes a band on log_base|zeta|
+        a = np.maximum(abs_vals[idx], 1e-300)
+        band = errs[idx] / (a * lb) + 1e-13
+        digits[idx], certified[idx] = digits_from_log(
+            np.mod(np.log(a) / lb, 1.0), band, base)
+
+    certify(ok)
     near_zero = ok & (abs_vals < 10.0 * errs)
     refine = ok & (~certified | near_zero)
     n_refined = int(refine.sum())
@@ -422,8 +403,7 @@ def scan_line(t_start: float, t_end: float, step: float, mode: SigmaMode,
         idx = np.nonzero(refine)[0]
         vals[idx], errs[idx] = _euler_maclaurin_many(sigmas[idx], ts[idx])
         abs_vals[idx] = np.abs(vals[idx])
-        digits[idx], certified[idx] = _digit_and_margin(
-            np.maximum(abs_vals[idx], 1e-300), errs[idx], base)
+        certify(idx)
 
     skipped = []
     samples = []

@@ -11,5 +11,17 @@ def rng():
     return np.random.Generator(np.random.Philox(12345))
 
 
+@pytest.fixture
+def default_int_str_limit():
+    """Run a test under Python's default int-to-str digit limit, which the
+    line above lifts for everything else."""
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(sys.int_info.default_max_str_digits)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(saved)
+
+
 def make_rng(seed: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(seed))

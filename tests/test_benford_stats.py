@@ -33,6 +33,11 @@ class TestHistogram:
         assert h.total == 4
         assert h.counts[0] == 2 and h.counts[8] == 1
 
+    def test_out_of_range_digits_rejected(self):
+        for bad in ([1, 10], [0, 3], [4, -1]):
+            with pytest.raises(bs.DomainError):
+                bs.DigitHistogram.from_digits(bad, 10)
+
     def test_from_values(self):
         h = bs.DigitHistogram.from_values([123, 0.05, 2 ** 100, 9e9], 10)
         assert h.total == 4 and h.counts[0] == 2

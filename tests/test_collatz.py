@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -97,6 +98,18 @@ class TestPath:
         with pytest.raises(cz.IterationDomainError) as exc:
             cz.path(cz.THREE_X_PLUS_1, 9, 3)
         assert exc.value.index == 0
+
+    def test_huge_out_of_domain_seed(self, default_int_str_limit):
+        # 5,000 digits: past the int-to-str limit, so messages must not
+        # format the whole integer
+        x = 2 * 10 ** 5000
+        with pytest.raises(DomainError):
+            cz.step(cz.THREE_X_PLUS_1, x)
+        with pytest.raises(cz.IterationDomainError) as exc:
+            cz.path(cz.THREE_X_PLUS_1, x, 3)
+        assert exc.value.index == 0
+        with pytest.raises(DomainError):
+            cz.ratio_statistic(x, 3, 10)
 
     def test_json_round_trip(self):
         rec = cz.path(cz.THREE_X_PLUS_1, 7, 2)
@@ -239,6 +252,39 @@ def oracle_ratio_digit(x0, m, base):
         return int(mpmath.floor(val / mpmath.mpf(base) ** e))
 
 
+def fraction_significand(q, base):
+    """q / base**e in [1, base) for a positive Fraction q, exactly."""
+    while q >= base:
+        q /= base
+    while q < 1:
+        q *= base
+    return q
+
+
+def fraction_ratio_histogram(seeds, m, base):
+    digits = []
+    for x0 in seeds:
+        _, its = reference_path(int(x0), m)
+        q = Fraction(its[-1] * 4 ** m, 3 ** m * int(x0))
+        digits.append(int(fraction_significand(q, base)))
+    return np.bincount(digits, minlength=base)[1:]
+
+
+class TestPow2Lattice:
+    def test_matches_fraction_arithmetic(self):
+        for base in range(2, 17):
+            digits, gaps = cz._pow2_lattice(-200, 40, base)
+            for j, d, g in zip(range(-200, 41), digits, gaps):
+                s = fraction_significand(Fraction(2) ** j, base)
+                assert d == int(s)
+                # upward gap log2((d+1) B^e / 2^j) = log2((d+1) / s)
+                up = (int(s) + 1) / s
+                with mpmath.workdps(40):
+                    ref = mpmath.log(mpmath.mpf(up.numerator)
+                                     / up.denominator, 2)
+                assert abs(g - float(ref)) < 1e-15
+
+
 class TestRatioDigitExperiment:
     @given(st.lists(st.integers(1, 10 ** 6), min_size=1, max_size=12),
            st.sampled_from([4, 8, 10, 16, 7]),
@@ -267,6 +313,21 @@ class TestRatioDigitExperiment:
         assert big % 6 == 1
         result = cz.ratio_digit_experiment([big], 5, 10)
         assert result.histogram.counts[oracle_ratio_digit(big, 5, 10) - 1] == 1
+
+    def test_census_above_int64_matches_fraction_oracle(self):
+        seeds = cz.census_1mod6(2 ** 62 + 3, 3000)
+        for base in (4, 8, 10):
+            result = cz.ratio_digit_experiment(seeds, 10, base)
+            assert result.histogram.total == 3000
+            assert np.array_equal(result.histogram.counts,
+                                  fraction_ratio_histogram(seeds, 10, base))
+
+    def test_400_digit_census(self):
+        seeds = cz.census_1mod6(10 ** 399 + 3, 200)
+        for base in (7, 10):
+            result = cz.ratio_digit_experiment(seeds, 10, base)
+            assert np.array_equal(result.histogram.counts,
+                                  fraction_ratio_histogram(seeds, 10, base))
 
     def test_limit_law_reference(self):
         probs = cz.limit_law_digit_probabilities(4)

@@ -1,8 +1,10 @@
 import math
+from fractions import Fraction
 
 import mpmath
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from benford_lab import core_numeric as cn
@@ -97,6 +99,47 @@ class TestLeadingDigit:
         assert in_window or wrapped
 
 
+def integer_leading_digit(x, base):
+    while x >= base:
+        x //= base
+    return x
+
+
+class TestDigitsFromLog:
+    def test_never_certifies_a_wrong_digit_at_boundaries(self):
+        n_certified = n_open = 0
+        for base in range(2, 17):
+            # either side of each boundary d*B^k, plus mid-cell controls
+            xs = [d * base ** k + delta
+                  for k in (0, 1, 5, 17, 40, 120)
+                  for d in range(1, base)
+                  for delta in (-1, 0, 1, base ** k // 2)
+                  if d * base ** k + delta >= 1]
+            exact = np.array([integer_leading_digit(x, base) for x in xs])
+            f, band = [], []
+            for x in xs:
+                v, margin = cn._log_parts(x, base)
+                f.append(v - math.floor(v))
+                band.append(margin + 5e-16)
+            digits, certified = cn.digits_from_log(np.array(f),
+                                                   np.array(band), base)
+            assert np.array_equal(digits[certified], exact[certified])
+            assert [cn.leading_digit(x, base) for x in xs] == exact.tolist()
+            n_certified += int(certified.sum())
+            n_open += int((~certified).sum())
+        assert n_certified > 0 and n_open > 0
+
+
+class TestExactFloorLog:
+    @given(st.integers(1, 2 ** 200), st.integers(1, 2 ** 200),
+           st.integers(2, 16))
+    @example(3 ** 48 + 1, 10 * 3 ** 48, 10)  # just above 1/10, 77-bit den
+    def test_rational_against_fraction(self, num, den, base):
+        e, a, b = cn._exact_floor_log(num, base, den)
+        q = Fraction(num, den) / Fraction(base) ** e
+        assert Fraction(a, b) == q and 1 <= q < base
+
+
 class TestLogMantissa:
     def test_examples(self):
         assert cn.log_mantissa(10, 10) == 0.0
@@ -128,6 +171,11 @@ class TestExactArithmetic:
         assert cn.mul_add_small(1, 5, 1) == 6
         with pytest.raises(cn.DomainError):
             cn.mul_add_small(0, 3, -1)
+
+    def test_mul_add_huge_negative_result(self, default_int_str_limit):
+        # 5,000 digits: past the int-to-str limit of the message
+        with pytest.raises(cn.DomainError):
+            cn.mul_add_small(1, 3, -10 ** 5000)
 
     def test_mul_add_casting_out_nines(self):
         x = cn.random_bignat(100_000, 10, make_rng(17))
