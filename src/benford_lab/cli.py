@@ -112,18 +112,27 @@ def _rng(seed: int) -> np.random.Generator:
 def _resolve_alpha(text: str):
     """Accept a float literal, 'p/q' (exact rational), or 'log:X:B' for a
     500-digit log_B(X)."""
-    if text.startswith("log:"):
-        parts = text.split(":")
-        if len(parts) != 3:
-            raise ConfigError("log alpha form must look like log:2:10")
-        return equidist.log_ratio(int(parts[1]), int(parts[2]))
-    if "/" in text:
-        num, den = text.split("/", 1)
-        return Fraction(int(num), int(den))
+    parts = text.split(":")
+    if parts[0] == "log" and len(parts) != 3:
+        raise ConfigError("log alpha form must look like log:2:10")
     try:
+        if parts[0] == "log":
+            return equidist.log_ratio(int(parts[1]), int(parts[2]))
+        if "/" in text:
+            num, den = text.split("/", 1)
+            return Fraction(int(num), int(den))
         return float(text)
-    except ValueError as exc:
+    except (ValueError, ZeroDivisionError) as exc:
         raise ConfigError(f"cannot parse alpha {text!r}") from exc
+
+
+def _number_list(text: str, kind, flag: str) -> list:
+    """Comma-separated numbers, each parsed by ``kind`` (int or float)."""
+    try:
+        return [kind(part) for part in text.split(",")]
+    except ValueError as exc:
+        raise ConfigError(f"{flag} must be a comma-separated list of "
+                          f"{kind.__name__} values, got {text!r}") from exc
 
 
 def _report_rows(report: benford_stats.TestReport):
@@ -211,7 +220,7 @@ def cmd_collatz_experiment(args, cfg: ExperimentConfig) -> int:
 
 
 def cmd_collatz_structure(args, cfg: ExperimentConfig) -> int:
-    ktuple = tuple(int(k) for k in args.ktuple.split(","))
+    ktuple = tuple(_number_list(args.ktuple, int, "--ktuple"))
     try:
         pred = collatz.inverse_path_bruteforce(ktuple, args.limit)
     except collatz.StructureError as exc:
@@ -345,7 +354,7 @@ def cmd_equidist_cf(args, cfg: ExperimentConfig) -> int:
 
 def cmd_equidist_type(args, cfg: ExperimentConfig) -> int:
     alpha = _resolve_alpha(args.alpha)
-    gammas = tuple(float(g) for g in args.gammas.split(","))
+    gammas = tuple(_number_list(args.gammas, float, "--gammas"))
     try:
         probe = equidist.type_probe(alpha, args.depth, gammas, dps=args.dps)
     except (equidist.PrecisionError, DomainError) as exc:
@@ -361,7 +370,7 @@ def cmd_equidist_type(args, cfg: ExperimentConfig) -> int:
 
 
 def cmd_poisson_check(args, cfg: ExperimentConfig) -> int:
-    sigmas = [float(s) for s in args.sigmas.split(",")]
+    sigmas = _number_list(args.sigmas, float, "--sigmas")
     rows = []
     worst = 0.0
     for s in sigmas:

@@ -9,9 +9,11 @@ of an iterate to its drift-predicted size as a mod-1 statistic with exact
 leading-digit extraction, the matching geometric-sum sampler, and
 leading-digit censuses over whole trajectories of enormous seeds.
 
-Seed censuses run vectorised in int64 whenever a conservative overflow bound
-allows it and fall back to exact big-integer loops otherwise; digit decisions
-are never made from a float that could sit on a digit boundary.
+Seed censuses run in one vectorised loop: the iterates stay in int64 while
+the next multiply by g cannot overflow and widen to exact Python ints (an
+object array) once it could, so only the census steps that need big integers
+pay for them.  Digit decisions are never made from a float that could sit on
+a digit boundary.
 """
 
 from __future__ import annotations
@@ -263,72 +265,60 @@ def census_1mod6(start: int, count: int):
 _K_SLOTS = 64  # pooled multiplicity counts are binned up to this value
 
 
-def _paths_int64(seeds: np.ndarray, m: int, dmap: DghMap):
-    x = np.array(seeds, dtype=np.int64)
-    if (x % dmap.d == 0).any() or (x % dmap.g == 0).any():
-        raise DomainError("every seed must avoid the factors d and g")
-    s_tot = np.zeros(x.shape, dtype=np.int64)
+def _trailing_zeros(u: np.ndarray) -> np.ndarray:
+    """Exponent of 2 in each entry of u > 0 (int64 or exact-int object)."""
+    low = u & -u
+    if u.dtype == object:
+        # exact at any size; a float log2 overflows once k reaches 1024
+        return np.fromiter((v.bit_length() - 1 for v in low), np.int64,
+                           len(low))
+    return np.log2(low.astype(np.float64)).astype(np.int64)
+
+
+def _census_paths(seeds, m: int, dmap: DghMap):
+    """x_m, total multiplicity S and pooled k-histogram over a census.
+
+    The input is checked once: the domain (x >= 1, d and g not dividing x)
+    is closed under the map, since g*x + h = h (mod g), d**k is coprime to
+    g and g*x + h > 0.  Iterates stay in int64 while g*x cannot overflow
+    and move to exact Python ints (an object array) when it could.
+    """
+    if m < 1:
+        raise DomainError("m must be >= 1")
+    if len(seeds) == 0:
+        raise DomainError("need a nonempty census")
+    try:
+        x = np.asarray(seeds, dtype=np.int64)
+    except OverflowError:
+        x = np.array([int(s) for s in seeds], dtype=object)
+    if x.min() < 1 or (x % dmap.d == 0).any() or \
+            (x % dmap.g == 0).any():
+        raise DomainError("every seed must be >= 1 and avoid the factors "
+                          "d and g")
+    s_tot = np.zeros(len(x), dtype=np.int64)
     khist = np.zeros(_K_SLOTS, dtype=np.int64)
     cap = (2 ** 62) // dmap.g
-    fast = dmap.d == 2
     htab = np.array([v if v is not None else 0 for v in dmap.h],
                     dtype=np.int64)
     for _ in range(m):
-        if x.max() > cap:
-            raise OverflowError("census values exceed the int64 budget")
+        if x.dtype != object and x.max() > cap:
+            x = x.astype(object)
         u = dmap.g * x
-        u += htab[u % dmap.d]
-        if fast:
-            low = u & -u
-            k = np.log2(low.astype(np.float64)).astype(np.int64)
+        u += htab[(u % dmap.d).astype(np.intp)]
+        if dmap.d == 2:
+            k = _trailing_zeros(u)
             x = u >> k
         else:
-            k = np.zeros(x.shape, dtype=np.int64)
-            while True:
-                q, r = np.divmod(u, dmap.d)
-                mask = r == 0
-                if not mask.any():
-                    break
-                u = np.where(mask, q, u)
+            # np.divmod has no object loop; // and % work for both dtypes
+            k = np.zeros(len(x), dtype=np.int64)
+            while (mask := u % dmap.d == 0).any():
+                u[mask] //= dmap.d
                 k += mask
             x = u
         s_tot += k
         khist += np.bincount(np.minimum(k, _K_SLOTS - 1),
                              minlength=_K_SLOTS)
     return x, s_tot, khist
-
-
-def _paths_python(seeds, m: int, dmap: DghMap):
-    xm, s_tot = [], []
-    khist = np.zeros(_K_SLOTS, dtype=np.int64)
-    for x0 in seeds:
-        x = int(x0)
-        s = 0
-        for _ in range(m):
-            x, k = step(dmap, x)
-            s += k
-            khist[min(k, _K_SLOTS - 1)] += 1
-        xm.append(x)
-        s_tot.append(s)
-    return xm, np.array(s_tot, dtype=np.int64), khist
-
-
-def _census_paths(seeds, m: int, dmap: DghMap):
-    arr = np.asarray(seeds) if not isinstance(seeds, list) else None
-    if arr is None:
-        try:
-            arr = np.asarray(seeds, dtype=np.int64)
-        except (OverflowError, TypeError, ValueError):
-            arr = None
-    if arr is not None and arr.dtype != object and \
-            np.issubdtype(arr.dtype, np.integer):
-        # conservative worst-case growth: one multiply by g per step
-        if int(arr.max()).bit_length() + m * math.log2(dmap.g) < 61:
-            try:
-                return _paths_int64(arr, m, dmap)
-            except OverflowError:
-                pass
-    return _paths_python(list(seeds), m, dmap)
 
 
 @dataclass
@@ -359,8 +349,6 @@ class KValueStats:
 
 def kvalue_histogram(dmap: DghMap, seeds, m: int) -> KValueStats:
     """Histogram of all m * len(seeds) multiplicities along the census."""
-    if len(seeds) == 0:
-        raise DomainError("need a nonempty census")
     _, _, khist = _census_paths(seeds, m, dmap)
     return KValueStats(dmap.d, khist, int(khist.sum()))
 
@@ -407,12 +395,16 @@ def geometric_model_sample(m: int, base, rng: np.random.Generator) -> float:
 
 def geometric_model_points(m: int, base, n: int,
                            rng: np.random.Generator) -> np.ndarray:
-    """n independent copies of the model statistic (negative-binomial form
-    of the geometric sum; identical law, no n*m scratch array)."""
+    """n independent copies of the model statistic."""
+    return _model_frac(_model_sums(m, n, rng), m, base)
+
+
+def _model_sums(m: int, n: int, rng: np.random.Generator) -> np.ndarray:
+    """n draws of the sum of m iid geometric(1/2) multiplicities
+    (negative-binomial form: identical law, no n*m scratch array)."""
     if m < 1 or n < 1:
         raise DomainError("m and n must be >= 1")
-    s = m + rng.negative_binomial(m, 0.5, size=n).astype(np.int64)
-    return _model_frac(s, m, base)
+    return m + rng.negative_binomial(m, 0.5, size=n).astype(np.int64)
 
 
 def _model_frac(s: np.ndarray, m: int, base) -> np.ndarray:
@@ -470,8 +462,6 @@ class RatioDigitResult:
     n_seeds: int
     histogram: DigitHistogram
     predicted: np.ndarray
-    model_histogram: DigitHistogram | None = None
-    ks_vs_model: float | None = None
 
     def observed_freq(self) -> np.ndarray:
         return self.histogram.frequencies()
@@ -530,8 +520,7 @@ def model_digit_experiment(m: int, base: int, n: int,
                            rng: np.random.Generator) -> DigitHistogram:
     """Digit histogram of the geometric-sum model, via exact lattice digits."""
     base = int(base)
-    s = m + rng.negative_binomial(m, 0.5, size=n).astype(np.int64)
-    j = s - 2 * m
+    j = _model_sums(m, n, rng) - 2 * m
     j_lo = int(j.min())
     lattice, _ = _pow2_lattice(j_lo, int(j.max()), base)
     return DigitHistogram.from_digits(lattice[j - j_lo], base)
@@ -546,16 +535,11 @@ def ratio_fracs(seeds, m: int, base) -> np.ndarray:
     plots and KS comparisons; digit decisions use the exact path instead)."""
     xm, s_tot, _ = _census_paths(seeds, m, THREE_X_PLUS_1)
     c = _LN2 / math.log(base)
-    if isinstance(xm, list):
-        # log2 of the correction u = x_m 2^S / (3^m x_0), built from exact
-        # exponent bookkeeping so huge seeds cancel without loss
-        ulog2 = np.array([
-            _log2_int(x) - _log2_int(int(s0)) + float(s) - m * math.log2(3.0)
-            for s0, x, s in zip(list(seeds), xm, s_tot)])
-    else:
-        ulog2 = (np.log2(xm.astype(np.float64)) + s_tot
-                 - m * math.log2(3.0)
-                 - np.log2(np.asarray(seeds, np.float64)))
+    # log2 of the correction u = x_m 2^S / (3^m x_0), built from exact
+    # exponent bookkeeping so huge seeds cancel without loss
+    ulog2 = np.array([
+        _log2_int(x) - _log2_int(s0) + float(s) - m * math.log2(3.0)
+        for s0, x, s in zip(seeds, xm, s_tot)])
     j = np.asarray(2 * m - s_tot, dtype=np.float64)
     return np.mod(j * c + ulog2 * c, 1.0)
 

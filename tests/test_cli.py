@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from benford_lab import cli
 
 
@@ -109,6 +111,19 @@ class TestCollatzCommands:
             ["collatz", "experiment", "--preset", "nope"], capsys)
         assert code == 2 and "unknown preset" in err
 
+    @pytest.mark.parametrize("args", [
+        ["kvalues", "--start", "-5", "--count", "100"],
+        ["kvalues", "-m", "-1", "--count", "100"],
+        ["experiment", "--start", "-5", "--count", "100"],
+        ["ratio", "--start", "-5", "--count", "100"],
+        ["model", "--samples", "0"],
+        ["model", "-m", "0"],
+        ["structure", "--ktuple", "a", "--limit", "1000"],
+    ])
+    def test_bad_input_is_config_error(self, args, capsys):
+        code, out, err = run_cli(["collatz"] + args, capsys)
+        assert code == 2 and out == "" and err.startswith("error: ")
+
 
 class TestZetaCommand:
     def test_small_scan_csv_deterministic(self, capsys):
@@ -180,6 +195,15 @@ class TestEquidistCommands:
         assert code == 0
         assert "empirical_type" in json.loads(out)
 
+    @pytest.mark.parametrize("args", [
+        ["kalpha", "--alpha", "log:a:10"],
+        ["kalpha", "--alpha", "1/0"],
+        ["type", "--alpha", "log:2:10", "--gammas", "x"],
+    ])
+    def test_malformed_argument_is_config_error(self, args, capsys):
+        code, out, err = run_cli(["equidist"] + args, capsys)
+        assert code == 2 and out == "" and err.startswith("error: ")
+
 
 class TestPoissonCheck:
     def test_sweep_passes(self, capsys):
@@ -187,6 +211,10 @@ class TestPoissonCheck:
             ["poisson-check", "--format", "json"], capsys)
         assert code == 0
         assert json.loads(out)["max_residual"] < 1e-12
+
+    def test_malformed_sigmas_is_config_error(self, capsys):
+        code, out, err = run_cli(["poisson-check", "--sigmas", "x"], capsys)
+        assert code == 2 and out == "" and err.startswith("error: ")
 
 
 def test_out_file(tmp_path, capsys):

@@ -4,7 +4,7 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from benford_lab import collatz as cz
@@ -177,6 +177,56 @@ class TestKValues:
         seeds = [x for x in range(1, 4000) if x % 2 and x % 5][:500]
         stats = cz.kvalue_histogram(cz.FIVE_X_PLUS_1, seeds, 4)
         assert abs(stats.empirical(1) - 0.5) < 0.1
+
+
+D3_MAP = cz.dgh_map(3, 4, {1: 2, 2: 1})
+
+
+def path_census(dmap, seeds, m):
+    """x_m, S and the pooled k-histogram from ``path``, seed by seed."""
+    xm, s_tot = [], []
+    khist = np.zeros(64, dtype=np.int64)
+    for x0 in seeds:
+        rec = cz.path(dmap, x0, m)
+        xm.append(rec.iterates[-1])
+        s_tot.append(sum(rec.kvalues))
+        for k in rec.kvalues:
+            khist[min(k, 63)] += 1
+    return xm, s_tot, khist
+
+
+class TestCensusEngine:
+    @given(st.sampled_from([cz.THREE_X_PLUS_1, cz.THREE_X_MINUS_1,
+                            cz.FIVE_X_PLUS_1, D3_MAP]),
+           st.lists(st.one_of(st.integers(1, 10 ** 6),
+                              st.integers(2 ** 60, 2 ** 64),
+                              st.integers(1, 2 ** 200)),
+                    min_size=1, max_size=8),
+           st.integers(1, 40))
+    @example(cz.FIVE_X_PLUS_1, [7, 69, 141, 173], 150)  # widens mid-run
+    @example(cz.THREE_X_PLUS_1, [(2 ** 1030 - 1) // 3, 7], 3)  # k_1 = 1030
+    @settings(max_examples=80, deadline=None)
+    def test_matches_path(self, dmap, raw, m):
+        seeds = [x for x in raw if dmap.in_domain(x)]
+        assume(seeds)
+        xm, s_tot, khist = cz._census_paths(seeds, m, dmap)
+        ref_xm, ref_s, ref_khist = path_census(dmap, seeds, m)
+        assert [int(x) for x in xm] == ref_xm
+        assert s_tot.tolist() == ref_s
+        assert np.array_equal(khist, ref_khist)
+
+    def test_widens_from_int64_mid_run(self):
+        seeds = np.array([7, 69, 141, 173], dtype=np.int64)
+        xm, _, _ = cz._census_paths(seeds, 150, cz.FIVE_X_PLUS_1)
+        assert xm.dtype == object
+        assert max(xm).bit_length() > 90
+
+    @pytest.mark.parametrize("seeds, m", [
+        ([7, -5], 3), ([7, 9], 3), ([7, 10], 3), ([7, 2 ** 70 * 3], 3),
+        ([], 3), ([7], 0), ([7], -1)])
+    def test_rejects_bad_census(self, seeds, m):
+        with pytest.raises(DomainError):
+            cz.kvalue_histogram(cz.THREE_X_PLUS_1, seeds, m)
 
 
 class TestRatioStatistic:
