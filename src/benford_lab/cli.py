@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -110,20 +111,25 @@ def _rng(seed: int) -> np.random.Generator:
 
 
 def _resolve_alpha(text: str):
-    """Accept a float literal, 'p/q' (exact rational), or 'log:X:B' for a
-    500-digit log_B(X)."""
+    """Accept a finite float literal, 'p/q' (exact rational), or 'log:X:B'
+    for a 500-digit log_B(X)."""
     parts = text.split(":")
     if parts[0] == "log" and len(parts) != 3:
         raise ConfigError("log alpha form must look like log:2:10")
     try:
         if parts[0] == "log":
-            return equidist.log_ratio(int(parts[1]), int(parts[2]))
-        if "/" in text:
+            alpha = equidist.log_ratio(int(parts[1]), int(parts[2]))
+        elif "/" in text:
             num, den = text.split("/", 1)
             return Fraction(int(num), int(den))
-        return float(text)
-    except (ValueError, ZeroDivisionError) as exc:
+        else:
+            alpha = float(text)
+        finite = math.isfinite(alpha)
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
         raise ConfigError(f"cannot parse alpha {text!r}") from exc
+    if not finite:
+        raise ConfigError(f"alpha must be finite, got {text!r}")
+    return alpha
 
 
 def _number_list(text: str, kind, flag: str) -> list:

@@ -23,12 +23,11 @@ import math
 from dataclasses import dataclass
 from numbers import Integral
 
-import mpmath
 import numpy as np
 
 from .benford_stats import DigitHistogram, benford_probabilities
-from .core_numeric import BigNat, DomainError, _exact_floor_log, \
-    leading_digit, log_mantissa, shift_out_factor
+from .core_numeric import BigNat, DomainError, _check_base, \
+    _check_digit_base, _exact_floor_log, leading_digit, shift_out_factor
 
 __all__ = [
     "DghMap",
@@ -207,8 +206,7 @@ def _match_ktuple_3x1(ktuple, limit: int) -> np.ndarray:
     ok = np.ones(xs.shape, dtype=bool)
     for target in ktuple:
         u = 3 * cur + 1
-        low = u & -u
-        k = np.log2(low.astype(np.float64)).astype(np.int64)
+        k = _trailing_zeros(u)
         ok &= k == target
         cur = u >> k
     return np.sort(xs[ok])
@@ -355,48 +353,30 @@ def kvalue_histogram(dmap: DghMap, seeds, m: int) -> KValueStats:
 
 # ---------------------------------------------------------- ratio statistic --
 
-def _frac_mul_log(mult: int, x, base) -> float:
-    """frac(mult * log_base(x)) at enough precision for any integer mult."""
-    with mpmath.workdps(30 + len(str(abs(mult) + 1))):
-        return float(mpmath.frac(mult * mpmath.log(x) / mpmath.log(base))) % 1.0
-
-
 def ratio_statistic(x0: BigNat, m: int, base) -> float:
-    """log_base( x_m / ((3/4)^m x_0) ) mod 1 for the 3x+1 map.
-
-    Works purely in log space with exact integer exponents, so m in the
-    millions cannot overflow and no float power of 3/4 is ever formed.
-    """
+    """log_base( x_m / ((3/4)^m x_0) ) mod 1 for the 3x+1 map: the one-seed
+    case of :func:`ratio_fracs`."""
     if m == 0:
         return 0.0
     if m < 0:
         raise DomainError("m must be >= 0")
-    x = int(x0)
-    if not THREE_X_PLUS_1.in_domain(x):
-        raise DomainError(f"x0 ({x.bit_length()} bits, x0 mod 6 = {x % 6}) "
-                          "is not in the 3x+1 domain")
-    for i in range(m):
-        try:
-            x, _ = step(THREE_X_PLUS_1, x)
-        except DomainError as exc:  # pragma: no cover - domain is closed
-            raise IterationDomainError(str(exc), index=i) from exc
-    v = (log_mantissa(x, base) - log_mantissa(x0, base)
-         - _frac_mul_log(m, 3, base) + _frac_mul_log(2 * m, 2, base))
-    return v % 1.0
+    return float(ratio_fracs([int(x0)], m, base)[0])
 
 
 def geometric_model_sample(m: int, base, rng: np.random.Generator) -> float:
-    """(sum of m iid geometric(1/2) draws - 2m) * log_base(2), mod 1."""
-    if m < 1:
-        raise DomainError("m must be >= 1")
-    s = int(rng.geometric(0.5, size=m).sum())
-    return _model_frac(np.array([s]), m, base)[0]
+    """(sum of m iid geometric(1/2) draws - 2m) * log_base(2), mod 1: the
+    one-draw case of :func:`geometric_model_points`."""
+    return float(geometric_model_points(m, base, 1, rng)[0])
 
 
 def geometric_model_points(m: int, base, n: int,
                            rng: np.random.Generator) -> np.ndarray:
     """n independent copies of the model statistic."""
-    return _model_frac(_model_sums(m, n, rng), m, base)
+    j = _model_sums(m, n, rng) - 2 * m
+    n_pow = _exact_log2(base)
+    if n_pow is not None:
+        return np.mod(j, n_pow) / float(n_pow)
+    return np.mod(j * (_LN2 / math.log(base)), 1.0)
 
 
 def _model_sums(m: int, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -405,15 +385,6 @@ def _model_sums(m: int, n: int, rng: np.random.Generator) -> np.ndarray:
     if m < 1 or n < 1:
         raise DomainError("m and n must be >= 1")
     return m + rng.negative_binomial(m, 0.5, size=n).astype(np.int64)
-
-
-def _model_frac(s: np.ndarray, m: int, base) -> np.ndarray:
-    n_pow = _exact_log2(base)
-    j = s - 2 * m
-    if n_pow is not None:
-        return np.mod(j, n_pow) / float(n_pow)
-    c = _LN2 / math.log(base)
-    return np.mod(j * c, 1.0)
 
 
 def _exact_log2(base) -> int | None:
@@ -497,17 +468,11 @@ def ratio_digit_experiment(seeds, m: int, base: int) -> RatioDigitResult:
     next digit boundary, the digit is the exact digit of 2^j; any other seed
     (typically a tiny iterate) is recomputed from the full integer ratio.
     """
-    base = int(base)
-    if base < 2:
-        raise DomainError("base must be >= 2")
-    xm, s_tot, _ = _census_paths(seeds, m, THREE_X_PLUS_1)
+    base = _check_digit_base(base)
+    xm, s_tot, ulog2 = _ratio_census(seeds, m)
     j = 2 * m - s_tot
     j_lo = int(j.min())
     lattice, gaps = _pow2_lattice(j_lo, int(j.max()), base)
-    # math.log2 takes the int64 and the big-int census output alike
-    ulog2 = (np.fromiter(map(math.log2, xm), np.float64, len(xm)) + s_tot
-             - m * math.log2(3.0)
-             - np.fromiter(map(math.log2, seeds), np.float64, len(xm)))
     digits = lattice[j - j_lo]
     for i in np.nonzero(ulog2 > 0.5 * gaps[j - j_lo])[0]:
         digits[i] = _ratio_digit_exact(int(seeds[i]), int(xm[i]), m, base)
@@ -519,27 +484,40 @@ def ratio_digit_experiment(seeds, m: int, base: int) -> RatioDigitResult:
 def model_digit_experiment(m: int, base: int, n: int,
                            rng: np.random.Generator) -> DigitHistogram:
     """Digit histogram of the geometric-sum model, via exact lattice digits."""
-    base = int(base)
+    base = _check_digit_base(base)
     j = _model_sums(m, n, rng) - 2 * m
     j_lo = int(j.min())
     lattice, _ = _pow2_lattice(j_lo, int(j.max()), base)
     return DigitHistogram.from_digits(lattice[j - j_lo], base)
 
 
-def _log2_int(x: int) -> float:
-    return (int(x).bit_length() - 1) + log_mantissa(int(x), 2)
+def _log2s(xs) -> np.ndarray:
+    """log2 of each positive integer from its bit length and top 50 bits:
+    the float ``core_numeric._log_parts`` gives for base 2, vectorised.
+    ``math.log`` is kept over ``np.log``, whose last ulp can differ."""
+    vals = np.asarray(xs).tolist()
+    n = np.fromiter(map(int.bit_length, vals), np.int64, len(vals))
+    w = np.maximum(n - 50, 0)
+    for i in np.flatnonzero(w).tolist():
+        vals[i] >>= int(w[i])
+    return w + np.fromiter(map(math.log, vals), np.float64, len(vals)) / _LN2
+
+
+def _ratio_census(seeds, m: int):
+    """x_m, total multiplicity S and log2 u over a 3x+1 census, where
+    u = x_m 2^S / (3^m x_0) >= 1 is the factor by which the ratio exceeds
+    its lattice point 2^(2m - S)."""
+    xm, s_tot, _ = _census_paths(seeds, m, THREE_X_PLUS_1)
+    # the difference of the two logs is taken first, so huge seeds cancel
+    ulog2 = (_log2s(xm) - _log2s(seeds)) + s_tot - m * math.log2(3.0)
+    return xm, s_tot, ulog2
 
 
 def ratio_fracs(seeds, m: int, base) -> np.ndarray:
     """Float values of the ratio statistic over a census (for distribution
     plots and KS comparisons; digit decisions use the exact path instead)."""
-    xm, s_tot, _ = _census_paths(seeds, m, THREE_X_PLUS_1)
-    c = _LN2 / math.log(base)
-    # log2 of the correction u = x_m 2^S / (3^m x_0), built from exact
-    # exponent bookkeeping so huge seeds cancel without loss
-    ulog2 = np.array([
-        _log2_int(x) - _log2_int(s0) + float(s) - m * math.log2(3.0)
-        for s0, x, s in zip(seeds, xm, s_tot)])
+    c = _LN2 / math.log(_check_base(base))
+    _, s_tot, ulog2 = _ratio_census(seeds, m)
     j = np.asarray(2 * m - s_tot, dtype=np.float64)
     return np.mod(j * c + ulog2 * c, 1.0)
 

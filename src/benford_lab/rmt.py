@@ -23,7 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .benford_stats import DigitHistogram
-from .core_numeric import DomainError, digits_from_log
+from .core_numeric import DomainError, _check_digit_base, \
+    digits_from_log
 
 __all__ = [
     "EULER_GAMMA",
@@ -84,16 +85,23 @@ def unitarity_residual(u: np.ndarray) -> float:
     return float(np.abs(u.conj().T @ u - np.eye(n)).max())
 
 
+def _log_abs_charpolys(us: np.ndarray, thetas):
+    """log|det(I - U e^(-i theta))| for a stack of matrices by row-pivoted
+    elimination, plus a mask of the samples whose theta lies on an
+    eigenangle (log|Z| not finite or below _LOG_FLOOR)."""
+    rot = np.exp(-1j * np.asarray(thetas))[:, None, None]
+    _, log_abs = np.linalg.slogdet(np.eye(us.shape[-1]) - us * rot)
+    return log_abs, ~np.isfinite(log_abs) | (log_abs < _LOG_FLOOR)
+
+
 def log_abs_charpoly(u, theta: float) -> float:
     """log|det(I - U e^(-i theta))| by row-pivoted elimination."""
     mat = u.matrix if isinstance(u, UnitarySample) else np.asarray(u)
-    n = mat.shape[0]
-    a = np.eye(n) - mat * complex(math.cos(theta), -math.sin(theta))
-    _, log_abs = np.linalg.slogdet(a)
-    if not np.isfinite(log_abs) or log_abs < _LOG_FLOOR:
+    log_abs, singular = _log_abs_charpolys(mat[None], [theta])
+    if singular[0]:
         raise SingularMatrixError(
             "theta lies on an eigenangle; resample theta")
-    return float(log_abs)
+    return float(log_abs[0])
 
 
 def q2_variance(n: int) -> float:
@@ -156,16 +164,11 @@ class CueResult:
 
 def _cue_chunk(n, count, base, gen, check_unitarity):
     us = _haar_batch(n, count, gen)
-    resid = None
-    if check_unitarity:
-        eye = np.eye(n)
-        resid = max(float(np.abs(u.conj().T @ u - eye).max()) for u in us)
+    resid = max(map(unitarity_residual, us)) if check_unitarity else None
     thetas = gen.uniform(0.0, 2.0 * math.pi, size=count)
     resampled = 0
     while True:
-        rot = np.exp(-1j * thetas)[:, None, None]
-        _, log_abs = np.linalg.slogdet(np.eye(n) - us * rot)
-        bad = ~np.isfinite(log_abs) | (log_abs < _LOG_FLOOR)
+        log_abs, bad = _log_abs_charpolys(us, thetas)
         if not bad.any():
             break
         resampled += int(bad.sum())
@@ -188,6 +191,7 @@ def cue_experiment(n: int, n_samples: int, base: int,
     particular does not depend on the worker count.
     """
     _check_dim(n)
+    base = _check_digit_base(base)
     if n < 2:
         raise DomainError("the digit experiment needs n >= 2")
     if n_samples < 1:

@@ -13,6 +13,9 @@ Three evaluation routes, chosen by region:
   corrections for t > 40 off the line, which doubles as the high-precision
   refinement route everywhere (absolute error near 1e-14 at scan heights).
 
+``_zeta_many`` is the single place where the route is chosen; ``zeta_eval``
+and ``scan_line`` both call it.
+
 A sample's leading digit is never taken from a value whose certified error
 band straddles a digit boundary: such points (and points indistinguishable
 from zeros) are re-evaluated with the refinement route, and only then
@@ -27,7 +30,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .benford_stats import DigitHistogram
-from .core_numeric import DomainError, digits_from_log
+from .core_numeric import DomainError, _check_digit_base, \
+    digits_from_log
 
 __all__ = [
     "AccuracyError",
@@ -239,6 +243,31 @@ def _euler_maclaurin_many(sigmas: np.ndarray, ts: np.ndarray, chunk: int = 64):
 
 # ------------------------------------------------------------- dispatcher --
 
+def _zeta_many(sigmas, ts) -> tuple[np.ndarray, np.ndarray]:
+    """zeta with certified absolute error bounds at sigma + i t, t >= 0 and
+    s != 1: the one place where the route is chosen by region."""
+    sigmas = np.asarray(sigmas, dtype=np.float64)
+    ts = np.asarray(ts, dtype=np.float64)
+    vals = np.empty(ts.shape, dtype=np.complex128)
+    errs = np.empty(ts.shape, dtype=np.float64)
+    small = ts <= 40.0
+    on_line = (sigmas == 0.5) & ~small
+    rest = ~(small | on_line)
+    for i in np.nonzero(small)[0]:
+        s = complex(sigmas[i], ts[i])
+        try:
+            vals[i], errs[i] = _eta_zeta(s)
+        except _RouteUnavailable:
+            vals[i], errs[i] = _euler_maclaurin(s)
+    if on_line.any():
+        z, theta, errs[on_line] = _riemann_siegel_many(ts[on_line])
+        vals[on_line] = z * np.exp(-1j * theta)
+    if rest.any():
+        # one batch: each 64-point chunk sets its own cutoff N
+        vals[rest], errs[rest] = _euler_maclaurin_many(sigmas[rest], ts[rest])
+    return vals, errs
+
+
 def zeta_eval(s) -> tuple[complex, float]:
     """zeta(s) with a certified absolute error bound, route chosen by region."""
     s = complex(s)
@@ -251,16 +280,8 @@ def zeta_eval(s) -> tuple[complex, float]:
     if s.imag < 0:
         v, e = zeta_eval(s.conjugate())
         return v.conjugate(), e
-    if s.imag <= 40.0:
-        try:
-            return _eta_zeta(s)
-        except _RouteUnavailable:
-            return _euler_maclaurin(s)
-    if s.real == 0.5:
-        z, theta, err = _riemann_siegel_many(np.array([s.imag]))
-        val = z[0] * complex(math.cos(theta[0]), -math.sin(theta[0]))
-        return complex(val), float(err[0])
-    return _euler_maclaurin(s)
+    vals, errs = _zeta_many([s.real], [s.imag])
+    return complex(vals[0]), float(errs[0])
 
 
 def zeta(s) -> complex:
@@ -338,6 +359,7 @@ def scan_line(t_start: float, t_end: float, step: float, mode: SigmaMode,
     trigger re-evaluation with the Euler-Maclaurin route; points still
     indistinguishable from zero afterwards are excluded and reported.
     """
+    base = _check_digit_base(base)
     if step <= 0:
         raise DomainError("step must be positive")
     if t_end < t_start:
@@ -355,32 +377,11 @@ def scan_line(t_start: float, t_end: float, step: float, mode: SigmaMode,
     else:
         sigmas = np.full(count, mode.value)
 
-    vals = np.empty(count, dtype=np.complex128)
-    errs = np.empty(count, dtype=np.float64)
-    failures = []
-
+    vals = np.full(count, np.nan, dtype=np.complex128)
+    errs = np.full(count, np.inf)
     pole = (ts == 0.0) & (sigmas == 1.0)
-    small = (np.abs(ts) <= 40.0) & ~pole
-    on_line = (sigmas == 0.5) & (np.abs(ts) > 40.0)
-    rest = ~(small | on_line | pole)
-
-    for i in np.nonzero(small)[0]:
-        try:
-            vals[i], errs[i] = zeta_eval(complex(sigmas[i], ts[i]))
-        except DomainError as exc:
-            failures.append((float(ts[i]), str(exc)))
-            vals[i], errs[i] = np.nan, np.inf
-    if np.any(on_line):
-        idx = np.nonzero(on_line)[0]
-        z, theta, err = _riemann_siegel_many(ts[idx])
-        vals[idx] = z * np.exp(-1j * theta)
-        errs[idx] = err
-    if np.any(rest):
-        idx = np.nonzero(rest)[0]
-        vals[idx], errs[idx] = _euler_maclaurin_many(sigmas[idx], ts[idx])
-    for i in np.nonzero(pole)[0]:
-        failures.append((float(ts[i]), "pole at s = 1"))
-        vals[i], errs[i] = np.nan, np.inf
+    failures = [(float(t), "pole at s = 1") for t in ts[pole]]
+    vals[~pole], errs[~pole] = _zeta_many(sigmas[~pole], ts[~pole])
 
     ok = np.isfinite(errs) & np.isfinite(vals.real)
     abs_vals = np.abs(vals)

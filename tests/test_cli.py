@@ -119,6 +119,8 @@ class TestCollatzCommands:
         ["model", "--samples", "0"],
         ["model", "-m", "0"],
         ["structure", "--ktuple", "a", "--limit", "1000"],
+        ["model", "--base", "1"],
+        ["model", "--base", "0"],
     ])
     def test_bad_input_is_config_error(self, args, capsys):
         code, out, err = run_cli(["collatz"] + args, capsys)
@@ -145,6 +147,12 @@ class TestZetaCommand:
              "--near-critical-delta", "0.5"], capsys)
         assert code == 2
 
+    @pytest.mark.parametrize("base", ["1", "0"])
+    def test_bad_base_is_config_error(self, base, capsys):
+        code, out, err = run_cli(
+            ["zeta", "--t-end", "5", "--base", base], capsys)
+        assert code == 2 and out == "" and err.startswith("error: ")
+
 
 class TestCueCommand:
     def test_json_run(self, capsys):
@@ -163,6 +171,12 @@ class TestCueCommand:
         _, out2, _ = run_cli(base + ["--workers", "3"], capsys)
         # identical apart from the metadata echo of the worker count
         assert out1.split("\n")[1:] == out2.split("\n")[1:]
+
+    @pytest.mark.parametrize("base", ["1", "0"])
+    def test_bad_base_is_config_error(self, base, capsys):
+        code, out, err = run_cli(
+            ["cue", "--dim", "4", "--samples", "10", "--base", base], capsys)
+        assert code == 2 and out == "" and err.startswith("error: ")
 
 
 class TestEquidistCommands:
@@ -199,6 +213,14 @@ class TestEquidistCommands:
         ["kalpha", "--alpha", "log:a:10"],
         ["kalpha", "--alpha", "1/0"],
         ["type", "--alpha", "log:2:10", "--gammas", "x"],
+        ["kalpha", "--alpha", "nan"],
+        ["kalpha", "--alpha", "inf"],
+        ["kalpha", "--alpha", "1e400"],
+        ["kalpha", "--alpha", "log:0:10"],
+        ["cf", "--alpha", "nan"],
+        ["cf", "--alpha", "1e400"],
+        ["type", "--alpha", "inf"],
+        ["type", "--alpha", "log:0:10"],
     ])
     def test_malformed_argument_is_config_error(self, args, capsys):
         code, out, err = run_cli(["equidist"] + args, capsys)

@@ -8,7 +8,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from benford_lab import collatz as cz
-from benford_lab.core_numeric import DomainError
+from benford_lab.core_numeric import DomainError, log_mantissa
 
 from conftest import make_rng
 
@@ -251,6 +251,43 @@ class TestRatioStatistic:
         lattice = ((20 - s) * math.log10(2.0)) % 1.0
         diff = abs(got - lattice)
         assert min(diff, 1 - diff) < 1e-6
+
+    @pytest.mark.parametrize("bits", [49, 61, 2049])
+    def test_seeds_just_below_powers_of_two(self, bits):
+        # log2 of 2^n - 1 rounds to n; its fractional part alone would
+        # put the seed a whole octave low
+        x0, m = 2 ** bits - 1, 10
+        _, its = reference_path(x0, m)
+        with mpmath.workdps(50):
+            ratio = mpmath.mpf(its[-1] * 4 ** m) / (3 ** m * x0)
+            ref = float(mpmath.frac(mpmath.log(ratio, 10)))
+        for got in (cz.ratio_fracs([x0], m, 10)[0],
+                    cz.ratio_statistic(x0, m, 10)):
+            diff = abs(got - ref)
+            assert min(diff, 1 - diff) < 1e-9
+
+    def test_fracs_bit_identical_to_per_seed_bookkeeping(self):
+        # the per-seed formula the vectorised log2 replaced; on seeds away
+        # from powers of two both give the same floats, so KS distances to
+        # the model do not move
+        def log2_int(x):
+            return (x.bit_length() - 1) + log_mantissa(x, 2)
+
+        m, c = 10, math.log(2.0) / math.log(10)
+        seeds = cz.census_1mod6(CENSUS_START, 2000)
+        ref = []
+        for x0 in seeds.tolist():
+            ks, its = reference_path(x0, m)
+            s = sum(ks)
+            ulog2 = log2_int(its[-1]) - log2_int(x0) + float(s) \
+                - m * math.log2(3.0)
+            ref.append((float(2 * m - s) * c + ulog2 * c) % 1.0)
+        assert cz.ratio_fracs(seeds, m, 10).tolist() == ref
+
+    def test_model_sample_is_one_model_point(self):
+        for m, base in ((1, 10), (7, 4), (40, 7)):
+            assert cz.geometric_model_sample(m, base, make_rng(3)) == \
+                cz.geometric_model_points(m, base, 1, make_rng(3))[0]
 
     def test_base2_model_is_zero(self):
         rng = make_rng(5)

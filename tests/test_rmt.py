@@ -75,6 +75,15 @@ class TestLogAbsCharpoly:
                + a[0, 2] * (a[1, 0] * a[2, 1] - a[1, 1] * a[2, 0]))
         assert abs(rmt.log_abs_charpoly(u, theta) - math.log(abs(det))) < 1e-10
 
+    def test_scalar_is_the_batch_rule(self):
+        # the CUE experiment and the scalar API share one charpoly rule
+        us = rmt._haar_batch(6, 40, make_rng(4))
+        thetas = make_rng(5).uniform(0.0, 2.0 * math.pi, size=40)
+        log_abs, singular = rmt._log_abs_charpolys(us, thetas)
+        assert not singular.any()
+        assert [rmt.log_abs_charpoly(u, th) for u, th in zip(us, thetas)] \
+            == log_abs.tolist()
+
     def test_singular_rejected(self):
         u = np.array([[1.0 + 0.0j]])  # eigenangle 0 hit exactly by theta = 0
         with pytest.raises(rmt.SingularMatrixError):
