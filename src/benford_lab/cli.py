@@ -26,7 +26,8 @@ import numpy as np
 
 from . import __version__
 from . import benford_stats, collatz, equidist, rmt, zeta
-from .core_numeric import DomainError, leading_digit, random_bignat
+from .core_numeric import DomainError, _check_digit_base, leading_digit, \
+    random_bignat
 
 WORKERS_ENV = "BENFORD_LAB_WORKERS"
 
@@ -112,20 +113,24 @@ def _rng(seed: int) -> np.random.Generator:
 
 def _resolve_alpha(text: str):
     """Accept a finite float literal, 'p/q' (exact rational), or 'log:X:B'
-    for a 500-digit log_B(X)."""
+    (integers X >= 1, B >= 2) for a 500-digit log_B(X)."""
     parts = text.split(":")
     if parts[0] == "log" and len(parts) != 3:
         raise ConfigError("log alpha form must look like log:2:10")
     try:
         if parts[0] == "log":
-            alpha = equidist.log_ratio(int(parts[1]), int(parts[2]))
+            x, b = int(parts[1]), int(parts[2])
+            if x < 1 or b < 2:
+                raise ConfigError(f"log:X:B needs X >= 1 and B >= 2, "
+                                  f"got {text!r}")
+            alpha = equidist.log_ratio(x, b)
         elif "/" in text:
             num, den = text.split("/", 1)
             return Fraction(int(num), int(den))
         else:
             alpha = float(text)
         finite = math.isfinite(alpha)
-    except (TypeError, ValueError, ZeroDivisionError) as exc:
+    except (ValueError, ZeroDivisionError) as exc:
         raise ConfigError(f"cannot parse alpha {text!r}") from exc
     if not finite:
         raise ConfigError(f"alpha must be finite, got {text!r}")
@@ -148,9 +153,19 @@ def _report_rows(report: benford_stats.TestReport):
 
 # ---------------------------------------------------------------- commands --
 
+def _decimal_value(text: str) -> Fraction:
+    """The exact value of a decimal literal such as ``12``, ``-0.5`` or
+    ``1.99e5``.  Rejects ``p/q``, and exponents of seven or more digits,
+    whose power of ten alone would take megabytes."""
+    if "/" in text or len(text.lower().partition("e")[2].lstrip("+-0")) > 6:
+        raise ValueError(f"not a decimal literal: {text!r}")
+    return Fraction(text)
+
+
 def cmd_digits(args, cfg: ExperimentConfig) -> int:
     sys.set_int_max_str_digits(2_000_000)
-    values = []
+    base = _check_digit_base(args.base)
+    digits = []
     try:
         with open(args.file, encoding="utf-8") as fh:
             for ln, line in enumerate(fh, start=1):
@@ -158,24 +173,17 @@ def cmd_digits(args, cfg: ExperimentConfig) -> int:
                 if not text:
                     continue
                 try:
-                    values.append(int(text))
+                    digits.append(leading_digit(_decimal_value(text), base))
+                except DomainError as exc:  # zero
+                    raise ConfigError(f"{args.file}:{ln}: {exc}")
                 except ValueError:
-                    try:
-                        values.append(float(text))
-                    except ValueError:
-                        raise ConfigError(
-                            f"{args.file}:{ln}: cannot parse {text!r}")
+                    raise ConfigError(
+                        f"{args.file}:{ln}: cannot parse {text!r}")
     except OSError as exc:
         raise ConfigError(str(exc))
-    if not values:
+    if not digits:
         raise ConfigError(f"{args.file} holds no values")
-    digits = []
-    for ln, v in enumerate(values, start=1):
-        try:
-            digits.append(leading_digit(v, args.base))
-        except DomainError as exc:
-            raise ConfigError(f"value {ln}: {exc}")
-    hist = benford_stats.DigitHistogram.from_digits(digits, args.base)
+    hist = benford_stats.DigitHistogram.from_digits(digits, base)
     report = benford_stats.z_statistics(hist)
     emit(cfg, ("digit", "observed", "benford", "z"), _report_rows(report),
          report.to_text_table(), {"report": json.loads(report.to_json())})

@@ -27,7 +27,8 @@ import numpy as np
 
 from .benford_stats import DigitHistogram, benford_probabilities
 from .core_numeric import BigNat, DomainError, _check_base, \
-    _check_digit_base, _exact_floor_log, leading_digit, shift_out_factor
+    _check_digit_base, _exact_floor_log, _ratio_digit, leading_digit, \
+    shift_out_factor
 
 __all__ = [
     "DghMap",
@@ -403,12 +404,6 @@ def drift(dmap: DghMap) -> float:
 
 # ------------------------------------------------- exact ratio digit census --
 
-def _ratio_digit_exact(x0: int, xm: int, m: int, base: int) -> int:
-    """Exact leading digit of x_m 4^m / (3^m x_0)."""
-    _, a, b = _exact_floor_log(xm << (2 * m), base, den=3 ** m * x0)
-    return a // b
-
-
 def _pow2_lattice(j_lo: int, j_hi: int, base: int
                   ) -> tuple[np.ndarray, np.ndarray]:
     """For j = j_lo..j_hi: the exact leading digit d of 2**j in ``base`` and
@@ -475,7 +470,8 @@ def ratio_digit_experiment(seeds, m: int, base: int) -> RatioDigitResult:
     lattice, gaps = _pow2_lattice(j_lo, int(j.max()), base)
     digits = lattice[j - j_lo]
     for i in np.nonzero(ulog2 > 0.5 * gaps[j - j_lo])[0]:
-        digits[i] = _ratio_digit_exact(int(seeds[i]), int(xm[i]), m, base)
+        digits[i] = _ratio_digit(int(xm[i]) << (2 * m),
+                                 3 ** m * int(seeds[i]), base)
     hist = DigitHistogram.from_digits(digits, base)
     return RatioDigitResult(base, m, len(xm), hist,
                             limit_law_digit_probabilities(base))

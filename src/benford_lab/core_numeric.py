@@ -8,11 +8,13 @@ fractional-log extraction in an arbitrary base ``B > 1``, and the two exact
 primitives the dynamical-system experiments iterate millions of times:
 :func:`mul_add_small` and :func:`shift_out_factor`.
 
-Digit extraction for huge integers never trusts a bare floating-point
-logarithm.  The fast path brackets ``log_B(x)`` from the bit length plus the
-top 50 bits, carrying a rigorous rounding-error margin; whenever the bracket
-comes within that margin of a digit boundary (or of an integer exponent) the
-answer is recomputed with exact integer comparisons against powers of B.
+Digit extraction never trusts a bare floating-point logarithm.  Every real
+input is an exact ratio ``num/den`` of integers (a float is its binary value
+``m * 2**q``; a Fraction, e.g. parsed decimal text, is itself).  The fast
+path brackets ``log_B(num/den)`` from the bit lengths plus the top 50 bits,
+carrying a rigorous rounding-error margin; whenever the bracket comes within
+that margin of a digit boundary (or of an integer exponent) the answer is
+recomputed with exact integer comparisons against powers of B.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 from numbers import Integral
 from typing import Union
@@ -43,7 +46,7 @@ __all__ = [
 
 BigNat = int
 
-Real = Union[int, float]
+Real = Union[int, Fraction, float]
 
 _LN2 = math.log(2.0)
 _TOP_BITS = 50
@@ -77,7 +80,8 @@ def _check_base(base) -> float:
 
 
 def _check_digit_base(base) -> int:
-    if not isinstance(base, Integral) or int(base) < 2:
+    # type(...) is int first: the ABC check costs about a microsecond
+    if not (type(base) is int or isinstance(base, Integral)) or base < 2:
         raise DomainError(f"digit base must be an integer >= 2, got {base!r}")
     return int(base)
 
@@ -134,41 +138,67 @@ def _digit_bounds(base: int) -> tuple[float, ...]:
     return tuple(math.log(d) / lb for d in range(1, base + 1))
 
 
+def _ratio(x: Real) -> tuple[int, int]:
+    """``|x|`` as an exact ratio ``num / den`` of ints with ``den >= 1``.
+
+    Ints and Fractions are taken as they are; anything else is read as a
+    float, whose binary value is itself an exact (dyadic) rational.
+    """
+    if type(x) is int or isinstance(x, Integral):
+        return abs(int(x)), 1
+    if not isinstance(x, Fraction):
+        xf = float(x)
+        if not math.isfinite(xf):
+            raise DomainError(f"x must be finite, got {x!r}")
+        x = Fraction(xf)
+    return abs(x.numerator), x.denominator
+
+
+def _log_bracket(num: int, den: int, base: float) -> tuple[float, float]:
+    """``log_base(num/den)`` for positive ints and a pad: the true value
+    lies strictly within ``pad`` of the returned float."""
+    v, margin = _log_parts(num, base)
+    if den != 1:
+        w, den_margin = _log_parts(den, base)
+        v, margin = v - w, margin + den_margin
+    return v, margin + 5e-16
+
+
+def _certified_digit(f: float, pad: float, base: int) -> int:
+    """The digit d with every value within ``pad`` of ``f`` strictly inside
+    ``[log_base d, log_base(d+1))``, or 0 when a boundary is that close."""
+    bounds = _digit_bounds(base)
+    d = bisect_right(bounds, f)
+    if f - bounds[d - 1] > pad and bounds[d] - f > pad:
+        return d
+    return 0
+
+
+def _ratio_digit(num: int, den: int, base: int) -> int:
+    """Leading digit of ``num/den`` for positive ints: the bracket's digit
+    when certified, else the exact integer decision."""
+    if den == 1 and num < base:
+        return num
+    v, pad = _log_bracket(num, den, base)
+    d = _certified_digit(v - math.floor(v), pad, base)
+    if d:
+        return d
+    _, a, b = _exact_floor_log(num, base, den)
+    return a // b
+
+
 def leading_digit(x: Real, base: int = 10) -> int:
     """First digit of ``|x|`` written in ``base``: ``floor(M_base(|x|))``.
 
-    Exact for integer inputs of any size (certified bracket with an exact
-    integer fallback); for floats the digit inherits ordinary double rounding.
+    Exact for every int, Fraction and float (a float counts as its exact
+    binary value): a certified log bracket decides the digit, and an exact
+    integer comparison takes over whenever it touches a digit boundary.
     """
     b = _check_digit_base(base)
-    if isinstance(x, Integral):
-        xi = abs(int(x))
-        if xi == 0:
-            raise DomainError("leading digit of 0 is undefined")
-        return _leading_digit_int(xi, b)
-    xf = float(x)
-    if not math.isfinite(xf):
-        raise DomainError(f"x must be finite, got {x!r}")
-    if xf == 0.0:
+    num, den = _ratio(x)
+    if num == 0:
         raise DomainError("leading digit of 0 is undefined")
-    m = mantissa(xf, b)
-    d = int(m.significand)
-    return min(max(d, 1), b - 1)
-
-
-def _leading_digit_int(x: int, base: int) -> int:
-    if x < base:
-        return x
-    v, margin = _log_parts(x, base)
-    f = v - math.floor(v)
-    bounds = _digit_bounds(base)
-    d = bisect_right(bounds, f)
-    pad = margin + 5e-16
-    if f - bounds[d - 1] > pad and bounds[d] - f > pad:
-        return d
-    # bracket straddles a boundary: decide by exact integer arithmetic
-    _, a, b = _exact_floor_log(x, base)
-    return a // b
+    return _ratio_digit(num, den, b)
 
 
 def digits_from_log(f, band, base: int) -> tuple[np.ndarray, np.ndarray]:
@@ -191,98 +221,62 @@ def log_mantissa(x: Real, base) -> float:
 
     Accuracy is in the mod-1 (circle) metric: an input one ulp below a power
     of the base rounds to 0.0, the nearest representative of its fractional
-    part.  Huge integers go through mpmath with ~30 guard digits so the
-    fractional part survives the large integer exponent.
+    part.  Ratios with a part over 2,048 bits go through mpmath with ~30
+    guard digits so the fractional part survives the large exponent.
     """
     b = _check_base(base)
-    if isinstance(x, Integral):
-        xi = abs(int(x))
-        if xi == 0:
-            raise DomainError("log_mantissa of 0 is undefined")
-        n = xi.bit_length()
-        if n <= 2048:
-            v, _ = _log_parts(xi, b)
-            return v - math.floor(v)
-        return _log_mantissa_big(xi, b)
-    xf = float(x)
-    if not math.isfinite(xf):
-        raise DomainError(f"x must be finite, got {x!r}")
-    if xf == 0.0:
+    num, den = _ratio(x)
+    if num == 0:
         raise DomainError("log_mantissa of 0 is undefined")
-    v = math.log(abs(xf)) / math.log(b)
+    if max(num.bit_length(), den.bit_length()) > 2048:
+        return _log_mantissa_big(num, den, b)
+    v, _ = _log_bracket(num, den, b)
     return v - math.floor(v)
 
 
-def _log_mantissa_big(x: int, base: float) -> float:
-    n = x.bit_length()
-    w = min(n, 4 * _TOP_BITS)
-    top = x >> (n - w)
+def _log_mantissa_big(num: int, den: int, base: float) -> float:
     # 30 guard digits beyond the size of the integer exponent
-    dps = 30 + len(str(n))
+    dps = 30 + len(str(max(num.bit_length(), den.bit_length())))
     with mpmath.workdps(dps):
         lb = mpmath.log(base)
-        v = (n - w) * mpmath.log(2) / lb + mpmath.log(top) / lb
+
+        def log_b(x: int):
+            n = x.bit_length()
+            w = min(n, 4 * _TOP_BITS)
+            return (n - w) * mpmath.log(2) / lb + mpmath.log(x >> (n - w)) / lb
+
         # the cast of a frac just below 1 can round up to 1.0
-        return float(mpmath.frac(v)) % 1.0
+        return float(mpmath.frac(log_b(num) - log_b(den))) % 1.0
 
 
 def mantissa(x: Real, base) -> Mantissa:
     """Canonical ``(significand, exponent)`` of ``x`` in ``base``.
 
-    Negative inputs are folded to ``|x|``; zero maps to significand 0.
+    Negative inputs are folded to ``|x|``; zero maps to significand 0.  For
+    an integer base the exponent is exact and ``int(significand)`` is the
+    leading digit, under the rule of :func:`leading_digit`.
     """
     b = _check_base(base)
-    if isinstance(x, Integral):
-        xi = abs(int(x))
-        if xi == 0:
-            return Mantissa(0.0, 0, b)
-        return _mantissa_int(xi, b, base)
-    xf = float(x)
-    if not math.isfinite(xf):
-        raise DomainError(f"x must be finite, got {x!r}")
-    if xf == 0.0:
+    num, den = _ratio(x)
+    if num == 0:
         return Mantissa(0.0, 0, b)
-    ax = abs(xf)
-    v = math.log(ax) / math.log(b)
+    v, pad = _log_bracket(num, den, b)
     k = math.floor(v)
-    s = b ** (v - k)
-    # one multiplicative nudge in case rounding pushed s out of [1, B)
-    if s < 1.0:
-        s *= b
-        k -= 1
-    elif s >= b:
-        s /= b
-        k += 1
-    return Mantissa(s, k, b)
-
-
-def _mantissa_int(x: int, b: float, base) -> Mantissa:
-    v, margin = _log_parts(x, b)
-    f = v - math.floor(v)
-    k = math.floor(v)
-    if min(f, 1.0 - f) <= margin + 5e-16:
-        if isinstance(base, Integral):
-            # exact exponent, then a correctly rounded big-int ratio: this
-            # stays right even when x sits one ulp from a power of the base
-            k, a, p = _exact_floor_log(x, int(base))
-            s = a / p
-        else:
-            f = _log_mantissa_big(x, b)
-            # exponent from the certified total log; ambiguity here means x
-            # sits within 1e-25 of an exact power of a non-integer base
-            k = math.floor(v - min(f, 1.0) + 0.5)
-            s = b ** f
-        # k is exact here, so out-of-range s can only be rounding noise
-        if s < 1.0:
-            s = 1.0
-        elif s >= b:
-            s = math.nextafter(b, 1.0)
-        return Mantissa(s, int(k), b)
-    s = b ** f
-    if s >= b:
-        s = 1.0
-        k += 1
-    return Mantissa(s, int(k), b)
+    f = v - k
+    if isinstance(base, Integral):
+        if _certified_digit(f, pad, int(base)):
+            return Mantissa(b ** f, k, b)
+        # exact exponent, then the correctly rounded ratio, kept below the
+        # next digit: this stays right one ulp from a digit boundary
+        k, a, p = _exact_floor_log(num, int(base), den)
+        return Mantissa(min(a / p, math.nextafter(a // p + 1, 0.0)), k, b)
+    if min(f, 1.0 - f) > pad:
+        return Mantissa(b ** f, k, b)
+    f = _log_mantissa_big(num, den, b)
+    # exponent from the certified total log; ambiguity here means x sits
+    # within 1e-25 of an exact power of a non-integer base
+    k = math.floor(v - min(f, 1.0) + 0.5)
+    return Mantissa(min(max(b ** f, 1.0), math.nextafter(b, 1.0)), k, b)
 
 
 def mul_add_small(x: BigNat, g: int, h: int) -> BigNat:

@@ -39,8 +39,9 @@ class TestHistogram:
                 bs.DigitHistogram.from_digits(bad, 10)
 
     def test_from_values(self):
-        h = bs.DigitHistogram.from_values([123, 0.05, 2 ** 100, 9e9], 10)
-        assert h.total == 4 and h.counts[0] == 2
+        h = bs.DigitHistogram.from_values(
+            [123, 0.05, 2 ** 100, 9e9, math.nextafter(0.001, 0.0)], 10)
+        assert h.total == 5 and h.counts[0] == 2 and h.counts[8] == 2
 
     @given(st.lists(st.integers(1, 9), min_size=0, max_size=40),
            st.lists(st.integers(1, 9), min_size=0, max_size=40),

@@ -45,9 +45,25 @@ class TestDigitsCommand:
 
     def test_malformed_line_reports_number(self, tmp_path, capsys):
         f = tmp_path / "bad.txt"
-        f.write_text("12\nnot-a-number\n9\n")
-        code, _, err = run_cli(["digits", str(f)], capsys)
-        assert code == 2 and ":2:" in err
+        for text in ("not-a-number", "inf", "nan", "3/4", "0", "1e1000000"):
+            f.write_text(f"12\n{text}\n9\n")
+            code, _, err = run_cli(["digits", str(f)], capsys)
+            assert code == 2 and ":2:" in err, text
+
+    @pytest.mark.parametrize("text,digit", [
+        ("2.99999999999999999", 2),  # 3.0 as a float
+        ("1.99999999999999999e5", 1),
+        ("29999999999999999999", 2),
+        ("1e400", 1),  # overflows a float
+    ])
+    def test_digit_of_the_number_as_written(self, text, digit, tmp_path,
+                                            capsys):
+        f = tmp_path / "vals.txt"
+        f.write_text(text + "\n")
+        code, out, _ = run_cli(["digits", str(f), "--format", "json"], capsys)
+        assert code == 0
+        per_digit = json.loads(out)["report"]["per_digit"]
+        assert per_digit[digit - 1]["observed"] == 1.0
 
 
 class TestCollatzCommands:
@@ -221,6 +237,10 @@ class TestEquidistCommands:
         ["cf", "--alpha", "1e400"],
         ["type", "--alpha", "inf"],
         ["type", "--alpha", "log:0:10"],
+        ["kalpha", "--alpha", "log:2:0"],
+        ["cf", "--alpha", "log:2:0"],
+        ["cf", "--alpha", "log:0:10"],
+        ["type", "--alpha", "log:2:0"],
     ])
     def test_malformed_argument_is_config_error(self, args, capsys):
         code, out, err = run_cli(["equidist"] + args, capsys)

@@ -87,6 +87,40 @@ class TestLeadingDigit:
         assert cn.leading_digit(0.0456, 10) == 4
         assert cn.leading_digit(-7.2, 8) == 7
 
+    def test_float_one_ulp_below_a_power(self):
+        x = math.nextafter(0.001, 0.0)
+        assert cn.leading_digit(x, 10) == 9
+        m = cn.mantissa(x, 10)
+        assert (int(m.significand), m.exponent) == (9, -4)
+        assert cn.leading_digit(math.nextafter(49.0, 0.0), 7) == 6
+
+    def test_floats_at_digit_boundaries_against_exact_oracle(self):
+        # x = float(d * B**e) and both of its one-ulp neighbours: digit and
+        # exponent must be those of the float's exact binary value
+        wrong = []
+        for base in (3, 7, 10, 12):
+            for e in range(-280, 281):
+                power = Fraction(base) ** e
+                for d in range(1, base):
+                    c = float(d * power)
+                    for x in (math.nextafter(c, 0.0), c,
+                              math.nextafter(c, math.inf)):
+                        q = Fraction(x)
+                        k, a, b = cn._exact_floor_log(q.numerator, base,
+                                                      q.denominator)
+                        m = cn.mantissa(x, base)
+                        got = (cn.leading_digit(x, base),
+                               int(m.significand), m.exponent)
+                        if got != (a // b, a // b, k):
+                            wrong.append((x, base, got, (a // b, k)))
+        assert wrong == []
+
+    def test_fraction_inputs(self):
+        assert cn.leading_digit(Fraction("2.99999999999999999"), 10) == 2
+        assert cn.leading_digit(Fraction(-1, 3 ** 40), 3) == 1
+        assert cn.mantissa(Fraction(10 ** 30 - 1, 10 ** 60), 10).exponent \
+            == -31
+
     @given(st.integers(min_value=1, max_value=10 ** 60),
            st.sampled_from([2, 3, 8, 10, 16]))
     def test_digit_log_window(self, x, base):
