@@ -14,6 +14,14 @@ the next multiply by g cannot overflow and widen to exact Python ints (an
 object array) once it could, so only the census steps that need big integers
 pay for them.  Digit decisions are never made from a float that could sit on
 a digit boundary.
+
+Trajectories of big seeds advance by blocks.  The next steps of the 3x+1
+map depend only on the low bits of the iterate (Terras 1976), so a block is
+simulated on the low 256 bits, giving each block iterate as
+(3**a * x + c) / 2**e, and is applied to the big integer with one
+multiply-add-shift.  The block's leading digits come from log_base x plus
+a*log_base 3 - e*log_base 2 inside a certified band; a digit whose band
+touches a cell boundary is recomputed from the exact iterate.
 """
 
 from __future__ import annotations
@@ -27,8 +35,8 @@ import numpy as np
 
 from .benford_stats import DigitHistogram, benford_probabilities
 from .core_numeric import BigNat, DomainError, _check_base, \
-    _check_digit_base, _exact_floor_log, _ratio_digit, leading_digit, \
-    shift_out_factor
+    _check_digit_base, _exact_floor_log, _log_bracket, _ratio_digit, \
+    digits_from_log, leading_digit, shift_out_factor
 
 __all__ = [
     "DghMap",
@@ -532,6 +540,12 @@ def ks_distance(a, b) -> float:
 
 MODES = ("remove_all_twos", "single_step")
 
+# A block of the map is simulated on the low _BLOCK_BITS bits of an iterate;
+# blocks run while the iterate has more than _BLOCK_MIN_BITS bits, which keeps
+# the carry term of every block iterate below 2**-767 relative.
+_BLOCK_BITS = 256
+_BLOCK_MIN_BITS = 4 * _BLOCK_BITS
+
 
 @dataclass
 class IterateDigitResult:
@@ -540,6 +554,73 @@ class IterateDigitResult:
     histogram: DigitHistogram
     n_recorded: int
     reached_one: bool
+    n_refined: int  # block digits taken from the exact iterate
+
+
+def _block(low: int, steps: int) -> list:
+    """Multiplicities of up to ``steps`` accelerated steps x -> (3x+1)/2**k
+    from an odd x whose low _BLOCK_BITS bits are ``low``, as far as those
+    bits decide them.
+
+    After j steps y = (3**j * low + c_j) / 2**e_j is an exact integer
+    congruent to the j-th iterate mod 2**(_BLOCK_BITS - e_j), so the next
+    multiplicity k is decided while e_j + k < _BLOCK_BITS.
+    """
+    ks = []
+    e = 0
+    y = low
+    for _ in range(steps):
+        u = 3 * y + 1
+        k = (u & -u).bit_length() - 1
+        e += k
+        if e >= _BLOCK_BITS:
+            break
+        y = u >> k
+        ks.append(k)
+    return ks
+
+
+def _block_exponents(ks, single: bool, room: int):
+    """(a_i, e_i) for the iterates (3**a_i x + c) / 2**e_i a block records:
+    one per accelerated step, or, in single steps, k_j + 1 per accelerated
+    step j (3 x_(j-1) + 1 and its k_j halvings), cut to ``room``."""
+    kv = np.array(ks)
+    if not single:
+        return np.arange(1, len(ks) + 1), np.cumsum(kv)
+    a = np.repeat(np.arange(1, len(ks) + 1), kv + 1)[:room]
+    return a, np.arange(1, len(a) + 1) - a
+
+
+def _block_iterate(x: int, ks, j: int, e: int) -> int:
+    """The block iterate (3**j * x + c_j) / 2**e, exactly, where c_0 = 0 and
+    c_(i+1) = 3 c_i + 2**(k_1 + ... + k_i) over the multiplicities ``ks``."""
+    c = s = 0
+    for k in ks[:j]:
+        c = 3 * c + (1 << s)
+        s += k
+    u = 3 ** j * x + c
+    # exact reconstruction guard: 2**e divides 3**j x + c_j
+    assert u & ((1 << e) - 1) == 0
+    return u >> e
+
+
+def _block_logs(x: int, a: np.ndarray, e: np.ndarray, base: int):
+    """log_base of the block iterates (3**a_i * x + c) / 2**e_i mod 1, and a
+    band that holds each true value.
+
+    log_base x_i = log_base x + a_i log_base 3 - e_i log_base 2 + delta_i,
+    where 0 <= delta_i = log_base(1 + c / (3**a_i x)) < 2**(e_i - n + 1)
+    / ln(base) for an n-bit x (c / 3**a_i is at most a sum of distinct
+    powers 2**e_j / 3 with e_j <= e_i).  The band adds the bracket's pad for
+    log_base x, a few ulps for each product and sum, and that correction.
+    """
+    v, pad = _log_bracket(x, 1, base)
+    lb = math.log(base)
+    l3, l2 = math.log(3.0) / lb, _LN2 / lb
+    f = np.mod((v - math.floor(v)) + (a * l3 - e * l2), 1.0)
+    band = pad + (2.0 + a * l3 + e * l2) * 2.0 ** -48 \
+        + np.ldexp(1.0, e - x.bit_length() + 1) / lb
+    return f, band
 
 
 def iterate_digit_experiment(x0: BigNat, mode: str, base: int = 10,
@@ -549,24 +630,53 @@ def iterate_digit_experiment(x0: BigNat, mode: str, base: int = 10,
     ``remove_all_twos`` applies x -> (3x+1)/2^k (an even seed is first
     reduced to its odd part, which counts as one recorded value);
     ``single_step`` applies 3x+1 to odd x and x/2 to even x.  Iteration
-    stops at 1 or after ``max_iters`` recorded values.  Digit extraction is
-    exact at every size.
+    stops at 1 or after ``max_iters`` recorded values.
+
+    Large iterates advance a block at a time: the next steps depend only on
+    the low bits (Terras 1976), so a block is simulated on the low
+    _BLOCK_BITS bits and applied to the big integer with one multiply-add-
+    shift.  The block's digits come from one certified log band per iterate
+    (see ``_block_logs``); a digit whose band touches a boundary is
+    recomputed exactly and counted in ``n_refined``.  Small iterates take
+    one exact step and one ``leading_digit`` each.  Every digit is exact.
     """
     if mode not in MODES:
         raise DomainError(f"mode must be one of {MODES}")
     x = int(x0)
     if x < 2:
         raise DomainError("x0 must be >= 2")
-    base = int(base)
+    base = _check_digit_base(base)
+    if max_iters < 1:
+        raise DomainError("max_iters must be >= 1")
     counts = np.zeros(base - 1, dtype=np.int64)
     counts[leading_digit(x, base) - 1] += 1
     n_rec = 1
-    if mode == "remove_all_twos" and x % 2 == 0:
+    if mode == "remove_all_twos" and x % 2 == 0 and n_rec < max_iters:
         x >>= (x & -x).bit_length() - 1
         counts[leading_digit(x, base) - 1] += 1
         n_rec += 1
     single = mode == "single_step"
+    n_refined = 0
+    mask = (1 << _BLOCK_BITS) - 1
     while x != 1 and n_rec < max_iters:
+        room = max_iters - n_rec
+        if x & 1 and x.bit_length() > _BLOCK_MIN_BITS and \
+                (ks := _block(x & mask, room)):
+            a, e = _block_exponents(ks, single, room)
+            digits, certified = digits_from_log(*_block_logs(x, a, e, base),
+                                                base)
+            # a band that touches a cell boundary: the exact iterate decides
+            refine = np.flatnonzero(~certified).tolist()
+            for i in refine:
+                digits[i] = leading_digit(
+                    _block_iterate(x, ks, int(a[i]), int(e[i])), base)
+            x = _block_iterate(x, ks, int(a[-1]), int(e[-1]))
+            np.add.at(counts, digits - 1, 1)
+            n_rec += len(a)
+            n_refined += len(refine)
+            continue
+        # one exact step: small or even x, or a multiplicity past the
+        # low bits
         if single:
             x = 3 * x + 1 if x & 1 else x >> 1
         else:
@@ -575,4 +685,4 @@ def iterate_digit_experiment(x0: BigNat, mode: str, base: int = 10,
         counts[leading_digit(x, base) - 1] += 1
         n_rec += 1
     return IterateDigitResult(mode, base, DigitHistogram(base, counts),
-                              n_rec, x == 1)
+                              n_rec, x == 1, n_refined)

@@ -20,7 +20,6 @@ recomputed with exact integer comparisons against powers of B.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -131,13 +130,6 @@ def _exact_floor_log(num: int, base: int, den: int = 1
     return e, a, b
 
 
-@lru_cache(maxsize=64)
-def _digit_bounds(base: int) -> tuple[float, ...]:
-    # log_base(d) for d = 1 .. base; bounds[d] begins the digit-(d+1) cell
-    lb = math.log(base)
-    return tuple(math.log(d) / lb for d in range(1, base + 1))
-
-
 def _ratio(x: Real) -> tuple[int, int]:
     """``|x|`` as an exact ratio ``num / den`` of ints with ``den >= 1``.
 
@@ -164,12 +156,39 @@ def _log_bracket(num: int, den: int, base: float) -> tuple[float, float]:
     return v, margin + 5e-16
 
 
+@lru_cache(maxsize=4096)
+def _cell_bounds(d: int, base: int) -> tuple[float, float]:
+    """The bounds ``log_base d`` and ``log_base(d + 1)`` of the digit-d cell,
+    as the floats ``math.log(d) / math.log(base)``."""
+    lb = math.log(base)
+    return math.log(d) / lb, math.log(d + 1) / lb
+
+
+def _digit_cell(f: float, base: int) -> tuple[int, float, float]:
+    """The digit d with ``log_base d <= f < log_base(d + 1)``, kept within
+    [1, base - 1], and those two bounds: a float guess, then a walk to the
+    cell that the bounds themselves give.  Only the bounds of the digits
+    visited are computed, so the cost does not grow with the base."""
+    d = int(base ** f)
+    if d < 1:
+        d = 1
+    elif d > base - 1:
+        d = base - 1
+    lo, hi = _cell_bounds(d, base)
+    while d > 1 and lo > f:
+        d -= 1
+        lo, hi = _cell_bounds(d, base)
+    while d < base - 1 and hi <= f:
+        d += 1
+        lo, hi = _cell_bounds(d, base)
+    return d, lo, hi
+
+
 def _certified_digit(f: float, pad: float, base: int) -> int:
     """The digit d with every value within ``pad`` of ``f`` strictly inside
     ``[log_base d, log_base(d+1))``, or 0 when a boundary is that close."""
-    bounds = _digit_bounds(base)
-    d = bisect_right(bounds, f)
-    if f - bounds[d - 1] > pad and bounds[d] - f > pad:
+    d, lo, hi = _digit_cell(f, base)
+    if f - lo > pad and hi - f > pad:
         return d
     return 0
 
@@ -207,13 +226,26 @@ def digits_from_log(f, band, base: int) -> tuple[np.ndarray, np.ndarray]:
     The digit is d where ``log_base(d) <= f < log_base(d + 1)``.  It is
     certified only where every value within ``band`` of ``f`` lies strictly
     inside that same cell; callers re-derive uncertified digits some other
-    way.  ``f`` and ``band`` broadcast against each other.
+    way.  ``f`` and ``band`` broadcast against each other.  The cell bounds
+    are the floats ``math.log(d) / math.log(base)``, computed only for the
+    candidate digits, so the cost does not grow with the base.
     """
-    bounds = np.asarray(_digit_bounds(base))
     f = np.asarray(f, dtype=np.float64)
-    d = np.clip(np.searchsorted(bounds, f, side="right"), 1, base - 1)
-    certified = ((f - bounds[d - 1]) > band) & ((bounds[d] - f) > band)
-    return d.astype(np.int64), certified
+    flat = f.ravel()
+    # a float guess (fmin/fmax send nan to base - 1), then the bounds of
+    # each candidate cell, computed once per distinct digit
+    guess = np.floor(np.exp(flat * math.log(base)))
+    d = np.fmax(np.fmin(guess, base - 1), 1).astype(np.int64)
+    keys = sorted(set(d.tolist()))
+    lo, hi = np.array([_cell_bounds(k, base) for k in keys]).reshape(-1, 2)[
+        np.searchsorted(keys, d)].T
+    # a guess off its cell (f within rounding of a boundary) walks there
+    off = ((lo > flat) & (d > 1)) | ((hi <= flat) & (d < base - 1))
+    for i in np.flatnonzero(off).tolist():
+        d[i], lo[i], hi[i] = _digit_cell(flat[i], base)
+    d, lo, hi = (v.reshape(f.shape) for v in (d, lo, hi))
+    certified = ((f - lo) > band) & ((hi - f) > band)
+    return d, certified
 
 
 def log_mantissa(x: Real, base) -> float:

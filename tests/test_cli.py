@@ -137,6 +137,10 @@ class TestCollatzCommands:
         ["structure", "--ktuple", "a", "--limit", "1000"],
         ["model", "--base", "1"],
         ["model", "--base", "0"],
+        ["experiment", "--mode", "single_step", "--digits", "20",
+         "--base", "0"],
+        ["experiment", "--mode", "single_step", "--digits", "20",
+         "--base", "-3"],
     ])
     def test_bad_input_is_config_error(self, args, capsys):
         code, out, err = run_cli(["collatz"] + args, capsys)

@@ -8,7 +8,8 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from benford_lab import collatz as cz
-from benford_lab.core_numeric import DomainError, log_mantissa
+from benford_lab.core_numeric import DomainError, leading_digit, \
+    log_mantissa
 
 from conftest import make_rng
 
@@ -474,3 +475,101 @@ class TestIterateDigitExperiment:
             cz.iterate_digit_experiment(7, "bogus", 10)
         with pytest.raises(DomainError):
             cz.iterate_digit_experiment(1, "single_step", 10)
+
+    @pytest.mark.parametrize("base", [2.5, 1, 0, -3])
+    def test_base_validation(self, base):
+        with pytest.raises(DomainError):
+            cz.iterate_digit_experiment(27, "single_step", base)
+
+    @pytest.mark.parametrize("max_iters", [0, -1])
+    def test_max_iters_validation(self, max_iters):
+        with pytest.raises(DomainError):
+            cz.iterate_digit_experiment(27, "single_step", 10, max_iters)
+
+
+def stepwise_digits(x, mode, base, max_iters):
+    """Histogram, count and end state of a trajectory taken one step and
+    one ``leading_digit`` at a time."""
+    counts = [0] * (base - 1)
+    n = 0
+
+    def record(v):
+        nonlocal n
+        counts[leading_digit(v, base) - 1] += 1
+        n += 1
+
+    record(x)
+    if mode == "remove_all_twos" and x % 2 == 0 and n < max_iters:
+        while x % 2 == 0:
+            x //= 2
+        record(x)
+    while x != 1 and n < max_iters:
+        if x % 2:
+            x = 3 * x + 1
+            if mode == "remove_all_twos":
+                while x % 2 == 0:
+                    x //= 2
+        else:
+            x //= 2
+        record(x)
+    return counts, n, x == 1
+
+
+def _far_multiplicity_seed():
+    # 3x + 1 = 2**300 * m: the first multiplicity runs past the low bits a
+    # block sees, so that step is taken exactly
+    m = 2 ** 1500 + 1
+    return (2 ** 300 * m - 1) // 3
+
+
+class TestBlockTrajectory:
+    @given(st.integers(2, 5000).flatmap(
+               lambda b: st.integers(2 ** (b - 1), 2 ** b - 1)),
+           st.integers(0, 40), st.sampled_from(cz.MODES),
+           st.integers(2, 16), st.integers(1, 60_000))
+    @example(3 ** 2000 + 2, 0, "single_step", 10, 1000)   # cut mid-block
+    @example(3 ** 2000 + 2, 0, "remove_all_twos", 10, 60_000)
+    @example(3 ** 3150 + 1, 17, "single_step", 16, 60_000)
+    @example(3 ** 3150 + 1, 17, "remove_all_twos", 2, 60_000)
+    @example(_far_multiplicity_seed(), 0, "remove_all_twos", 7, 60_000)
+    @settings(max_examples=50, deadline=None)
+    def test_matches_stepwise_oracle(self, x, shift, mode, base, max_iters):
+        x0 = x << shift
+        res = cz.iterate_digit_experiment(x0, mode, base, max_iters)
+        counts, n, reached = stepwise_digits(x0, mode, base, max_iters)
+        assert res.histogram.counts.tolist() == counts
+        assert (res.n_recorded, res.reached_one) == (n, reached)
+
+    @pytest.mark.parametrize("single", [False, True])
+    @pytest.mark.parametrize("base", [3, 10, 16])
+    def test_band_holds_the_true_log(self, single, base):
+        x = 3 ** 800 + 2 ** 700            # odd, 1,268 bits
+        ks = cz._block(x & ((1 << cz._BLOCK_BITS) - 1), 10 ** 6)
+        a, e = cz._block_exponents(ks, single, 10 ** 6)
+        f, band = cz._block_logs(x, a, e, base)
+        assert len(ks) > 50 and len(f) >= len(ks)
+        with mpmath.workdps(60):
+            for i in range(len(a)):
+                xi = cz._block_iterate(x, ks, int(a[i]), int(e[i]))
+                true = float(mpmath.frac(mpmath.log(xi) / mpmath.log(base)))
+                gap = abs(true - f[i])
+                assert min(gap, 1.0 - gap) < band[i]
+
+    # 3 x0 + 1 = 4 (2*10^600 - 1) or 2 (10^600 + 1): every iterate of the
+    # first accelerated step sits one unit from a digit boundary
+    @pytest.mark.parametrize("mode, x0", [
+        ("single_step", (8 * 10 ** 600 - 5) // 3),
+        ("single_step", (2 * 10 ** 600 + 1) // 3),
+        ("remove_all_twos", (8 * 10 ** 600 - 5) // 3),
+        ("remove_all_twos", (2 * 10 ** 600 + 1) // 3),
+    ], ids=["single-below", "single-above", "remove2-below",
+            "remove2-above"])
+    def test_boundary_iterate_is_refined(self, mode, x0):
+        assert x0.bit_length() > cz._BLOCK_MIN_BITS
+        res = cz.iterate_digit_experiment(x0, mode, 10, max_iters=2)
+        counts, n, _ = stepwise_digits(x0, mode, 10, 2)
+        assert res.histogram.counts.tolist() == counts and n == 2
+        assert res.n_refined >= 1
+        res = cz.iterate_digit_experiment(x0, mode, 10, max_iters=3000)
+        assert res.histogram.counts.tolist() == \
+            stepwise_digits(x0, mode, 10, 3000)[0]

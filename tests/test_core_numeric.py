@@ -1,4 +1,5 @@
 import math
+from bisect import bisect_right
 from fractions import Fraction
 
 import mpmath
@@ -162,6 +163,44 @@ class TestDigitsFromLog:
             n_certified += int(certified.sum())
             n_open += int((~certified).sum())
         assert n_certified > 0 and n_open > 0
+
+
+    def test_cells_match_the_full_bound_table(self):
+        # the bounds are computed per candidate digit; every decision must
+        # be the one a table of all log(d)/log(B), d = 1..B, gives
+        for base in range(2, 65):
+            lb = math.log(base)
+            table = [math.log(d) / lb for d in range(1, base + 1)]
+            fs = [0.0, 5e-324, math.nextafter(1.0, 0.0)]
+            for t in table[:-1]:
+                lo = hi = t
+                for _ in range(3):
+                    fs += [lo, hi]
+                    lo, hi = math.nextafter(lo, 0.0), math.nextafter(hi, 1.0)
+            fs = [f for f in fs if 0.0 <= f < 1.0]
+            for pad in (0.0, 2e-16, 1e-10):
+                want_d, want_ok = [], []
+                for f in fs:
+                    d = bisect_right(table, f)
+                    ok = f - table[d - 1] > pad and table[d] - f > pad
+                    want_d.append(d)
+                    want_ok.append(ok)
+                    assert cn._certified_digit(f, pad, base) == \
+                        (d if ok else 0)
+                digits, certified = cn.digits_from_log(np.array(fs), pad,
+                                                       base)
+                assert digits.tolist() == want_d
+                assert certified.tolist() == want_ok
+
+    @pytest.mark.parametrize("base", [10 ** 6, 2 ** 40])
+    def test_large_base_needs_no_table(self, base):
+        xs = [12345, base - 1, base, base + 1, 7 * base ** 5 - 1,
+              7 * base ** 5, (base - 1) * base ** 3 + base ** 2, 3 ** 300]
+        for x in xs:
+            e, a, b = cn._exact_floor_log(x, base)
+            assert cn.leading_digit(x, base) == a // b
+            m = cn.mantissa(x, base)
+            assert (int(m.significand), m.exponent) == (a // b, e)
 
 
 class TestExactFloorLog:
