@@ -6,9 +6,14 @@ Three evaluation routes, chosen by region:
 
 * an accelerated alternating (eta) series for |t| <= 40 and any sigma >= 0,
   with repeated-averaging (van Wijngaarden) convergence acceleration;
-* the Riemann-Siegel main sum with its leading correction term on the
-  critical line for t > 40 -- cheap, with certified absolute error of order
-  (t/2pi)^(-3/4);
+* the Riemann-Siegel formula on the critical line for t > 40.  From t = 200
+  on it carries the corrections C_0..C_4, and Gabcke's explicit remainder
+  bound |R_4| <= 0.017 (t/2pi)^(-11/4) (W. Gabcke, Neue Herleitung und
+  explizite Restabschaetzung der Riemann-Siegel-Formel, Goettingen 1979)
+  certifies it; below 200 it keeps C_0 with a certified error of
+  0.9 (t/2pi)^(-3/4).  The C_k are Taylor polynomials built once in mpmath,
+  and the bound adds the floating-point floor of the phases, which
+  dominates from t ~ 5000 on (about 2e-8 at t = 10^5);
 * Euler-Maclaurin summation with ~1.3*t initial terms and 8 Bernoulli
   corrections for t > 40 off the line, which doubles as the high-precision
   refinement route everywhere (absolute error near 1e-14 at scan heights).
@@ -24,9 +29,11 @@ recorded or excluded.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
+import mpmath
 import numpy as np
 
 from .benford_stats import DigitHistogram
@@ -140,39 +147,136 @@ def _rs_theta(t):
             + 31.0 / (80640.0 * t ** 5))
 
 
-def _rs_c0_raw(p):
-    return np.cos(_TWO_PI * (p * p - p - 0.0625)) / np.cos(_TWO_PI * p)
+# C_k = sum over the terms (a, b, j, m) of (a / b) * Psi^(j) / pi^(2m)
+_RS_TERMS = (
+    ((1, 1, 0, 0),),
+    ((-1, 96, 3, 1),),
+    ((1, 64, 2, 1), (1, 18432, 6, 2)),
+    ((-1, 64, 1, 1), (-1, 3840, 5, 2), (-1, 5308416, 9, 3)),
+    ((1, 128, 0, 1), (19, 24576, 4, 2), (11, 5898240, 8, 3),
+     (1, 2038431744, 12, 4)),
+)
+_RS_DEGREE = 60      # Taylor degree of Psi about p = 1/2
+_GABCKE_T = 200.0    # Gabcke's remainder bounds hold for t >= 200
+_U = 2.0 ** -53      # unit roundoff of float64
 
 
-def _rs_c0(p):
-    p = np.asarray(p, dtype=np.float64)
-    den = np.cos(_TWO_PI * p)
-    safe = np.where(np.abs(den) < 1e-3, 1.0, den)
-    out = np.cos(_TWO_PI * (p * p - p - 0.0625)) / safe
-    bad = np.abs(den) < 1e-3
-    if np.any(bad):
-        # removable singularities at p = 1/4, 3/4: average across the hole
-        pb = p[bad]
-        out[bad] = 0.5 * (_rs_c0_raw(pb - 2e-3) + _rs_c0_raw(pb + 2e-3))
+@functools.cache
+def _rs_polys():
+    """C_0..C_4 as float polynomials, and their rounding constants.
+
+    With x = p - 1/2, C_k has the parity of k in x, so
+    C_k = x^(k mod 2) * P_k(x^2).  Row i of the returned table holds the
+    coefficients of y^(D/2 - i) in P_0..P_4, D = _RS_DEGREE.
+    Evaluating the five in floats, each scaled by tau^(-1/4 - k/2) <= a^(-1/2)
+    and at an x off by the rounding of a = sqrt(tau), errs by at most
+    a^(-1/2) * (const + slope * a).
+    """
+    with mpmath.workdps(60):
+        pi = mpmath.pi
+        half = _RS_DEGREE // 2 + 1
+        # Psi(1/2 + x) = -cos(2 pi y - 5 pi/8) / cos(2 pi x) with y = x^2:
+        # divide the two exact power series in y (the quotient is entire)
+        num = [-(2 * pi) ** j * mpmath.cos(j * pi / 2 - 5 * pi / 8)
+               / mpmath.factorial(j) for j in range(half)]
+        den = [(-1) ** j * (2 * pi) ** (2 * j) / mpmath.factorial(2 * j)
+               for j in range(half)]
+        quot = []
+        for j in range(half):
+            quot.append(num[j] - mpmath.fsum(quot[i] * den[j - i]
+                                             for i in range(j)))
+        derivs = [[mpmath.mpf(0)] * (_RS_DEGREE + 1)]
+        derivs[0][::2] = quot
+        for _ in range(12):
+            c = derivs[-1]
+            derivs.append([(i + 1) * c[i + 1] for i in range(len(c) - 1)])
+        coefs = []
+        for terms in _RS_TERMS:
+            c = [mpmath.mpf(0)] * (_RS_DEGREE + 1)
+            for a, b, j, m in terms:
+                w = mpmath.mpf(a) / b / pi ** (2 * m)
+                for i, v in enumerate(derivs[j]):
+                    c[i] += w * v
+            coefs.append(np.array([float(v) for v in c]))
+    powers = 0.5 ** np.arange(_RS_DEGREE + 1)
+    deg = np.arange(_RS_DEGREE + 1)
+    size = sum(float((np.abs(c) * powers).sum()) for c in coefs)
+    lip = sum(float((np.abs(c) * deg * 2.0 * powers).sum()) for c in coefs)
+    # size >= sum_k max |C_k| and lip >= sum_k max |C_k'| on |x| <= 1/2.
+    # Horner in a rounded y = x^2 and the products by x, 1/a and a^(-1/2)
+    # cost under 2 * degree roundings per unit of size; x is off by < 3 u a.
+    # The Taylor terms beyond degree 60 sum below 1e-21 on |x| <= 1/2.
+    const = 2 * _RS_DEGREE * _U * size + 1e-21
+    slope = 3.0 * _U * lip
+    table = np.zeros((_RS_DEGREE // 2 + 1, len(coefs)))
+    for k, c in enumerate(coefs):
+        table[:len(c[k % 2::2]), k] = c[k % 2::2]
+    return table[::-1].copy(), const, slope
+
+
+def _rs_corrections(x: np.ndarray) -> np.ndarray:
+    """C_0..C_4 at p = 1/2 + x, |x| <= 1/2, as rows of a (5, len(x)) array:
+    one Horner pass over y = x^2 for all five polynomials."""
+    y = x * x
+    out = np.zeros((len(_RS_TERMS), len(x)))
+    for row in _rs_polys()[0]:
+        out = out * y + row[:, None]
+    out[1::2] *= x
     return out
 
 
 def _riemann_siegel_many(ts: np.ndarray):
-    """Z(t), theta(t) and a certified error bound on the critical line."""
+    """Z(t), theta(t) and a certified error bound on the critical line.
+
+    Z = 2 sum_{n <= N} cos(theta - t ln n) / sqrt(n)
+        + (-1)^(N-1) tau^(-1/4) sum_k C_k(p) tau^(-k/2),
+    tau = t/2pi, N = floor(sqrt(tau)), p = sqrt(tau) - N.  For t >= 200 the
+    sum runs over C_0..C_4 and Gabcke's |R_4| <= 0.017 tau^(-11/4) bounds
+    the truncation; below 200 it is C_0 alone with 0.9 tau^(-3/4).  The
+    bound adds the floating-point floor and covers Z exp(-i theta).
+    """
     ts = np.asarray(ts, dtype=np.float64)
-    a = np.sqrt(ts / _TWO_PI)
+    tau = ts / _TWO_PI
+    a = np.sqrt(tau)
     nmain = np.floor(a).astype(np.int64)
-    p = a - nmain
+    x = (a - nmain) - 0.5       # exact: both are multiples of ulp(a)
     theta = _rs_theta(ts)
     z = np.zeros_like(ts)
+    s0 = np.zeros_like(ts)      # sum of n^(-1/2) over the main sum
+    s1 = np.zeros_like(ts)      # sum of n^(-1/2) ln n
     for v in np.unique(nmain):
         idx = np.nonzero(nmain == v)[0]
         n = np.arange(1, v + 1, dtype=np.float64)
-        phases = theta[idx, None] - ts[idx, None] * np.log(n)[None, :]
+        ln_n = np.log(n)
+        phases = theta[idx, None] - ts[idx, None] * ln_n[None, :]
         z[idx] = 2.0 * (np.cos(phases) / np.sqrt(n)).sum(axis=1)
-    z += (-1.0) ** (nmain - 1) * a ** -0.5 * _rs_c0(p)
-    coef = np.where(ts >= 200.0, 0.13, 0.9)
-    err = coef * (ts / _TWO_PI) ** -0.75
+        s0[idx] = (1.0 / np.sqrt(n)).sum()
+        s1[idx] = (ln_n / np.sqrt(n)).sum()
+
+    c = _rs_corrections(x)
+    corr = c[0]
+    trunc = 0.9 * tau ** -0.75
+    high = ts >= _GABCKE_T
+    if high.any():
+        c1, c2, c3, c4 = c[1:, high]
+        w = 1.0 / a[high]
+        corr[high] += w * (c1 + w * (c2 + w * (c3 + w * c4)))
+        trunc[high] = 0.017 * tau[high] ** -2.75
+    z += (-1.0) ** (nmain - 1) * a ** -0.5 * corr
+
+    # Floating point.  theta is off by ~2.5 u t ln tau (its log, product
+    # and sums) plus twice the first omitted asymptotic term,
+    # 127/(430080 t^7); each phase theta - t ln n adds u (|theta| + 4 t ln n);
+    # cos, 1/sqrt(n) and the pairwise sum add u (4 + log2 N) per unit of
+    # weight 2 n^(-1/2).
+    _, fp_const, fp_slope = _rs_polys()
+    d_theta = _U * (3.0 * ts * np.log(tau) + 4.0) \
+        + 2.0 * 127.0 / (430080.0 * ts ** 7)
+    z_err = trunc + 2.0 * s0 * (d_theta + _U * (np.abs(theta) + 4.0
+                                                 + np.log2(nmain))) \
+        + 8.0 * _U * ts * s1 + a ** -0.5 * (fp_const + fp_slope * a)
+    # rotating by the computed exp(-i theta) adds |Z| (d_theta + rounding)
+    err = z_err + (np.abs(z) + z_err) * (d_theta + 6.0 * _U)
     return z, theta, err
 
 

@@ -223,6 +223,14 @@ def test_criterion_10_zeta_digit_profile(zeta_scan):
            f"spot values match oracles to 1e-8")
 
 
+def test_criterion_10_halfline_histogram_is_pinned(zeta_scan):
+    # certified digits cannot move when the evaluation route changes, and
+    # only the points below t = 200 (C_0 alone) may need refinement
+    assert zeta_scan.histogram.counts.tolist() == \
+        [20314, 11508, 8072, 6249, 5006, 4325, 3782, 3251, 3029]
+    assert zeta_scan.refined <= 800
+
+
 def test_criterion_11_cue_statistics(cue_runs):
     res64, res4 = cue_runs[64], cue_runs[4]
     q2 = rmt.q2_variance(64)

@@ -8,6 +8,8 @@ import pytest
 from benford_lab import zeta as zt
 from benford_lab.core_numeric import DomainError
 
+_TWO_PI = 2.0 * math.pi
+
 
 def zeta2_oracle():
     """Direct sum of 1/n^2 with an integral tail bracket (no library code)."""
@@ -52,6 +54,81 @@ class TestSpotValues:
             ref = complex(mpmath.zeta(mpmath.mpc(3, 2)))
         got = zt.zeta(complex(3, 2))
         assert abs(got - ref) / abs(ref) < 1e-8
+
+
+def psi_derivatives_oracle(p: float, order: int = 12) -> list:
+    """Psi^(j)(p) for j <= order, Psi(p) = cos(2pi(p^2 - p - 1/16))/cos(2pi p),
+    from Cauchy's integral by the trapezoid rule on a circle of radius 1/8.
+    Psi is entire, so the rule converges geometrically, and no node lies on
+    the real axis, where the removable singularities at p = 1/4, 3/4 are."""
+    points, radius = 64, mpmath.mpf(1) / 8
+    with mpmath.workdps(30):
+        pi = mpmath.pi
+        steps = [radius * mpmath.expjpi(mpmath.mpf(2 * k + 1) / points)
+                 for k in range(points)]
+        vals = [mpmath.cos(2 * pi * ((p + h) ** 2 - (p + h) - 0.0625))
+                / mpmath.cos(2 * pi * (p + h)) for h in steps]
+        return [float(mpmath.factorial(j) * mpmath.fsum(
+            v * h ** -j for v, h in zip(vals, steps)).real / points)
+            for j in range(order + 1)]
+
+
+def rs_corrections_oracle(p: float) -> list:
+    """Riemann-Siegel corrections C_0..C_4 (Gabcke 1979) from the derivatives
+    of Psi."""
+    d = psi_derivatives_oracle(p)
+    q = math.pi ** 2
+    return [d[0],
+            -d[3] / (96 * q),
+            d[2] / (64 * q) + d[6] / (18432 * q ** 2),
+            -d[1] / (64 * q) - d[5] / (3840 * q ** 2)
+            - d[9] / (5308416 * q ** 3),
+            d[0] / (128 * q) + 19 * d[4] / (24576 * q ** 2)
+            + 11 * d[8] / (5898240 * q ** 3)
+            + d[12] / (2038431744 * q ** 4)]
+
+
+def rs_bound_holds(ts: np.ndarray) -> None:
+    """|zeta_RS - mpmath.zeta| <= err for the complex value at every t."""
+    z, theta, err = zt._riemann_siegel_many(ts)
+    with mpmath.workdps(15):
+        for i, t in enumerate(ts):
+            ref = complex(mpmath.zeta(mpmath.mpc(0.5, t)))
+            got = z[i] * cmath.exp(-1j * theta[i])
+            assert abs(got - ref) <= err[i], (t, abs(got - ref), err[i])
+
+
+class TestRiemannSiegelCorrections:
+    def test_corrections_match_psi_derivatives(self):
+        # includes the removable singularities p = 1/4, 3/4 and both ends
+        for p in (0.0, 0.1, 0.25, 0.4, 0.5, 0.75, 0.9, 0.999):
+            ref = rs_corrections_oracle(p)
+            got = zt._rs_corrections(np.array([p - 0.5]))[:, 0]
+            for k in range(5):
+                assert abs(got[k] - ref[k]) <= 1e-15, (p, k, got[k], ref[k])
+
+    def test_bound_on_seeded_grid(self):
+        # pins 0.9 tau^(-3/4) below t = 200, and Gabcke's 0.017 tau^(-11/4)
+        # plus the floating-point floor above it (the floor dominates from
+        # t ~ 5000 on)
+        rng = np.random.default_rng(20_260_418)
+        ts = np.exp(rng.uniform(math.log(41.0), math.log(1e5), 400))
+        ts = np.concatenate([ts, [np.nextafter(200.0, 0.0), 200.0,
+                                  np.nextafter(200.0, 1e5), 99_999.75]])
+        rs_bound_holds(ts)
+
+    def test_removable_singularities(self):
+        # p = 1/4 and 3/4, where Psi's closed form is 0/0, on both sides of
+        # t = 200
+        big_n = np.array([3, 4, 5, 12, 40, 125])
+        ts = np.concatenate([_TWO_PI * (big_n + 0.25) ** 2,
+                             _TWO_PI * (big_n + 0.75) ** 2])
+        rs_bound_holds(ts)
+
+    def test_gabcke_route_certifies_without_refinement(self):
+        res = zt.scan_line(200.0, 4295.75, 0.25, zt.SigmaMode.fixed(0.5))
+        assert res.refined == 0
+        assert len(res.samples) == 16_384 and not res.skipped
 
 
 class TestRoutesAgainstHighPrecision:
