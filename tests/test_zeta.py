@@ -56,8 +56,8 @@ class TestSpotValues:
         assert abs(got - ref) / abs(ref) < 1e-8
 
 
-def psi_derivatives_oracle(p: float, order: int = 12) -> list:
-    """Psi^(j)(p) for j <= order, Psi(p) = cos(2pi(p^2 - p - 1/16))/cos(2pi p),
+def psi_derivatives_oracle(p: float) -> list:
+    """Psi^(j)(p) for j <= 12, Psi(p) = cos(2pi(p^2 - p - 1/16))/cos(2pi p),
     from Cauchy's integral by the trapezoid rule on a circle of radius 1/8.
     Psi is entire, so the rule converges geometrically, and no node lies on
     the real axis, where the removable singularities at p = 1/4, 3/4 are."""
@@ -70,7 +70,7 @@ def psi_derivatives_oracle(p: float, order: int = 12) -> list:
                 / mpmath.cos(2 * pi * (p + h)) for h in steps]
         return [float(mpmath.factorial(j) * mpmath.fsum(
             v * h ** -j for v, h in zip(vals, steps)).real / points)
-            for j in range(order + 1)]
+            for j in range(13)]
 
 
 def rs_corrections_oracle(p: float) -> list:
