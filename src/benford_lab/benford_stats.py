@@ -86,9 +86,6 @@ class DigitHistogram:
             raise DomainError("empty histogram")
         return self.counts / self.total
 
-    def add_digit(self, d: int, count: int = 1) -> None:
-        self.counts[d - 1] += count
-
     def __add__(self, other: "DigitHistogram") -> "DigitHistogram":
         if other.base != self.base:
             raise DomainError("cannot merge histograms with different bases")

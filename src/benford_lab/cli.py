@@ -89,8 +89,7 @@ def emit(cfg: ExperimentConfig, columns, rows, table_text: str = "",
         if cfg.fmt == "csv":
             print(cfg.meta_line(), file=stream)
             print(",".join(columns), file=stream)
-            for row in rows:
-                print(",".join(str(c) for c in row), file=stream)
+            stream.writelines(",".join(map(str, row)) + "\n" for row in rows)
         elif cfg.fmt == "json":
             doc = {"meta": json.loads(cfg.meta_line()[2:])}
             if json_payload is not None:
@@ -320,8 +319,7 @@ def cmd_zeta(args, cfg: ExperimentConfig) -> int:
     table = (f"points recorded: {result.histogram.total}, "
              f"skipped: {len(result.skipped)}, refined: {result.refined}\n"
              + report.to_text_table())
-    rows = (s.csv_row() for s in result.samples)
-    emit(cfg, zeta.ScanResult.CSV_COLUMNS, rows, table,
+    emit(cfg, zeta.ScanResult.CSV_COLUMNS, result.csv_rows(), table,
          {"histogram": result.histogram.counts.tolist(),
           "skipped": len(result.skipped), "refined": result.refined,
           "report": json.loads(report.to_json())})
@@ -529,6 +527,9 @@ def main(argv=None) -> int:
         workers = int(os.environ.get(WORKERS_ENV, "1"))
     if workers < 1:
         print("error: worker count must be >= 1", file=sys.stderr)
+        return 2
+    if args.seed < 0:
+        print("error: seed must be >= 0", file=sys.stderr)
         return 2
     params = {k: v for k, v in vars(args).items()
               if k not in ("func", "seed", "workers", "out", "fmt")

@@ -132,19 +132,17 @@ FIVE_X_PLUS_1 = DghMap(2, 5, (None, 1))
 
 @dataclass(frozen=True)
 class PathRecord:
-    """A seed with its multiplicity tuple (k_1..k_m), optionally the iterates."""
+    """A seed with its multiplicity tuple (k_1..k_m) and its iterates."""
 
     seed: BigNat
     m: int
     kvalues: tuple
-    iterates: tuple | None = None
+    iterates: tuple
 
     def to_json(self) -> str:
-        doc = {"seed": str(self.seed), "m": self.m,
-               "kvalues": list(self.kvalues)}
-        if self.iterates is not None:
-            doc["iterates"] = [str(x) for x in self.iterates]
-        return json.dumps(doc)
+        return json.dumps({"seed": str(self.seed), "m": self.m,
+                           "kvalues": list(self.kvalues),
+                           "iterates": [str(x) for x in self.iterates]})
 
 
 @dataclass(frozen=True)
@@ -167,14 +165,13 @@ def step(dmap: DghMap, x: BigNat) -> tuple[BigNat, int]:
     return y, k
 
 
-def path(dmap: DghMap, x0: BigNat, m: int, record_iterates: bool = True
-         ) -> PathRecord:
-    """Apply the map m times, recording every multiplicity."""
+def path(dmap: DghMap, x0: BigNat, m: int) -> PathRecord:
+    """Apply the map m times, recording every multiplicity and iterate."""
     if m < 1:
         raise DomainError("m must be >= 1")
     x = int(x0)
     ks = []
-    iterates = [] if record_iterates else None
+    iterates = []
     for i in range(m):
         try:
             y, k = step(dmap, x)
@@ -185,10 +182,8 @@ def path(dmap: DghMap, x0: BigNat, m: int, record_iterates: bool = True
         assert dmap.g * x + dmap.h_at(dmap.g * x) == y * dmap.d ** k
         x = y
         ks.append(k)
-        if iterates is not None:
-            iterates.append(y)
-    return PathRecord(int(x0), m, tuple(ks),
-                      tuple(iterates) if iterates is not None else None)
+        iterates.append(y)
+    return PathRecord(int(x0), m, tuple(ks), tuple(iterates))
 
 
 # ------------------------------------------------------- structure checks --

@@ -4,9 +4,10 @@ Arbitrary-precision nonnegative integers are plain Python ``int``s (exact by
 construction); the alias :data:`BigNat` marks the places where a value must be
 such an integer.  On top of that substrate this module provides the mantissa
 decomposition ``x = s * B**k`` with ``s`` in ``[1, B)``, leading-digit and
-fractional-log extraction in an arbitrary base ``B > 1``, and the two exact
-primitives the dynamical-system experiments iterate millions of times:
-:func:`mul_add_small` and :func:`shift_out_factor`.
+fractional-log extraction in an arbitrary base ``B > 1``, and two exact
+map primitives: :func:`shift_out_factor`, which ``collatz.step`` calls, and
+:func:`mul_add_small`, kept for direct use (no experiment calls it; the
+censuses and trajectories do their multiply-adds in their own loops).
 
 Digit extraction never trusts a bare floating-point logarithm.  Every real
 input is an exact ratio ``num/den`` of integers (a float is its binary value

@@ -210,13 +210,22 @@ def type_probe(alpha, depth: int, gamma_grid, dps: int = 500
 
 # --------------------------------------------------------- theta identity --
 
+_THETA_MAX_TERMS = 10 ** 6
+
+
 def theta_identity_residual(sigma: float, cutoff: int | None = None) -> float:
     """|(1/s) sum exp(-n^2 pi / s^2)  -  sum exp(-n^2 pi s^2)|.
 
-    The cutoff is enlarged automatically until both tails are below 1e-15.
+    The cutoff is enlarged automatically until both tails are below 1e-15,
+    about 3.7 max(sigma, 1/sigma) terms.  Sigma outside [4e-6, 2.5e5] and
+    cutoffs above 10^6 are refused, so no sum passes 10^6 terms.
     """
-    if sigma <= 0:
-        raise DomainError("sigma must be positive")
+    if not (math.isfinite(sigma) and sigma > 0):
+        raise DomainError(f"sigma must be finite and positive, got {sigma}")
+    if max(sigma, 1.0 / sigma) > _THETA_MAX_TERMS / 4 \
+            or (cutoff or 0) > _THETA_MAX_TERMS:
+        raise DomainError(f"sigma must lie in [4e-6, 2.5e5] and the cutoff "
+                          f"be at most {_THETA_MAX_TERMS}")
     s2 = sigma * sigma
     need = int(math.ceil(math.sqrt(42.0 / (math.pi * min(s2, 1.0 / s2))))) + 1
     n_cut = max(int(cutoff or 0), need)

@@ -30,7 +30,6 @@ __all__ = [
     "EULER_GAMMA",
     "SingularMatrixError",
     "UnitarySample",
-    "LogZSample",
     "MomentsReport",
     "CueResult",
     "haar_unitary",
@@ -111,14 +110,6 @@ def q2_variance(n: int) -> float:
     return math.log(n) / 2.0 + (EULER_GAMMA + 1.0) / 2.0 + 1.0 / (24.0 * n * n)
 
 
-@dataclass(frozen=True)
-class LogZSample:
-    dim: int
-    theta: float
-    log_abs: float
-    standardized: float
-
-
 @dataclass
 class MomentsReport:
     n: int
@@ -149,17 +140,11 @@ class CueResult:
 
     CSV_COLUMNS = ("dim", "theta", "log_abs", "standardized")
 
-    def iter_samples(self):
-        scale = math.sqrt(q2_variance(self.dim))
-        for th, la in zip(self.thetas, self.log_abs):
-            yield LogZSample(self.dim, float(th), float(la),
-                             float(la) / scale)
-
     def csv_rows(self):
+        dim = str(self.dim)
         scale = math.sqrt(q2_variance(self.dim))
-        for th, la in zip(self.thetas, self.log_abs):
-            yield [str(self.dim), f"{th:.12f}", f"{la:.12e}",
-                   f"{la / scale:.12e}"]
+        for th, la in zip(self.thetas.tolist(), self.log_abs.tolist()):
+            yield [dim, f"{th:.12f}", f"{la:.12e}", f"{la / scale:.12e}"]
 
 
 def _cue_chunk(n, count, base, gen, check_unitarity):

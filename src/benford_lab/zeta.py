@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import mpmath
 import numpy as np
@@ -47,7 +47,6 @@ __all__ = [
     "psi_variance",
     "zeta",
     "zeta_eval",
-    "ZetaSample",
     "SigmaMode",
     "ScanResult",
     "scan_line",
@@ -405,6 +404,9 @@ def zeta(s) -> complex:
 
 # ------------------------------------------------------------------ scans --
 
+_MAX_POINTS = 2 ** 22   # grid points per scan
+
+
 @dataclass(frozen=True)
 class SigmaMode:
     """Abscissa rule for a scan: a fixed sigma or the near-critical path."""
@@ -414,8 +416,8 @@ class SigmaMode:
 
     @classmethod
     def fixed(cls, sigma: float = 0.5) -> "SigmaMode":
-        if sigma < 0:
-            raise DomainError("sigma must be >= 0")
+        if not (math.isfinite(sigma) and sigma >= 0):
+            raise DomainError(f"sigma must be finite and >= 0, got {sigma}")
         return cls("fixed", float(sigma))
 
     @classmethod
@@ -426,32 +428,37 @@ class SigmaMode:
 
 
 @dataclass
-class ZetaSample:
-    t: float
-    sigma: float
-    value: complex
-    abs: float
-    log_abs: float
-    leading_digit: int
-    cert_err: float
-
-    def csv_row(self):
-        return [f"{self.t:.6f}", f"{self.sigma:.10f}",
-                f"{self.value.real:.12e}", f"{self.value.imag:.12e}",
-                f"{self.abs:.12e}", f"{self.log_abs:.12e}",
-                str(self.leading_digit), f"{self.cert_err:.3e}"]
-
-
-@dataclass
 class ScanResult:
-    samples: list
+    """The recorded points of a scan as columns in grid order: ``t``,
+    ``sigma``, the complex ``value`` of zeta, its ``abs``, the certified
+    leading ``digits`` and ``cert_err``, a certified bound on
+    |zeta - value|.  ``histogram`` counts ``digits``; ``skipped`` holds the
+    t of points excluded as indistinguishable from a zero or with a digit
+    still uncertified after refinement; ``failures`` lists (t, reason) for
+    points not evaluated (the pole); ``refined`` counts the points
+    re-evaluated by Euler-Maclaurin."""
+
+    t: np.ndarray
+    sigma: np.ndarray
+    value: np.ndarray
+    abs: np.ndarray
+    digits: np.ndarray
+    cert_err: np.ndarray
     histogram: DigitHistogram
-    skipped: list = field(default_factory=list)
-    failures: list = field(default_factory=list)
-    refined: int = 0
+    skipped: np.ndarray
+    failures: list
+    refined: int
 
     CSV_COLUMNS = ("t", "sigma", "re", "im", "abs", "log_abs", "digit",
                    "cert_err")
+
+    def csv_rows(self):
+        cols = (self.t, self.sigma, self.value.real, self.value.imag,
+                self.abs, np.log(self.abs), self.digits, self.cert_err)
+        for t, sigma, re, im, a, log_a, d, err in zip(
+                *(c.tolist() for c in cols)):
+            yield [f"{t:.6f}", f"{sigma:.10f}", f"{re:.12e}", f"{im:.12e}",
+                   f"{a:.12e}", f"{log_a:.12e}", str(d), f"{err:.3e}"]
 
 
 def scan_line(t_start: float, t_end: float, step: float, mode: SigmaMode,
@@ -464,6 +471,8 @@ def scan_line(t_start: float, t_end: float, step: float, mode: SigmaMode,
     indistinguishable from zero afterwards are excluded and reported.
     """
     base = _check_digit_base(base)
+    if not all(map(math.isfinite, (t_start, t_end, step))):
+        raise DomainError("t_start, t_end and step must be finite")
     if step <= 0:
         raise DomainError("step must be positive")
     if t_end < t_start:
@@ -472,7 +481,10 @@ def scan_line(t_start: float, t_end: float, step: float, mode: SigmaMode,
         raise DomainError("scans run over t >= 0")
     if t_end > 1e5:
         raise DomainError("evaluation is supported for t <= 1e5")
-    count = int(math.floor((t_end - t_start) / step + 1e-9)) + 1
+    span = (t_end - t_start) / step
+    if span >= _MAX_POINTS:
+        raise DomainError(f"a scan holds at most {_MAX_POINTS} points")
+    count = int(math.floor(span + 1e-9)) + 1
     ts = t_start + step * np.arange(count)
     if mode.kind == "near_critical":
         if ts[0] <= math.e:
@@ -510,21 +522,9 @@ def scan_line(t_start: float, t_end: float, step: float, mode: SigmaMode,
         abs_vals[idx] = np.abs(vals[idx])
         certify(idx)
 
-    skipped = []
-    samples = []
-    hist_counts = np.zeros(base - 1, dtype=np.int64)
-    for i in range(count):
-        if not ok[i]:
-            continue
-        if abs_vals[i] < 10.0 * errs[i] or not certified[i]:
-            skipped.append((float(ts[i]), float(sigmas[i]),
-                            float(abs_vals[i]), float(errs[i])))
-            continue
-        d = int(digits[i])
-        hist_counts[d - 1] += 1
-        samples.append(ZetaSample(
-            t=float(ts[i]), sigma=float(sigmas[i]), value=complex(vals[i]),
-            abs=float(abs_vals[i]), log_abs=float(np.log(abs_vals[i])),
-            leading_digit=d, cert_err=float(errs[i])))
-    return ScanResult(samples, DigitHistogram(base, hist_counts),
-                      skipped, failures, n_refined)
+    keep = ok & certified & (abs_vals >= 10.0 * errs)
+    skip = ok & ~keep
+    return ScanResult(ts[keep], sigmas[keep], vals[keep], abs_vals[keep],
+                      digits[keep], errs[keep],
+                      DigitHistogram.from_digits(digits[keep], base),
+                      ts[skip], failures, n_refined)

@@ -141,6 +141,8 @@ class TestCollatzCommands:
          "--base", "0"],
         ["experiment", "--mode", "single_step", "--digits", "20",
          "--base", "-3"],
+        ["experiment", "--mode", "single_step", "--digits", "20",
+         "--seed", "-1"],
     ])
     def test_bad_input_is_config_error(self, args, capsys):
         code, out, err = run_cli(["collatz"] + args, capsys)
@@ -172,6 +174,21 @@ class TestZetaCommand:
         code, out, err = run_cli(
             ["zeta", "--t-end", "5", "--base", base], capsys)
         assert code == 2 and out == "" and err.startswith("error: ")
+
+    @pytest.mark.parametrize("args, word", [
+        (["--t-start", "nan"], "finite"),
+        (["--t-end", "nan"], "finite"),
+        (["--step", "nan"], "finite"),
+        (["--sigma", "nan"], "sigma"),
+        (["--sigma", "inf"], "sigma"),
+        (["--step", "1e-300"], "points"),
+        # 10^7 points: refused before any array is built
+        (["--t-end", "100000", "--step", "0.01"], "points"),
+    ])
+    def test_bad_grid_or_sigma_is_config_error(self, args, word, capsys):
+        code, out, err = run_cli(["zeta"] + args, capsys)
+        assert code == 2 and out == "" and err.startswith("error: ")
+        assert word in err
 
 
 class TestCueCommand:
@@ -260,6 +277,19 @@ class TestPoissonCheck:
 
     def test_malformed_sigmas_is_config_error(self, capsys):
         code, out, err = run_cli(["poisson-check", "--sigmas", "x"], capsys)
+        assert code == 2 and out == "" and err.startswith("error: ")
+
+    @pytest.mark.parametrize("args", [
+        ["--sigmas", "nan"],
+        ["--sigmas", "inf"],
+        ["--sigmas", "1e200"],
+        ["--sigmas", "1e-200"],
+        ["--sigmas", "0.5,1e-200"],
+        # 10^8 terms: refused before any array is built
+        ["--cutoff", "100000000"],
+    ])
+    def test_bad_sigma_or_cutoff_is_config_error(self, args, capsys):
+        code, out, err = run_cli(["poisson-check"] + args, capsys)
         assert code == 2 and out == "" and err.startswith("error: ")
 
 

@@ -144,12 +144,13 @@ class TestCueExperiment:
 
     def test_standardized_stream(self):
         res = rmt.cue_experiment(6, 50, 10, make_rng(17), chunk_size=32)
-        samples = list(res.iter_samples())
-        assert len(samples) == 50
+        rows = list(res.csv_rows())
+        assert len(rows) == 50
         scale = math.sqrt(rmt.q2_variance(6))
-        for s in samples[:5]:
-            assert abs(s.standardized - s.log_abs / scale) < 1e-12
-            assert math.isfinite(s.standardized)
+        for row, log_abs in zip(rows[:5], res.log_abs[:5]):
+            standardized = float(row[3])
+            assert abs(standardized - log_abs / scale) < 1e-12
+            assert math.isfinite(standardized)
 
     def test_validation(self):
         with pytest.raises(DomainError):

@@ -128,7 +128,7 @@ class TestRiemannSiegelCorrections:
     def test_gabcke_route_certifies_without_refinement(self):
         res = zt.scan_line(200.0, 4295.75, 0.25, zt.SigmaMode.fixed(0.5))
         assert res.refined == 0
-        assert len(res.samples) == 16_384 and not res.skipped
+        assert len(res.t) == 16_384 and len(res.skipped) == 0
 
 
 class TestRoutesAgainstHighPrecision:
@@ -257,36 +257,36 @@ class TestScan:
 
     def test_single_point(self):
         res = zt.scan_line(2.0, 2.0, 1.0, zt.SigmaMode.fixed(3.0))
-        assert len(res.samples) == 1
+        assert len(res.t) == 1
         with mpmath.workdps(30):
             ref = abs(complex(mpmath.zeta(mpmath.mpc(3, 2))))
-        assert abs(res.samples[0].abs - ref) < 1e-8
+        assert abs(res.abs[0] - ref) < 1e-8
 
     def test_small_grid_digits_match_high_precision(self):
         res = zt.scan_line(0.0, 120.0, 0.5, zt.SigmaMode.fixed(0.5), base=10)
         assert res.histogram.total + len(res.skipped) == 241
         mpmath.mp.dps = 25
         rng = np.random.default_rng(3)
-        for s in rng.choice(res.samples, size=20, replace=False):
-            ref = abs(complex(mpmath.zeta(complex(s.sigma, s.t))))
-            assert abs(s.abs - ref) <= s.cert_err + 1e-12
-            assert int(f"{ref:.15e}"[0]) == s.leading_digit
+        for i in rng.choice(len(res.t), size=20, replace=False):
+            ref = abs(complex(mpmath.zeta(complex(res.sigma[i], res.t[i]))))
+            assert abs(res.abs[i] - ref) <= res.cert_err[i] + 1e-12
+            assert int(f"{ref:.15e}"[0]) == res.digits[i]
 
     def test_digit_bands_never_straddle(self):
         res = zt.scan_line(40.0, 140.0, 0.25, zt.SigmaMode.fixed(0.5))
         lb = math.log(10)
-        for s in res.samples:
-            f = math.log(s.abs) / lb % 1.0
-            lo = math.log(s.leading_digit) / lb
-            hi = math.log(s.leading_digit + 1) / lb
-            band = s.cert_err / (s.abs * lb)
+        for a, d, err in zip(res.abs, res.digits, res.cert_err):
+            f = math.log(a) / lb % 1.0
+            lo = math.log(d) / lb
+            hi = math.log(d + 1) / lb
+            band = err / (a * lb)
             assert f - lo > band and hi - f > band
 
     def test_near_critical_mode(self):
         res = zt.scan_line(10.0, 60.0, 1.0, zt.SigmaMode.near_critical(0.5))
-        assert res.histogram.total == len(res.samples) == 51
-        for s in res.samples[:5]:
-            assert abs(s.sigma - zt.sigma_T(s.t, 0.5)) < 1e-12
+        assert res.histogram.total == len(res.t) == 51
+        for t, sigma in zip(res.t[:5], res.sigma[:5]):
+            assert abs(sigma - zt.sigma_T(t, 0.5)) < 1e-12
 
     def test_pole_recorded_not_fatal(self):
         res = zt.scan_line(0.0, 2.0, 1.0, zt.SigmaMode.fixed(1.0))
@@ -295,5 +295,42 @@ class TestScan:
 
     def test_csv_row_shape(self):
         res = zt.scan_line(2.0, 4.0, 1.0, zt.SigmaMode.fixed(0.5))
-        row = res.samples[0].csv_row()
+        row = next(res.csv_rows())
         assert len(row) == len(zt.ScanResult.CSV_COLUMNS)
+
+
+def per_point_row(t, sigma, value, a, digit, err):
+    """One CSV row as the scan formatted it point by point."""
+    return [f"{t:.6f}", f"{sigma:.10f}", f"{value.real:.12e}",
+            f"{value.imag:.12e}", f"{a:.12e}", f"{float(np.log(a)):.12e}",
+            str(int(digit)), f"{err:.3e}"]
+
+
+class TestScanRows:
+    def assert_rows_pinned(self, res):
+        rows = list(res.csv_rows())
+        assert len(rows) == res.histogram.total == len(res.t)
+        for i, row in enumerate(rows):
+            assert row == per_point_row(
+                float(res.t[i]), float(res.sigma[i]), complex(res.value[i]),
+                float(res.abs[i]), res.digits[i], float(res.cert_err[i]))
+
+    def test_rows_with_refined_points(self):
+        res = zt.scan_line(0.0, 300.0, 0.25, zt.SigmaMode.fixed(0.5))
+        assert res.refined > 0
+        self.assert_rows_pinned(res)
+
+    def test_rows_around_the_pole(self):
+        res = zt.scan_line(0.0, 6.0, 0.5, zt.SigmaMode.fixed(1.0))
+        assert res.failures == [(0.0, "pole at s = 1")]
+        assert res.t[0] == 0.5
+        self.assert_rows_pinned(res)
+
+    def test_rows_skip_a_point_at_a_zero(self):
+        # the float nearest the first zero ordinate 14.1347251417346937904...
+        gamma1 = 14.134725141734693
+        res = zt.scan_line(gamma1 - 1.0, gamma1 + 1.0, 0.25,
+                           zt.SigmaMode.fixed(0.5))
+        assert res.skipped.tolist() == [gamma1]
+        assert gamma1 not in res.t and len(res.t) == 8
+        self.assert_rows_pinned(res)
