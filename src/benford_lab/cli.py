@@ -315,6 +315,13 @@ def cmd_zeta(args, cfg: ExperimentConfig) -> int:
                                 params["step"], mode, base=params["base"])
     except DomainError as exc:
         raise ConfigError(str(exc))
+    if not result.histogram.total:
+        raise ConfigError(
+            f"no point's leading digit could be certified "
+            f"({len(result.skipped)} skipped, {len(result.failures)} not "
+            f"evaluated): a point is skipped when |zeta| lies within its "
+            f"certified error band of a digit boundary or of zero, as at "
+            f"large sigma, where |zeta| -> 1")
     report = benford_stats.z_statistics(result.histogram)
     table = (f"points recorded: {result.histogram.total}, "
              f"skipped: {len(result.skipped)}, refined: {result.refined}\n"

@@ -2,10 +2,11 @@
 leading-digit histogram machinery along horizontal lines and along the
 near-critical path sigma(T) = 1/2 + 1/log^delta(T).
 
-Three evaluation routes, chosen by region:
+Four evaluation routes, chosen by region:
 
 * an accelerated alternating (eta) series for |t| <= 40 and any sigma >= 0,
-  with repeated-averaging (van Wijngaarden) convergence acceleration;
+  with repeated-averaging (van Wijngaarden) convergence acceleration, all
+  points in one array;
 * the Riemann-Siegel formula on the critical line for t > 40.  From t = 200
   on it carries the corrections C_0..C_4, and Gabcke's explicit remainder
   bound |R_4| <= 0.017 (t/2pi)^(-11/4) (W. Gabcke, Neue Herleitung und
@@ -14,9 +15,19 @@ Three evaluation routes, chosen by region:
   0.9 (t/2pi)^(-3/4).  The C_k are Taylor polynomials built once in mpmath,
   and the bound adds the floating-point floor of the phases, which
   dominates from t ~ 5000 on (about 2e-8 at t = 10^5);
+* the Riemann-Siegel formula off the line, zeta(s) = R(s) +
+  chi(s) conj(R(1 - conj s)), for 0 <= sigma <= 1 and t > T_RS ~ 1885, in
+  O(sqrt t) terms (J. Arias de Reyna, High precision computation of
+  Riemann's zeta function by the Riemann-Siegel formula I, Math. Comp. 80
+  (2011)).  It carries L = 8 corrections, whose truncation his Theorem 2
+  bounds below 1e-11; T_RS is the lowest height where the theorem allows
+  the L that reaches that.  chi comes from Stirling's series with its
+  remainder bound, and the floating-point floor is the on-line route's
+  (about 3e-10 at t = 10^4 and 6e-9 at t = 10^5);
 * Euler-Maclaurin summation with ~1.3*t initial terms and 8 Bernoulli
-  corrections for t > 40 off the line, which doubles as the high-precision
-  refinement route everywhere (absolute error near 1e-14 at scan heights).
+  corrections for t > 40 off the line elsewhere (t <= T_RS, or sigma
+  outside [0, 1]), which doubles as the high-precision refinement route
+  everywhere (absolute error near 1e-14 at scan heights).
 
 ``_zeta_many`` is the single place where the route is chosen; ``zeta_eval``
 and ``scan_line`` both call it.
@@ -32,6 +43,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -110,40 +122,98 @@ class _RouteUnavailable(Exception):
     pass
 
 
-def _eta_zeta(s: complex) -> tuple[complex, float]:
+def _eta_zeta_many(sigmas: np.ndarray, ts: np.ndarray, chunk: int = 1024):
     """zeta from the alternating series with repeated-averaging acceleration.
 
     Reliable for |Im s| <= ~45 and Re s >= 0; the averaging depth grows with
-    |t| to beat the e^(pi t / 2) growth of the transformed tail.
+    |t| to beat the e^(pi t / 2) growth of the transformed tail.  The points
+    of a chunk share one 2-D array, a column each, so that every point gets
+    exactly its own ``levels`` passes over its own partial sums.  Returns the
+    values, the error bounds and a mask of the points where the route holds
+    (it fails near a zero of 1 - 2^(1-s)).
     """
-    t = abs(s.imag)
-    levels = 64 + int(3.6 * t)
-    extra = 24
-    n = np.arange(1, levels + extra + 2, dtype=np.float64)
-    terms = np.exp(-s * np.log(n))
-    terms[1::2] = -terms[1::2]
-    partial = np.cumsum(terms)
-    col = partial
-    for _ in range(levels):
-        col = 0.5 * (col[1:] + col[:-1])
-    eta = complex(col[-1])
-    spread = float(np.abs(np.diff(col[-6:])).max())
-    eta_err = 8.0 * spread + 1e-15 * (1.0 + abs(eta)) * math.sqrt(len(n))
+    s = np.asarray(sigmas, dtype=np.float64) + 1j * np.asarray(ts)
+    levels = 64 + (3.6 * np.abs(s.imag)).astype(np.int64)
+    length = levels + 24 + 1
+    last = np.empty((6, len(s)), dtype=np.complex128)
+    for lo in range(0, len(s), chunk):
+        part = slice(lo, lo + chunk)
+        width = int(length[part].max())
+        # column i holds the series of point i, bottom-aligned:
+        # n = 1..length[i]
+        n = np.arange(width)[:, None] - (width - length[part]) + 1
+        used = n >= 1
+        n = np.where(used, n, 1).astype(np.float64)
+        terms = np.where(used, np.exp(-s[part] * np.log(n)), 0.0)
+        terms = np.where(n % 2 == 0, -terms, terms)
+        # columns by descending depth; pass k averages the m_k columns with
+        # levels >= k, and a column's last six rows are kept once it is done
+        order = np.argsort(-levels[part], kind="stable")
+        col = np.cumsum(terms[:, order], axis=0)
+        done = np.empty((6, len(order)), dtype=np.complex128)
+        passes = np.arange(1, levels[part].max() + 1)
+        for m in np.searchsorted(-levels[part][order], -passes,
+                                 side="right").tolist():
+            if m < col.shape[1]:
+                done[:, m:col.shape[1]] = col[-6:, m:]
+                col = col[:, :m]
+            col = 0.5 * (col[1:] + col[:-1])
+        done[:, :col.shape[1]] = col[-6:]
+        last[:, part] = done[:, np.argsort(order)]
+    eta = last[-1]
+    spread = np.abs(np.diff(last, axis=0)).max(axis=0)
+    eta_err = 8.0 * spread + 1e-15 * (1.0 + np.abs(eta)) * np.sqrt(length)
     den = 1.0 - np.exp((1.0 - s) * math.log(2.0))
-    if abs(den) < 1e-2:
+    usable = np.abs(den) >= 1e-2
+    return eta / den, (eta_err + 1e-16 * np.abs(eta)) / np.abs(den), usable
+
+
+def _eta_zeta(s: complex) -> tuple[complex, float]:
+    vals, errs, usable = _eta_zeta_many(np.array([s.real]), np.array([s.imag]))
+    if not usable[0]:
         raise _RouteUnavailable("near a zero of 1 - 2^(1-s)")
-    val = eta / den
-    return val, (eta_err + 1e-16 * abs(eta)) / abs(den)
+    return complex(vals[0]), float(errs[0])
 
 
 # --------------------------------------------------- Riemann-Siegel route --
 
+# theta(t) = t/2 ln(t/2pi) - t/2 - pi/8 + the sum of a / (b t^k)
+_THETA_TERMS = ((1.0, 48.0, 1), (7.0, 5760.0, 3), (31.0, 80640.0, 5))
+
+
 def _rs_theta(t):
     """Phase theta(t), asymptotic expansion (error ~ t^-7 for t > 40)."""
     t = np.asarray(t, dtype=np.float64)
-    return (t / 2.0 * np.log(t / _TWO_PI) - t / 2.0 - math.pi / 8.0
-            + 1.0 / (48.0 * t) + 7.0 / (5760.0 * t ** 3)
-            + 31.0 / (80640.0 * t ** 5))
+    theta = t / 2.0 * np.log(t / _TWO_PI) - t / 2.0 - math.pi / 8.0
+    for a, b, k in _THETA_TERMS:
+        theta = theta + a / (b * t ** k)
+    return theta
+
+
+def _rs_split(ts: np.ndarray):
+    """tau = t/2pi, a = sqrt(tau), the main-sum length N = floor(a) and
+    x = frac(a) - 1/2, exact given a."""
+    tau = ts / _TWO_PI
+    a = np.sqrt(tau)
+    nmain = np.floor(a).astype(np.int64)
+    return tau, a, nmain, (a - nmain) - 0.5
+
+
+def _rs_floor(ts, tau, theta, nmain, w0, w1):
+    """The error of theta, and the floating-point floor of a sum of weights
+    w_n times e^(+-i(theta - t ln n)) over n <= N, w0 = sum w_n and
+    w1 = sum w_n ln n.
+
+    theta is off by ~2.5 u t ln tau (its log, product and sums) plus twice
+    the first omitted asymptotic term, 127/(430080 t^7); each phase
+    theta - t ln n adds u (|theta| + 4 t ln n); cos, the weights and the
+    pairwise sum add u (4 + log2 N) per unit of weight.
+    """
+    d_theta = _U * (3.0 * ts * np.log(tau) + 4.0) \
+        + 2.0 * 127.0 / (430080.0 * ts ** 7)
+    return d_theta, w0 * (d_theta + _U * (np.abs(theta) + 4.0
+                                          + np.log2(nmain))) \
+        + 4.0 * _U * ts * w1
 
 
 # C_k = sum over the terms (a, b, j, m) of (a / b) * Psi^(j) / pi^(2m)
@@ -235,10 +305,7 @@ def _riemann_siegel_many(ts: np.ndarray):
     bound adds the floating-point floor and covers Z exp(-i theta).
     """
     ts = np.asarray(ts, dtype=np.float64)
-    tau = ts / _TWO_PI
-    a = np.sqrt(tau)
-    nmain = np.floor(a).astype(np.int64)
-    x = (a - nmain) - 0.5       # exact: both are multiples of ulp(a)
+    tau, a, nmain, x = _rs_split(ts)
     theta = _rs_theta(ts)
     z = np.zeros_like(ts)
     s0 = np.zeros_like(ts)      # sum of n^(-1/2) over the main sum
@@ -263,20 +330,262 @@ def _riemann_siegel_many(ts: np.ndarray):
         trunc[high] = 0.017 * tau[high] ** -2.75
     z += (-1.0) ** (nmain - 1) * a ** -0.5 * corr
 
-    # Floating point.  theta is off by ~2.5 u t ln tau (its log, product
-    # and sums) plus twice the first omitted asymptotic term,
-    # 127/(430080 t^7); each phase theta - t ln n adds u (|theta| + 4 t ln n);
-    # cos, 1/sqrt(n) and the pairwise sum add u (4 + log2 N) per unit of
-    # weight 2 n^(-1/2).
+    # floating point: the weights are 2 n^(-1/2)
     _, fp_const, fp_slope = _rs_polys()
-    d_theta = _U * (3.0 * ts * np.log(tau) + 4.0) \
-        + 2.0 * 127.0 / (430080.0 * ts ** 7)
-    z_err = trunc + 2.0 * s0 * (d_theta + _U * (np.abs(theta) + 4.0
-                                                 + np.log2(nmain))) \
-        + 8.0 * _U * ts * s1 + a ** -0.5 * (fp_const + fp_slope * a)
+    d_theta, floor = _rs_floor(ts, tau, theta, nmain, 2.0 * s0, 2.0 * s1)
+    z_err = trunc + floor + a ** -0.5 * (fp_const + fp_slope * a)
     # rotating by the computed exp(-i theta) adds |Z| (d_theta + rounding)
     err = z_err + (np.abs(z) + z_err) * (d_theta + 6.0 * _U)
     return z, theta, err
+
+
+# ------------------------------------------- off-line Riemann-Siegel route --
+#
+# J. Arias de Reyna, High precision computation of Riemann's zeta function by
+# the Riemann-Siegel formula I, Math. Comp. 80 (2011): with a = sqrt(t/2pi),
+# N = floor(a), p = 1 - 2(a - N) and U = exp(-i(t/2 ln(t/2pi) - t/2 - pi/8)),
+#   zeta(s) = R(s) + chi(s) conj(R(1 - conj(s))),
+#   R(s) = sum_{n <= N} n^(-s)
+#          + (-1)^(N-1) U a^(-sigma) sum_{k < L} C_k(p, sigma) a^(-k) + RS_L,
+# and Theorem 2 (eq. 26) bounds |RS_L| <= a^(-sigma) c Gamma(L/2) / (b a)^L
+# with b = 2 and c = 9^sigma / (sqrt(2) pi) for sigma > 0 (at sigma = 0
+# these only enlarge the bound for sigma <= 0), provided 3L < 2a^2/25.
+
+_RS_OFF_TRUNC = 1e-11    # target for the truncation bound
+_RS_OFF_DEGREE = 60      # Taylor degree of F about p = 0
+
+
+def _rs_offline_order():
+    """The number of corrections L that meets _RS_OFF_TRUNC at the lowest
+    height, and that height T_RS, for every sigma in [0, 1]: there
+    a^(-sigma) 9^sigma + |chi| a^(sigma-1) 9^(1-sigma) <= 10, and Theorem 2
+    needs a^2 > 37.5 L."""
+    best = None
+    for terms in range(2, 40):
+        a = max(math.sqrt(37.5 * terms),
+                (10.0 / (math.sqrt(2.0) * math.pi) * math.gamma(terms / 2)
+                 / _RS_OFF_TRUNC) ** (1.0 / terms) / 2.0)
+        if best is None or a < best[1]:
+            best = (terms, a)
+    return best[0], _TWO_PI * best[1] ** 2
+
+
+_RS_OFF_L, _RS_OFF_T = _rs_offline_order()
+
+
+def _rs_offline_d(terms: int):
+    """The coefficients d[k][l] of the corrections (Arias de Reyna II,
+    Sec. 3.17, as in mpmath's rszeta) for k < terms, as polynomials in
+    rho = 1 - 2 sigma: lists of exact coefficients of rho^0, rho^1, ..."""
+    def comb(*pairs):
+        out = [Fraction(0)] * max(len(q) for _, q in pairs)
+        for w, q in pairs:
+            for i, v in enumerate(q):
+                out[i] += w * v
+        return out
+
+    def get(k, prev):
+        return prev[k] if 0 <= k < len(prev) else []
+
+    d = [[[Fraction(1)]]]
+    for n in range(1, terms):
+        prev, row = d[-1], []
+        for k in range(3 * n // 2 + 1):
+            m = 3 * n - 2 * k
+            if m:
+                row.append(comb((-(m + 1), get(k - 2, prev)),
+                                (Fraction(1, 4 * m), get(k, prev)),
+                                (Fraction(1, 2 * m), [0] + get(k - 1, prev))))
+            else:
+                row.append(comb(*((Fraction((-1) ** (k - r + 1)
+                                            * math.factorial(2 * k - 2 * r),
+                                            math.factorial(k - r)), row[r])
+                                  for r in range(k))))
+        d.append(row)
+    return d
+
+
+@functools.cache
+def _rs_offline_polys():
+    """C_0..C_{L-1} as float polynomials in p and rho, and their rounding
+    constants.
+
+    C_k(p, sigma) = sum over l <= 3k/2 of d[k][l](rho) F^(3k-2l)(p)
+    / (pi^(2k-l) (2i)^l), with the entire function
+    F(z) = (e^(pi i (z^2/2 + 3/8)) - i sqrt(2) cos(pi z/2)) / (2 cos(pi z)).
+    F is even, so C_k = p^(k mod 2) sum_j rho^j Q_kj(p^2).  Row i of the
+    table holds the coefficients of y^(D/2 - i) in the Q_kj, D =
+    _RS_OFF_DEGREE, for the (k, j) in the returned ``ks`` and ``js``.  On
+    |p| <= 1 and |rho| <= 1, ``size[k]`` bounds the sum of the moduli of
+    all the terms that make up C_k, ``lip[k]`` does the same for dC_k/dp,
+    and ``tail[k]`` bounds the Taylor terms beyond degree D.
+    """
+    terms, half = _RS_OFF_L, _RS_OFF_DEGREE // 2
+    extra = 5     # further powers of y, whose terms bound the Taylor tail
+    # 1/cos(pi z) has poles at y = 1/4, so the division below loses
+    # log10(4) digits per power of y, and F^(21) weighs c_80 by 80!/59!
+    with mpmath.workdps(100):
+        pi = mpmath.pi
+        e38 = mpmath.expjpi(mpmath.mpf(3) / 8)
+        powers = range(half + extra + 3 * terms // 2 + 1)
+        num = [e38 * (0.5j * pi) ** j / mpmath.factorial(j)
+               - 1j * mpmath.sqrt(2) * (-(pi / 2) ** 2) ** j
+               / mpmath.factorial(2 * j) for j in powers]
+        den = [2 * (-pi ** 2) ** j / mpmath.factorial(2 * j) for j in powers]
+        quot = []
+        for j in powers:
+            quot.append((num[j] - mpmath.fsum(quot[i] * den[j - i]
+                                              for i in range(j))) / den[0])
+        c = np.array([complex(v) for v in quot])     # of z^(2j) in F
+
+    d = _rs_offline_d(terms)
+    ks, js, rows = [], [], []
+    size, lip, tail = np.zeros(terms), np.zeros(terms), np.zeros(terms)
+    for k in range(terms):
+        e = 2 * np.arange(half + extra + 1) + k % 2
+        for j in range(k + 1):
+            row = np.zeros(len(e), dtype=np.complex128)
+            mag = np.zeros(len(e))
+            for el, dl in enumerate(d[k]):
+                if j < len(dl) and dl[j]:
+                    # the coefficients of p^e in F^(m)(p) are
+                    # c_(e+m) (e+m)!/e!
+                    m = 3 * k - 2 * el
+                    fall = np.array([float(math.perm(int(v) + m, m))
+                                     for v in e])
+                    term = float(dl[j]) / (math.pi ** (2 * k - el)
+                                           * (2j) ** el) \
+                        * c[(e + m) // 2] * fall
+                    row += term
+                    mag += np.abs(term)
+            kept = e <= _RS_OFF_DEGREE
+            size[k] += mag[kept].sum()
+            lip[k] += (mag * e)[kept].sum()
+            tail[k] += mag[~kept].sum()
+            ks.append(k)
+            js.append(j)
+            rows.append(np.where(kept, row, 0.0)[:half + 1])
+    table = np.array(rows).T[::-1].copy()
+    return table, np.array(ks), np.array(js), size, lip, tail
+
+
+def _rs_offline_corrections(x, rho, a):
+    """sum_k C_k(p, sigma) a^(-k) at sigma and at 1 - sigma (rho and -rho),
+    p = -2x, and a bound on the rounding error of either.  One Horner pass
+    over y = p^2 serves all the (k, j) rows."""
+    table, ks, js, size, lip, tail = _rs_offline_polys()
+    p = -2.0 * x                    # exact
+    y = p * p
+    rows = np.zeros((table.shape[1], len(x)), dtype=np.complex128)
+    for coefs in table:
+        rows = rows * y + coefs[:, None]
+    rows[ks % 2 == 1] *= p
+    weight = a ** -ks[:, None].astype(np.float64) * rho ** js[:, None]
+    s_x = (rows * weight).sum(axis=0)
+    s_y = (rows * (weight * (-1.0) ** js[:, None])).sum(axis=0)
+    # Horner in a rounded y, the products by p, rho^j and a^-k and the sum
+    # over the rows cost under 4 (D + rows) roundings per unit of size;
+    # p is off by < 6 u a
+    a_k = a ** -np.arange(len(size), dtype=np.float64)[:, None]
+    err = (a_k * (4.0 * (_RS_OFF_DEGREE + len(ks)) * _U * size[:, None]
+                  + tail[:, None] + 6.0 * _U * lip[:, None] * a)).sum(axis=0)
+    return s_x, s_y, err
+
+
+def _rs_chi_ratio(sigmas, ts):
+    """X = e^(2i theta(t)) chi(sigma + it) and a bound on |X'/X - 1| for
+    the computed X'.
+
+    chi(s) = pi^(s-1/2) Gamma((1-s)/2) / Gamma(s/2), and chi(1/2 + it) =
+    e^(-2i theta(t)).  With v = 1/4 + it/2 and h = (sigma - 1/2)/2,
+    ln X = 2h ln pi + conj(G(-h)) - G(h), G(g) = ln Gamma(v + g) -
+    ln Gamma(v), from Stirling's series with three Bernoulli terms.  Its
+    remainder at w is at most |B_8| / (56 |w|^7) sec^8(arg(w)/2) (DLMF
+    5.11.ii), and 0 <= sigma <= 1 puts all four w in Re w >= 0 with
+    |w| >= t/2, so sec^8 <= 16.
+    """
+    h = 0.5 * (sigmas - 0.5)
+    v = 0.25 + 0.5j * ts
+    v2 = 0.0625 + 0.25 * ts * ts        # |v|^2
+
+    def gamma_step(g):
+        # ln(1 + g/v) from real functions, which keep its small size
+        # accurate: |v + g|^2 / |v|^2 = 1 + g (1/2 + g) / |v|^2
+        ln1p = 0.5 * np.log1p(g * (0.5 + g) / v2) \
+            + 1j * np.arctan2(-0.5 * g * ts, v2 + 0.25 * g)
+        w = v + g
+        out = (v - 0.5) * ln1p + g * np.log(w) - g
+        for k, b2k in enumerate(_B2K[:3], start=1):
+            out = out + b2k / (2 * k * (2 * k - 1)) \
+                * (w ** (1 - 2 * k) - v ** (1 - 2 * k))
+        return out
+
+    ln_x = 2.0 * h * math.log(math.pi) + np.conj(gamma_step(-h)) \
+        - gamma_step(h)
+    stirling = 4.0 * abs(_B2K[3]) / 56.0 * 16.0 * (0.5 * ts) ** -7
+    # the terms of ln X are at most 1 + |h| (2 ln t + 8) in size
+    ln_err = stirling + 16.0 * _U * (1.0 + np.abs(h) * (2.0 * np.log(ts)
+                                                        + 8.0))
+    return np.exp(ln_x), 1.01 * ln_err + 4.0 * _U
+
+
+def _riemann_siegel_offline_many(sigmas: np.ndarray, ts: np.ndarray):
+    """zeta and a certified error bound for 0 <= sigma <= 1, t > T_RS.
+
+    With the phases theta - t ln n of the on-line route, e^(i theta) zeta
+    is sum_{n <= N} (n^(-sigma) e^(i phase) + X n^(sigma-1) e^(-i phase))
+    + (-1)^(N-1) (e^(i eps) a^(-sigma) S(sigma)
+                  + X e^(-i eps) a^(sigma-1) conj(S(1 - sigma))),
+    S = sum_{k<L} C_k(p, .) a^(-k), eps = theta - t/2 ln tau + t/2 + pi/8
+    and X = e^(2i theta) chi(s).  The bound adds Theorem 2's truncation at
+    both R terms to the floating-point floor.
+    """
+    sigmas = np.asarray(sigmas, dtype=np.float64)
+    ts = np.asarray(ts, dtype=np.float64)
+    tau, a, nmain, x = _rs_split(ts)
+    theta = _rs_theta(ts)
+    chi_x, chi_err = _rs_chi_ratio(sigmas, ts)
+    head = np.zeros(ts.shape, dtype=np.complex128)
+    mx0, mx1, my0, my1 = (np.zeros_like(ts) for _ in range(4))
+    for v in np.unique(nmain):
+        idx = np.nonzero(nmain == v)[0]
+        ln_n = np.log(np.arange(1, v + 1, dtype=np.float64))
+        phases = theta[idx, None] - ts[idx, None] * ln_n[None, :]
+        cos, sin = np.cos(phases), np.sin(phases)
+        mx = np.exp(-sigmas[idx, None] * ln_n[None, :])         # n^-sigma
+        my = np.exp((sigmas[idx, None] - 1.0) * ln_n[None, :])  # n^(sigma-1)
+        head[idx] = ((mx * cos).sum(axis=1) + 1j * (mx * sin).sum(axis=1)) \
+            + chi_x[idx] * ((my * cos).sum(axis=1)
+                            - 1j * (my * sin).sum(axis=1))
+        mx0[idx], mx1[idx] = mx.sum(axis=1), (mx * ln_n).sum(axis=1)
+        my0[idx], my1[idx] = my.sum(axis=1), (my * ln_n).sum(axis=1)
+
+    rho = 1.0 - 2.0 * sigmas
+    s_x, s_y, s_err = _rs_offline_corrections(x, rho, a)
+    eps = sum(c / (b * ts ** k) for c, b, k in _THETA_TERMS)
+    ax, ay = a ** -sigmas, a ** (sigmas - 1.0)
+    rot = np.exp(1j * eps)
+    corr = (-1.0) ** (nmain - 1) * (rot * ax * s_x
+                                    + chi_x * np.conj(rot) * ay * np.conj(s_y))
+    w = head + corr
+
+    abs_x = np.abs(chi_x)
+    trunc = math.gamma(_RS_OFF_L / 2) * (2.0 * a) ** -_RS_OFF_L \
+        * (ax * 9.0 ** sigmas + abs_x * ay * 9.0 ** (1.0 - sigmas)) \
+        / (math.sqrt(2.0) * math.pi)
+    # floating point: the weights n^-sigma and |X| n^(sigma-1) as in the
+    # on-line route, plus u (2 + ln n) per unit of weight for the powers
+    # and 6 u for the products by X and the final sums; X's own error on
+    # the sum it multiplies; the corrections' rounding and their phase
+    w0, w1 = mx0 + abs_x * my0, mx1 + abs_x * my1
+    d_theta, floor = _rs_floor(ts, tau, theta, nmain, w0, w1)
+    w_err = trunc + floor + _U * (8.0 * w0 + w1) \
+        + chi_err * abs_x * (my0 + ay * (np.abs(s_y) + s_err)) \
+        + (ax + abs_x * ay) * s_err \
+        + np.abs(corr) * (d_theta + _U * (np.log(a) + 10.0))
+    vals = w * np.exp(-1j * theta)
+    # rotating by the computed exp(-i theta) adds |W| (d_theta + rounding)
+    return vals, w_err + (np.abs(w) + w_err) * (d_theta + 6.0 * _U)
 
 
 # --------------------------------------------------- Euler-Maclaurin route --
@@ -314,33 +623,40 @@ def _fp_floor(big_n: int, t_abs: float, scale: float) -> float:
 
 
 def _euler_maclaurin_many(sigmas: np.ndarray, ts: np.ndarray, chunk: int = 64):
-    """Chunked vector form; points are grouped after sorting by t."""
+    """Chunked vector form.  Each point takes its cutoff N from its own t,
+    and a chunk holds points of one N only, so every row sum, and with it
+    each value and bound, is the same whichever points share the batch."""
     sigmas = np.asarray(sigmas, dtype=np.float64)
     ts = np.asarray(ts, dtype=np.float64)
     vals = np.empty(ts.shape, dtype=np.complex128)
     errs = np.empty(ts.shape, dtype=np.float64)
-    order = np.argsort(np.abs(ts))
-    for start in range(0, len(order), chunk):
-        idx = order[start:start + chunk]
-        big_n = max(60, int(1.3 * np.abs(ts[idx]).max()) + 8)
-        n = np.arange(1, big_n, dtype=np.float64)
-        ln_n = np.log(n.astype(np.longdouble))
-        phase = np.mod(ts[idx].astype(np.longdouble)[:, None] * ln_n[None, :],
-                       np.longdouble(_TWO_PI)).astype(np.float64)
-        mag = n[None, :] ** -sigmas[idx][:, None]
-        head = (mag * np.cos(phase)).sum(axis=1) \
-            - 1j * (mag * np.sin(phase)).sum(axis=1)
-        for j, i in enumerate(idx):
-            s = complex(sigmas[i], ts[i])
-            ph_n = float(np.mod(np.longdouble(ts[i])
-                                * np.log(np.longdouble(big_n)),
-                                np.longdouble(_TWO_PI)))
-            n_pow_s = big_n ** -sigmas[i] * complex(math.cos(ph_n),
-                                                    -math.sin(ph_n))
-            tail, rem = _em_tail(s, float(big_n), n_pow_s)
-            vals[i] = head[j] + tail
-            errs[i] = rem + _fp_floor(big_n, abs(ts[i]),
-                                      float(mag[j].sum()) + abs(tail))
+    big_ns = np.maximum(60, (1.3 * np.abs(ts)).astype(np.int64) + 8)
+    order = np.argsort(big_ns, kind="stable")
+    groups = np.split(order, np.flatnonzero(np.diff(big_ns[order])) + 1)
+    n_all = np.arange(1, big_ns.max(initial=1), dtype=np.float64)
+    ln_all = np.log(n_all.astype(np.longdouble))
+    for group in groups:
+        big_n = int(big_ns[group[0]])
+        n, ln_n = n_all[:big_n - 1], ln_all[:big_n - 1]
+        for start in range(0, len(group), chunk):
+            idx = group[start:start + chunk]
+            phase = np.mod(ts[idx].astype(np.longdouble)[:, None]
+                           * ln_n[None, :],
+                           np.longdouble(_TWO_PI)).astype(np.float64)
+            mag = n[None, :] ** -sigmas[idx][:, None]
+            head = (mag * np.cos(phase)).sum(axis=1) \
+                - 1j * (mag * np.sin(phase)).sum(axis=1)
+            for j, i in enumerate(idx):
+                s = complex(sigmas[i], ts[i])
+                ph_n = float(np.mod(np.longdouble(ts[i])
+                                    * np.log(np.longdouble(big_n)),
+                                    np.longdouble(_TWO_PI)))
+                n_pow_s = big_n ** -sigmas[i] * complex(math.cos(ph_n),
+                                                        -math.sin(ph_n))
+                tail, rem = _em_tail(s, float(big_n), n_pow_s)
+                vals[i] = head[j] + tail
+                errs[i] = rem + _fp_floor(big_n, abs(ts[i]),
+                                          float(mag[j].sum()) + abs(tail))
     return vals, errs
 
 
@@ -355,18 +671,20 @@ def _zeta_many(sigmas, ts) -> tuple[np.ndarray, np.ndarray]:
     errs = np.empty(ts.shape, dtype=np.float64)
     small = ts <= 40.0
     on_line = (sigmas == 0.5) & ~small
-    rest = ~(small | on_line)
-    for i in np.nonzero(small)[0]:
-        s = complex(sigmas[i], ts[i])
-        try:
-            vals[i], errs[i] = _eta_zeta(s)
-        except _RouteUnavailable:
-            vals[i], errs[i] = _euler_maclaurin(s)
+    off_line = ~(small | on_line) & (sigmas >= 0.0) & (sigmas <= 1.0) \
+        & (ts > _RS_OFF_T)
+    rest = ~(small | on_line | off_line)
+    if small.any():
+        vals[small], errs[small], usable = _eta_zeta_many(sigmas[small],
+                                                          ts[small])
+        rest[np.nonzero(small)[0][~usable]] = True  # near 1 - 2^(1-s) = 0
     if on_line.any():
         z, theta, errs[on_line] = _riemann_siegel_many(ts[on_line])
         vals[on_line] = z * np.exp(-1j * theta)
+    if off_line.any():
+        vals[off_line], errs[off_line] = _riemann_siegel_offline_many(
+            sigmas[off_line], ts[off_line])
     if rest.any():
-        # one batch: each 64-point chunk sets its own cutoff N
         vals[rest], errs[rest] = _euler_maclaurin_many(sigmas[rest], ts[rest])
     return vals, errs
 

@@ -190,6 +190,14 @@ class TestZetaCommand:
         assert code == 2 and out == "" and err.startswith("error: ")
         assert word in err
 
+    def test_no_certified_digit_is_explained(self, capsys):
+        # at sigma = 60, |zeta| = 1 + O(2^-60) lies within its band of the
+        # digit boundary at 1 at every point
+        code, out, err = run_cli(["zeta", "--sigma", "60", "--t-end", "5"],
+                                 capsys)
+        assert code == 2 and out == "" and err.startswith("error: ")
+        assert "certified" in err and "21 skipped" in err
+
 
 class TestCueCommand:
     def test_json_run(self, capsys):

@@ -131,6 +131,115 @@ class TestRiemannSiegelCorrections:
         assert len(res.t) == 16_384 and len(res.skipped) == 0
 
 
+def eta_per_point(s: complex):
+    """The eta route as it was coded point by point, the reference for the
+    vectorised route; None where 1 - 2^(1-s) is too small."""
+    levels = 64 + int(3.6 * abs(s.imag))
+    n = np.arange(1, levels + 24 + 2, dtype=np.float64)
+    terms = np.exp(-s * np.log(n))
+    terms[1::2] = -terms[1::2]
+    col = np.cumsum(terms)
+    for _ in range(levels):
+        col = 0.5 * (col[1:] + col[:-1])
+    eta = complex(col[-1])
+    spread = float(np.abs(np.diff(col[-6:])).max())
+    eta_err = 8.0 * spread + 1e-15 * (1.0 + abs(eta)) * math.sqrt(len(n))
+    den = 1.0 - np.exp((1.0 - s) * math.log(2.0))
+    if abs(den) < 1e-2:
+        return None
+    return eta / den, (eta_err + 1e-16 * abs(eta)) / abs(den)
+
+
+class TestEtaRoute:
+    def test_vector_route_matches_per_point_loop(self):
+        # one batch of every depth from t = 0 to 40, off the line, and a
+        # point near a zero of 1 - 2^(1-s) (t = 2 pi / ln 2 at sigma = 1)
+        ts = np.concatenate([np.arange(0.0, 40.01, 0.25),
+                             [7.0, 2.0, 40.0, 2 * math.pi / math.log(2)]])
+        sigmas = np.concatenate([np.full(161, 0.5), [0.0, 3.0, 1.5, 1.0]])
+        vals, errs, usable = zt._eta_zeta_many(sigmas, ts)
+        for i, (sig, t) in enumerate(zip(sigmas, ts)):
+            ref = eta_per_point(complex(sig, t))
+            assert usable[i] == (ref is not None), (sig, t)
+            if ref is not None:
+                # same arithmetic but for |eta|, whose numpy and Python
+                # moduli may differ in the last bit: a few ulps of the bound
+                assert vals[i] == ref[0], (sig, t)
+                assert abs(errs[i] - ref[1]) <= 8 * np.spacing(ref[1])
+        assert not usable[-1]
+        # each point's arithmetic is its own, whatever the chunk holds
+        for a, b in zip(zt._eta_zeta_many(sigmas, ts, chunk=7),
+                        (vals, errs, usable)):
+            assert (a == b).all()
+        with pytest.raises(zt._RouteUnavailable):
+            zt._eta_zeta(complex(sigmas[-1], ts[-1]))
+
+
+class TestEulerMaclaurinBatches:
+    def test_point_alone_and_in_batch_bit_identical(self):
+        # t = 195 shared a chunk cutoff with t = 262 before each point took
+        # its own; 5000 gives a row of 6,508 terms
+        alone = [zt._euler_maclaurin(complex(sig, t))
+                 for sig, t in ((0.5, 195.0), (0.7, 5000.0), (2.0, 41.5))]
+        vals, errs = zt._euler_maclaurin_many(
+            [0.5, 0.5, 0.7, 0.5, 2.0, 0.9], [262.0, 195.0, 5000.0, 195.25,
+                                             41.5, 4999.5])
+        for (v, e), i in zip(alone, (1, 2, 4)):
+            assert vals[i] == v and errs[i] == e
+
+
+def offline_bound_holds(sigmas, ts):
+    vals, errs = zt._riemann_siegel_offline_many(sigmas, ts)
+    with mpmath.workdps(25):
+        for sig, t, v, e in zip(sigmas, ts, vals, errs):
+            ref = complex(mpmath.zeta(mpmath.mpc(sig, t)))
+            assert abs(v - ref) <= e, (sig, t, abs(v - ref), e)
+
+
+class TestOfflineRiemannSiegel:
+    def test_order_from_theorem_conditions(self):
+        # 3L < 2a^2/25 just above T_RS, and the truncation target holds
+        # there for every sigma in [0, 1]
+        a2 = zt._RS_OFF_T / _TWO_PI
+        assert 3 * zt._RS_OFF_L < 2 * a2 / 25 * (1 + 1e-12)
+        assert 3 * zt._RS_OFF_L > 2 * a2 / 25 * (1 - 1e-12)
+        bound = math.gamma(zt._RS_OFF_L / 2) * (2 * math.sqrt(a2)) \
+            ** -zt._RS_OFF_L * 10 / (math.sqrt(2) * math.pi)
+        assert bound <= zt._RS_OFF_TRUNC
+
+    def test_bound_on_seeded_grid(self):
+        # the fixed sigmas and the near-critical path, t from T_RS to 10^5
+        rng = np.random.default_rng(20_261_018)
+        lo, hi = math.log(zt._RS_OFF_T), math.log(1e5)
+        sigmas, ts = [], []
+        for sig in (0.0, 0.25, 0.501, 0.75, 1.0, None):
+            t = np.exp(rng.uniform(lo, hi, 6))
+            t = np.concatenate([t, [np.nextafter(zt._RS_OFF_T, 1e5), 1e5]])
+            ts.append(t)
+            sigmas.append(np.full(len(t), sig) if sig is not None
+                          else 0.5 + np.log(t) ** -0.5)
+        offline_bound_holds(np.concatenate(sigmas), np.concatenate(ts))
+
+    def test_agrees_with_euler_maclaurin_on_overlap(self):
+        sigmas = np.array([0.0, 0.3, 0.6, 0.8297, 1.0])
+        ts = np.array([1900.0, 2500.5, 4000.25, 10000.0, 7777.0])
+        vals, errs = zt._riemann_siegel_offline_many(sigmas, ts)
+        vem, eem = zt._euler_maclaurin_many(sigmas, ts)
+        assert (np.abs(vals - vem) <= errs + eem).all()
+
+    def test_routed_by_region(self):
+        # off-line points with 0 <= sigma <= 1 above T_RS take the route;
+        # sigma > 1 and lower t stay with Euler-Maclaurin
+        for s in (complex(0.75, 5000.0), complex(0.0, 2000.0)):
+            v, e = zt._riemann_siegel_offline_many([s.real], [s.imag])
+            assert zt.zeta_eval(s) == (complex(v[0]), float(e[0]))
+        for s in (complex(1.5, 5000.0), complex(0.75, 1800.0)):
+            assert zt.zeta_eval(s) == zt._euler_maclaurin(s)
+        res = zt.scan_line(99000.0, 99249.75, 0.25,
+                           zt.SigmaMode.near_critical(0.5))
+        assert len(res.t) == 1000 and res.refined == 0
+
+
 class TestRoutesAgainstHighPrecision:
     def test_eta_route_certified(self):
         mpmath.mp.dps = 25
