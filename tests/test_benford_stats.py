@@ -98,6 +98,21 @@ class TestZStatistics:
         z2 = bs.z_statistics(bs.DigitHistogram(10, 2 * counts)).per_digit[0][3]
         assert abs(z2 / z1 - math.sqrt(2)) < 1e-9
 
+    def test_critical_value_and_verdict_match_scipy_stats(self):
+        rng = make_rng(3)
+        for base in range(2, 65):
+            dof = base - 2
+            crit = float(sstats.chi2.ppf(0.95, dof))
+            got = bs._chi2_quantile(0.95, dof)
+            assert got == crit or (math.isnan(got) and math.isnan(crit))
+            probs = bs.benford_probabilities(base)
+            # Benford draws (mostly accepted) and near-uniform draws
+            for p in (probs, 0.5 * probs + 0.5 / (base - 1)):
+                counts = rng.multinomial(2_000, p / p.sum())
+                with np.errstate(invalid="ignore"):  # base 2: z is 0/0
+                    report = bs.z_statistics(bs.DigitHistogram(base, counts))
+                assert report.verdict_alpha05 == (report.chi_square < crit)
+
     def test_report_serialization(self):
         h = bs.DigitHistogram(10, np.array([30, 18, 12, 10, 8, 7, 6, 5, 4]))
         report = bs.z_statistics(h)

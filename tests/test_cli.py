@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import benford_lab
 from benford_lab import cli
 
 
@@ -308,3 +312,19 @@ def test_out_file(tmp_path, capsys):
     assert code == 0 and out == ""
     text = target.read_text()
     assert text.startswith("# {") and "sigma,residual" in text
+
+
+def test_cold_start_imports_no_scipy_and_builds_no_table():
+    # scipy.stats alone cost the CLI's import about 1 s and 70 MB; the
+    # residue table of trajectory blocks is built at first use
+    src = os.path.dirname(os.path.dirname(os.path.abspath(
+        benford_lab.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = ("import sys, benford_lab.cli\n"
+            "from benford_lab import collatz\n"
+            "assert not [m for m in sys.modules if m.split('.')[0] == "
+            "'scipy'], 'scipy imported'\n"
+            "assert collatz._residue_table.cache_info().currsize == 0\n")
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr

@@ -522,8 +522,68 @@ def _far_multiplicity_seed():
     return (2 ** 300 * m - 1) // 3
 
 
+def plain_block(low, steps, bits):
+    """The reference block: one accelerated step at a time from ``low``
+    while ``bits`` low bits decide each multiplicity, at most ``steps``."""
+    ks, y, e = [], low, 0
+    while len(ks) < steps:
+        u = 3 * y + 1
+        k = 0
+        while u % 2 == 0:
+            u //= 2
+            k += 1
+        if e + k >= bits:
+            break
+        ks.append(k)
+        y, e = u, e + k
+    return ks, y, e
+
+
+def _undecided_low():
+    # 3 low + 1 = 2**40 * 12346: a first multiplicity past the table's bits,
+    # then steps the table decides again
+    return (2 ** 40 * 12346 - 1) // 3
+
+
+class TestResidueTable:
+    def test_entries_match_stepwise_simulation(self):
+        w = cz._TABLE_BITS
+        table = cz._residue_table()
+        assert len(table) == 2 ** w
+        for r in range(2 ** w):
+            ks, t, c, e = table[r]
+            if r % 2 == 0:
+                assert ks == ()
+                continue
+            ref_ks, _, ref_e = plain_block(r, w, w)
+            assert (list(ks), e, t) == (ref_ks, ref_e, 3 ** len(ref_ks))
+            # every odd x = r mod 2**w takes those steps to (t x + c) / 2**e
+            for x in (r, r + 2 ** w, r + 2 ** w * 12345, r + 2 ** 300):
+                path_ks, path_its = reference_path(x, len(ks))
+                assert list(path_ks) == ref_ks
+                assert (t * x + c) % 2 ** e == 0
+                assert (t * x + c) // 2 ** e == (path_its[-1] if ks else x)
+
+    @given(st.integers(0, 2 ** cz._BLOCK_BITS - 1).map(lambda v: v | 1),
+           st.integers(0, 700), st.integers(-3, 3))
+    @example(_undecided_low(), 10 ** 6, 0)
+    @example((2 ** cz._BLOCK_BITS - 1) // 3, 10 ** 6, 0)  # no step decided
+    @example(1, 10 ** 6, 0)
+    @settings(max_examples=60, deadline=None)
+    def test_block_matches_plain_loop(self, low, steps, shift):
+        bits, w = cz._BLOCK_BITS, cz._TABLE_BITS
+        full = plain_block(low, 10 ** 6, bits)
+        # the step after which fewer than _TABLE_BITS bits remain: lookups
+        # end there and the plain loop takes over
+        es = np.cumsum([0] + full[0])
+        edge = int(np.argmax(es > bits - w)) if es[-1] > bits - w \
+            else len(full[0])
+        for cut in (steps, max(edge + shift, 0), 10 ** 6):
+            assert cz._block(low, cut) == plain_block(low, cut, bits)
+
+
 class TestBlockTrajectory:
-    @given(st.integers(2, 5000).flatmap(
+    @given(st.integers(2, 3 * cz._BLOCK_MIN_BITS + 600).flatmap(
                lambda b: st.integers(2 ** (b - 1), 2 ** b - 1)),
            st.integers(0, 40), st.sampled_from(cz.MODES),
            st.integers(2, 16), st.integers(1, 60_000))
@@ -543,25 +603,27 @@ class TestBlockTrajectory:
     @pytest.mark.parametrize("single", [False, True])
     @pytest.mark.parametrize("base", [3, 10, 16])
     def test_band_holds_the_true_log(self, single, base):
-        x = 3 ** 800 + 2 ** 700            # odd, 1,268 bits
-        ks = cz._block(x & ((1 << cz._BLOCK_BITS) - 1), 10 ** 6)
-        a, e = cz._block_exponents(ks, single, 10 ** 6)
+        x = 3 ** 1600 + 2 ** 1400           # odd, 2,536 bits
+        assert x.bit_length() > cz._BLOCK_MIN_BITS
+        low = x & ((1 << cz._BLOCK_BITS) - 1)
+        block = cz._block(low, 10 ** 6)
+        a, e = cz._block_exponents(block[0], single, 10 ** 6)
         f, band = cz._block_logs(x, a, e, base)
-        assert len(ks) > 50 and len(f) >= len(ks)
+        assert len(block[0]) > 200 and len(f) >= len(block[0])
         with mpmath.workdps(60):
             for i in range(len(a)):
-                xi = cz._block_iterate(x, ks, int(a[i]), int(e[i]))
+                xi = cz._block_iterate(x, low, block, int(a[i]), int(e[i]))
                 true = float(mpmath.frac(mpmath.log(xi) / mpmath.log(base)))
                 gap = abs(true - f[i])
                 assert min(gap, 1.0 - gap) < band[i]
 
-    # 3 x0 + 1 = 4 (2*10^600 - 1) or 2 (10^600 + 1): every iterate of the
+    # 3 x0 + 1 = 4 (2*10^1200 - 1) or 2 (10^1200 + 1): every iterate of the
     # first accelerated step sits one unit from a digit boundary
     @pytest.mark.parametrize("mode, x0", [
-        ("single_step", (8 * 10 ** 600 - 5) // 3),
-        ("single_step", (2 * 10 ** 600 + 1) // 3),
-        ("remove_all_twos", (8 * 10 ** 600 - 5) // 3),
-        ("remove_all_twos", (2 * 10 ** 600 + 1) // 3),
+        ("single_step", (8 * 10 ** 1200 - 5) // 3),
+        ("single_step", (2 * 10 ** 1200 + 1) // 3),
+        ("remove_all_twos", (8 * 10 ** 1200 - 5) // 3),
+        ("remove_all_twos", (2 * 10 ** 1200 + 1) // 3),
     ], ids=["single-below", "single-above", "remove2-below",
             "remove2-above"])
     def test_boundary_iterate_is_refined(self, mode, x0):
