@@ -583,7 +583,7 @@ class TestResidueTable:
 
 
 class TestBlockTrajectory:
-    @given(st.integers(2, 3 * cz._BLOCK_MIN_BITS + 600).flatmap(
+    @given(st.integers(2, 3 * cz._BLOCK_MIN_BITS + 2000).flatmap(
                lambda b: st.integers(2 ** (b - 1), 2 ** b - 1)),
            st.integers(0, 40), st.sampled_from(cz.MODES),
            st.integers(2, 16), st.integers(1, 60_000))
