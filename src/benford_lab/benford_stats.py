@@ -149,12 +149,16 @@ def z_statistics(hist: DigitHistogram) -> TestReport:
         raise DomainError("z_statistics needs a nonempty histogram")
     obs = hist.frequencies()
     probs = benford_probabilities(hist.base)
-    z = (obs - probs) / np.sqrt(probs * (1.0 - probs) / n)
+    # a digit of Benford probability 1 (base 2) has no spread: z = 0 there
+    var = probs * (1.0 - probs)
+    z = np.divide(obs - probs, np.sqrt(var / n), out=np.zeros_like(obs),
+                  where=var > 0)
     stat, dof = chi_square(hist)
-    crit = _chi2_quantile(0.95, dof)
+    # with no degree of freedom the observed law is the Benford law
+    accept = dof == 0 or stat < _chi2_quantile(0.95, dof)
     rows = [(int(d + 1), float(obs[d]), float(probs[d]), float(z[d]))
             for d in range(hist.base - 1)]
-    return TestReport(hist.base, n, rows, stat, dof, stat < crit)
+    return TestReport(hist.base, n, rows, stat, dof, accept)
 
 
 def _sorted_unit_points(points) -> np.ndarray:

@@ -4,9 +4,9 @@ Covers the pieces the digit experiments lean on: orbits k*alpha mod 1
 generated with double-double arithmetic (per-point error < 1e-15 even at
 N = 10**7), certified continued-fraction convergents from a bracketed
 high-precision value, empirical irrationality-type probes, the Gaussian theta
-identity, the spreading-Gaussian interval mass, and the two quantitative
-conditions (tail mass, characteristic-function decay) under which a spreading
-density equidistributes modulo one.
+identity, the spreading-Gaussian interval mass, and the characteristic-
+function decay condition under which a spreading density equidistributes
+modulo one.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from .core_numeric import DomainError
 
 __all__ = [
     "PrecisionError",
-    "GaussianSpread",
     "IrrationalProbe",
     "log_ratio",
     "kalpha_points",
@@ -32,7 +31,6 @@ __all__ = [
     "theta_identity_residual",
     "gaussian_mod1_mass",
     "condition_char_decay",
-    "condition_tail_mass",
     "interval_count",
 ]
 
@@ -236,20 +234,6 @@ def theta_identity_residual(sigma: float, cutoff: int | None = None) -> float:
 
 # --------------------------------------------- spreading-Gaussian machinery --
 
-@dataclass(frozen=True)
-class GaussianSpread:
-    """Standard normal density spread by a scale T: density(x/T)/T."""
-
-    scale: float
-
-    @staticmethod
-    def density(x):
-        return np.exp(-0.5 * np.square(x)) / math.sqrt(2.0 * math.pi)
-
-    def spread_density(self, x):
-        return self.density(np.asarray(x) / self.scale) / self.scale
-
-
 def gaussian_mod1_mass(scale: float, a: float, b: float,
                        k_window: int | None = None) -> float:
     """sum_{|k| <= W} integral_a^b density((x+k)/T)/T dx, in closed form as
@@ -284,13 +268,3 @@ def condition_char_decay(scale: float) -> float:
         total += term
         k += 1
     return total
-
-
-def condition_tail_mass(scale: float, h_of_scale: float) -> float:
-    """Gaussian mass outside [-T h(T), T h(T)] for the spread density:
-    2 * (1 - Phi(h)); independent of the scale itself."""
-    if scale <= 0:
-        raise DomainError("scale must be positive")
-    if h_of_scale < 0:
-        raise DomainError("h must be nonnegative")
-    return math.erfc(h_of_scale / math.sqrt(2.0))

@@ -2,11 +2,8 @@
 leading-digit histogram machinery along horizontal lines and along the
 near-critical path sigma(T) = 1/2 + 1/log^delta(T).
 
-Four evaluation routes, chosen by region:
+Three evaluation routes, chosen by region:
 
-* an accelerated alternating (eta) series for |t| <= 40 and any sigma >= 0,
-  with repeated-averaging (van Wijngaarden) convergence acceleration, all
-  points in one array;
 * the Riemann-Siegel formula on the critical line for t > 40.  From t = 200
   on it carries the corrections C_0..C_4, and Gabcke's explicit remainder
   bound |R_4| <= 0.017 (t/2pi)^(-11/4) (W. Gabcke, Neue Herleitung und
@@ -24,10 +21,11 @@ Four evaluation routes, chosen by region:
   the L that reaches that.  chi comes from Stirling's series with its
   remainder bound, and the floating-point floor is the on-line route's
   (about 3e-10 at t = 10^4 and 6e-9 at t = 10^5);
-* Euler-Maclaurin summation with ~1.3*t initial terms and 8 Bernoulli
-  corrections for t > 40 off the line elsewhere (t <= T_RS, or sigma
-  outside [0, 1]), which doubles as the high-precision refinement route
-  everywhere (absolute error near 1e-14 at scan heights).
+* Euler-Maclaurin summation with max(60, ~1.3*t) initial terms and 8
+  Bernoulli corrections everywhere else: every point with t <= 40, and
+  points above 40 off the line with t <= T_RS or sigma outside [0, 1].  It
+  doubles as the high-precision refinement route everywhere (absolute
+  error near 1e-14 at scan heights).
 
 ``_zeta_many`` is the single place where the route is chosen; ``zeta_eval``
 and ``scan_line`` both call it.
@@ -54,7 +52,6 @@ from .core_numeric import DomainError, _check_digit_base, \
 
 __all__ = [
     "AccuracyError",
-    "HejhalParams",
     "sigma_T",
     "psi_variance",
     "zeta",
@@ -91,88 +88,6 @@ def psi_variance(sigma: float, T: float, aleph: float = 1.0) -> float:
     if aleph <= 0:
         raise DomainError("aleph must be positive")
     return aleph * math.log(min(math.log(T), 1.0 / (sigma - 0.5)))
-
-
-@dataclass(frozen=True)
-class HejhalParams:
-    """Parameter bundle for the near-critical log-normal regime."""
-
-    delta: float = 0.5
-    kappa: float = 2.5
-    aleph: float = 1.0
-
-    def __post_init__(self):
-        if not 0.0 < self.delta < 1.0:
-            raise DomainError("delta must lie in (0, 1)")
-        if not 1.0 < self.kappa <= 3.0:
-            raise DomainError("kappa must lie in (1, 3]")
-        if self.aleph <= 0:
-            raise DomainError("aleph must be positive")
-
-    def sigma_of(self, T: float) -> float:
-        return sigma_T(T, self.delta)
-
-    def psi_of(self, T: float) -> float:
-        return psi_variance(self.sigma_of(T), T, self.aleph)
-
-
-# ------------------------------------------------------- eta-series route --
-
-class _RouteUnavailable(Exception):
-    pass
-
-
-def _eta_zeta_many(sigmas: np.ndarray, ts: np.ndarray, chunk: int = 1024):
-    """zeta from the alternating series with repeated-averaging acceleration.
-
-    Reliable for |Im s| <= ~45 and Re s >= 0; the averaging depth grows with
-    |t| to beat the e^(pi t / 2) growth of the transformed tail.  The points
-    of a chunk share one 2-D array, a column each, so that every point gets
-    exactly its own ``levels`` passes over its own partial sums.  Returns the
-    values, the error bounds and a mask of the points where the route holds
-    (it fails near a zero of 1 - 2^(1-s)).
-    """
-    s = np.asarray(sigmas, dtype=np.float64) + 1j * np.asarray(ts)
-    levels = 64 + (3.6 * np.abs(s.imag)).astype(np.int64)
-    length = levels + 24 + 1
-    last = np.empty((6, len(s)), dtype=np.complex128)
-    for lo in range(0, len(s), chunk):
-        part = slice(lo, lo + chunk)
-        width = int(length[part].max())
-        # column i holds the series of point i, bottom-aligned:
-        # n = 1..length[i]
-        n = np.arange(width)[:, None] - (width - length[part]) + 1
-        used = n >= 1
-        n = np.where(used, n, 1).astype(np.float64)
-        terms = np.where(used, np.exp(-s[part] * np.log(n)), 0.0)
-        terms = np.where(n % 2 == 0, -terms, terms)
-        # columns by descending depth; pass k averages the m_k columns with
-        # levels >= k, and a column's last six rows are kept once it is done
-        order = np.argsort(-levels[part], kind="stable")
-        col = np.cumsum(terms[:, order], axis=0)
-        done = np.empty((6, len(order)), dtype=np.complex128)
-        passes = np.arange(1, levels[part].max() + 1)
-        for m in np.searchsorted(-levels[part][order], -passes,
-                                 side="right").tolist():
-            if m < col.shape[1]:
-                done[:, m:col.shape[1]] = col[-6:, m:]
-                col = col[:, :m]
-            col = 0.5 * (col[1:] + col[:-1])
-        done[:, :col.shape[1]] = col[-6:]
-        last[:, part] = done[:, np.argsort(order)]
-    eta = last[-1]
-    spread = np.abs(np.diff(last, axis=0)).max(axis=0)
-    eta_err = 8.0 * spread + 1e-15 * (1.0 + np.abs(eta)) * np.sqrt(length)
-    den = 1.0 - np.exp((1.0 - s) * math.log(2.0))
-    usable = np.abs(den) >= 1e-2
-    return eta / den, (eta_err + 1e-16 * np.abs(eta)) / np.abs(den), usable
-
-
-def _eta_zeta(s: complex) -> tuple[complex, float]:
-    vals, errs, usable = _eta_zeta_many(np.array([s.real]), np.array([s.imag]))
-    if not usable[0]:
-        raise _RouteUnavailable("near a zero of 1 - 2^(1-s)")
-    return complex(vals[0]), float(errs[0])
 
 
 # --------------------------------------------------- Riemann-Siegel route --
@@ -614,11 +529,17 @@ def _euler_maclaurin(s: complex) -> tuple[complex, float]:
     return complex(vals[0]), float(errs[0])
 
 
+# the phases t ln n are reduced in np.longdouble: 2.5e-19 per unit of
+# t ln n where its eps is 2^-63 (x87 80-bit), scaled by the eps of the
+# machine's long double (about 2,000 times larger where it is float64)
+_PHASE_ULP = 2.5e-19 * float(np.finfo(np.longdouble).eps) / 2.0 ** -63
+
+
 def _fp_floor(big_n: int, t_abs: float, scale: float) -> float:
     # pairwise summation of ~N rounded cosines plus extended-precision
-    # phase propagation (~1 ulp of 80-bit per t*log n)
+    # phase propagation (~1 ulp of long double per t*log n)
     per_sum = 6e-15 * max(math.log2(big_n), 1.0)
-    per_phase = 2.5e-19 * t_abs * max(math.log(big_n), 1.0)
+    per_phase = _PHASE_ULP * t_abs * max(math.log(big_n), 1.0)
     return (per_sum + per_phase) * (scale + 1.0)
 
 
@@ -669,15 +590,10 @@ def _zeta_many(sigmas, ts) -> tuple[np.ndarray, np.ndarray]:
     ts = np.asarray(ts, dtype=np.float64)
     vals = np.empty(ts.shape, dtype=np.complex128)
     errs = np.empty(ts.shape, dtype=np.float64)
-    small = ts <= 40.0
-    on_line = (sigmas == 0.5) & ~small
-    off_line = ~(small | on_line) & (sigmas >= 0.0) & (sigmas <= 1.0) \
+    on_line = (sigmas == 0.5) & (ts > 40.0)
+    off_line = ~on_line & (sigmas >= 0.0) & (sigmas <= 1.0) \
         & (ts > _RS_OFF_T)
-    rest = ~(small | on_line | off_line)
-    if small.any():
-        vals[small], errs[small], usable = _eta_zeta_many(sigmas[small],
-                                                          ts[small])
-        rest[np.nonzero(small)[0][~usable]] = True  # near 1 - 2^(1-s) = 0
+    rest = ~(on_line | off_line)
     if on_line.any():
         z, theta, errs[on_line] = _riemann_siegel_many(ts[on_line])
         vals[on_line] = z * np.exp(-1j * theta)

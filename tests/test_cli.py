@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -40,6 +41,26 @@ class TestDigitsCommand:
         assert code == 0
         doc = json.loads(out)
         assert doc["report"]["chi_square"] < 15.51
+
+    def test_base_two_report_is_valid_json(self, tmp_path, capsys):
+        # every digit is 1 in base 2, with Benford probability 1: z is 0,
+        # not 0/0, and the perfect match (chi-square 0 on 0 dof) is accepted
+        f = tmp_path / "pows.txt"
+        f.write_text("\n".join(str(2 ** k) for k in range(1, 300)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code, out, _ = run_cli(["digits", str(f), "--base", "2",
+                                    "--format", "json"], capsys)
+        assert code == 0
+
+        def reject(name):
+            raise ValueError(f"{name} is not JSON")
+
+        report = json.loads(out, parse_constant=reject)["report"]
+        assert report["per_digit"] == [
+            {"digit": 1, "observed": 1.0, "benford": 1.0, "z": 0.0}]
+        assert report["chi_square"] == 0.0 and report["dof"] == 0
+        assert report["verdict_alpha05"] is True
 
     def test_empty_file_is_usage_error(self, tmp_path, capsys):
         f = tmp_path / "empty.txt"

@@ -131,50 +131,6 @@ class TestRiemannSiegelCorrections:
         assert len(res.t) == 16_384 and len(res.skipped) == 0
 
 
-def eta_per_point(s: complex):
-    """The eta route as it was coded point by point, the reference for the
-    vectorised route; None where 1 - 2^(1-s) is too small."""
-    levels = 64 + int(3.6 * abs(s.imag))
-    n = np.arange(1, levels + 24 + 2, dtype=np.float64)
-    terms = np.exp(-s * np.log(n))
-    terms[1::2] = -terms[1::2]
-    col = np.cumsum(terms)
-    for _ in range(levels):
-        col = 0.5 * (col[1:] + col[:-1])
-    eta = complex(col[-1])
-    spread = float(np.abs(np.diff(col[-6:])).max())
-    eta_err = 8.0 * spread + 1e-15 * (1.0 + abs(eta)) * math.sqrt(len(n))
-    den = 1.0 - np.exp((1.0 - s) * math.log(2.0))
-    if abs(den) < 1e-2:
-        return None
-    return eta / den, (eta_err + 1e-16 * abs(eta)) / abs(den)
-
-
-class TestEtaRoute:
-    def test_vector_route_matches_per_point_loop(self):
-        # one batch of every depth from t = 0 to 40, off the line, and a
-        # point near a zero of 1 - 2^(1-s) (t = 2 pi / ln 2 at sigma = 1)
-        ts = np.concatenate([np.arange(0.0, 40.01, 0.25),
-                             [7.0, 2.0, 40.0, 2 * math.pi / math.log(2)]])
-        sigmas = np.concatenate([np.full(161, 0.5), [0.0, 3.0, 1.5, 1.0]])
-        vals, errs, usable = zt._eta_zeta_many(sigmas, ts)
-        for i, (sig, t) in enumerate(zip(sigmas, ts)):
-            ref = eta_per_point(complex(sig, t))
-            assert usable[i] == (ref is not None), (sig, t)
-            if ref is not None:
-                # same arithmetic but for |eta|, whose numpy and Python
-                # moduli may differ in the last bit: a few ulps of the bound
-                assert vals[i] == ref[0], (sig, t)
-                assert abs(errs[i] - ref[1]) <= 8 * np.spacing(ref[1])
-        assert not usable[-1]
-        # each point's arithmetic is its own, whatever the chunk holds
-        for a, b in zip(zt._eta_zeta_many(sigmas, ts, chunk=7),
-                        (vals, errs, usable)):
-            assert (a == b).all()
-        with pytest.raises(zt._RouteUnavailable):
-            zt._eta_zeta(complex(sigmas[-1], ts[-1]))
-
-
 class TestEulerMaclaurinBatches:
     def test_point_alone_and_in_batch_bit_identical(self):
         # t = 195 shared a chunk cutoff with t = 262 before each point took
@@ -186,6 +142,36 @@ class TestEulerMaclaurinBatches:
                                              41.5, 4999.5])
         for (v, e), i in zip(alone, (1, 2, 4)):
             assert vals[i] == v and errs[i] == e
+
+
+class TestEulerMaclaurinFloor:
+    def test_phase_term_follows_long_double_eps(self):
+        # 2.5e-19 per unit of t ln N where the long double is x87 80-bit
+        # (eps = 2^-63), in proportion to eps elsewhere
+        eps = float(np.finfo(np.longdouble).eps)
+        big_n, t = 130_008, 1e5
+        per_phase = zt._fp_floor(big_n, t, 0.0) - zt._fp_floor(big_n, 0.0, 0.0)
+        ref = 2.5e-19 * eps / 2.0 ** -63 * t * math.log(big_n)
+        assert abs(per_phase - ref) <= 1e-9 * ref
+        if eps == 2.0 ** -63:
+            assert zt._PHASE_ULP == 2.5e-19
+
+    def test_phase_term_covers_long_double_phases(self):
+        # the phases t ln n mod 2pi as the route computes them, against the
+        # same reduction done exactly: each is within the per-phase term
+        rng = np.random.default_rng(20_261_019)
+        ts = rng.uniform(0.0, 1e5, 64)
+        ns = rng.integers(2, 130_000, 64)
+        two_pi = np.longdouble(_TWO_PI)
+        phases = np.mod(ts.astype(np.longdouble)
+                        * np.log(ns.astype(np.longdouble)), two_pi)
+        with mpmath.workdps(50):
+            for t, n, ph in zip(ts, ns, phases):
+                exact = mpmath.fmod(mpmath.mpf(t) * mpmath.log(int(n)),
+                                    mpmath.mpf(_TWO_PI))
+                got = mpmath.mpf(np.format_float_scientific(ph, unique=True))
+                bound = zt._PHASE_ULP * t * math.log(n)
+                assert abs(got - exact) <= bound, (t, n, got - exact, bound)
 
 
 def offline_bound_holds(sigmas, ts):
@@ -229,11 +215,12 @@ class TestOfflineRiemannSiegel:
 
     def test_routed_by_region(self):
         # off-line points with 0 <= sigma <= 1 above T_RS take the route;
-        # sigma > 1 and lower t stay with Euler-Maclaurin
+        # sigma > 1, lower t and every t <= 40 stay with Euler-Maclaurin
         for s in (complex(0.75, 5000.0), complex(0.0, 2000.0)):
             v, e = zt._riemann_siegel_offline_many([s.real], [s.imag])
             assert zt.zeta_eval(s) == (complex(v[0]), float(e[0]))
-        for s in (complex(1.5, 5000.0), complex(0.75, 1800.0)):
+        for s in (complex(1.5, 5000.0), complex(0.75, 1800.0),
+                  complex(0.5, 40.0), complex(1.0, _TWO_PI / math.log(2.0))):
             assert zt.zeta_eval(s) == zt._euler_maclaurin(s)
         res = zt.scan_line(99000.0, 99249.75, 0.25,
                            zt.SigmaMode.near_critical(0.5))
@@ -241,16 +228,30 @@ class TestOfflineRiemannSiegel:
 
 
 class TestRoutesAgainstHighPrecision:
-    def test_eta_route_certified(self):
-        mpmath.mp.dps = 25
-        for sig in (0.0, 0.25, 0.5, 1.0, 1.5, 3.0):
-            for t in (0.0, 1.0, 5.0, 14.0, 25.0, 40.0):
-                s = complex(sig, t)
-                if s == 1:
-                    continue
-                val, err = zt._eta_zeta(s)
-                ref = complex(mpmath.zeta(s))
-                assert abs(val - ref) <= max(err, 1e-13), (s, abs(val - ref))
+    def test_small_heights_certified_without_floor(self):
+        # every point with t <= 40 takes Euler-Maclaurin: seeded heights at
+        # the fixed sigmas where a floorless bound is hardest to keep, seeded
+        # (sigma, t) over [0, 10] x [0, 40], and the edges: s = 0, t = 40
+        # and its neighbours where the on-line route starts, and the zeros
+        # of 1 - 2^(1-s) at sigma = 1, t = 2 pi k / ln 2
+        rng = np.random.default_rng(20_261_019)
+        fixed = (0.0, 0.25, 0.5, 0.75, 1.0, 2.0, 10.0)
+        sigmas = [np.repeat(fixed, 20), rng.uniform(0.0, 10.0, 60),
+                  [0.0, 0.5, 0.5, 0.5, 0.0, 0.25, 3.0], np.ones(4)]
+        ts = [rng.uniform(0.0, 40.0, 140), rng.uniform(0.0, 40.0, 60),
+              [0.0, np.nextafter(40.0, 0.0), 40.0, np.nextafter(40.0, 41.0),
+               40.0, 40.0, 40.0],
+              _TWO_PI / math.log(2.0) * np.arange(1, 5)]
+        sigmas, ts = np.concatenate(sigmas), np.concatenate(ts)
+        vals, errs = zt._zeta_many(sigmas, ts)
+        with mpmath.workdps(30):
+            for sig, t, v, e in zip(sigmas, ts, vals, errs):
+                ref = complex(mpmath.zeta(mpmath.mpc(sig, t)))
+                assert abs(v - ref) <= e, (sig, t, abs(v - ref), e)
+        small = ts <= 40.0
+        em_vals, em_errs = zt._euler_maclaurin_many(sigmas[small], ts[small])
+        assert (vals[small] == em_vals).all()
+        assert (errs[small] == em_errs).all()
 
     def test_euler_maclaurin_certified(self):
         mpmath.mp.dps = 25
@@ -272,14 +273,8 @@ class TestRoutesAgainstHighPrecision:
             assert abs(got - ref) < err[i], (t, abs(got - ref), err[i])
 
     def test_route_cross_agreement_on_overlap(self):
-        # the series and Euler-Maclaurin routes overlap for t <= 40 and
-        # agree to much better than 1e-6 relative there; the Riemann-Siegel
-        # route agrees with Euler-Maclaurin within its certified band
-        for t in (22.5, 30.0, 37.25, 40.0):
-            for sig in (0.5, 0.8):
-                v1, _ = zt._eta_zeta(complex(sig, t))
-                v2, _ = zt._euler_maclaurin(complex(sig, t))
-                assert abs(v1 - v2) / abs(v2) < 1e-6
+        # the Riemann-Siegel route agrees with Euler-Maclaurin within its
+        # certified band
         ts = np.array([44.0, 61.5, 90.25, 333.0, 2024.75])
         z, theta, err = zt._riemann_siegel_many(ts)
         for i, t in enumerate(ts):
@@ -341,16 +336,6 @@ class TestParameters:
     def test_psi_nondecreasing_in_t(self):
         vals = [zt.psi_variance(0.6, 10.0 ** k, 1.0) for k in range(2, 10)]
         assert all(b >= a for a, b in zip(vals, vals[1:]))
-
-    def test_hejhal_params(self):
-        hp = zt.HejhalParams()
-        assert hp.delta == 0.5 and hp.kappa == 2.5 and hp.aleph == 1.0
-        assert abs(hp.sigma_of(1e6) - zt.sigma_T(1e6, 0.5)) < 1e-15
-        assert hp.psi_of(1e6) > 0
-        with pytest.raises(DomainError):
-            zt.HejhalParams(delta=1.5)
-        with pytest.raises(DomainError):
-            zt.HejhalParams(kappa=4.0)
 
 
 class TestScan:
