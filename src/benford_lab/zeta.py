@@ -4,14 +4,13 @@ near-critical path sigma(T) = 1/2 + 1/log^delta(T).
 
 Three evaluation routes, chosen by region:
 
-* the Riemann-Siegel formula on the critical line for t > 40.  From t = 200
-  on it carries the corrections C_0..C_4, and Gabcke's explicit remainder
-  bound |R_4| <= 0.017 (t/2pi)^(-11/4) (W. Gabcke, Neue Herleitung und
-  explizite Restabschaetzung der Riemann-Siegel-Formel, Goettingen 1979)
-  certifies it; below 200 it keeps C_0 with a certified error of
-  0.9 (t/2pi)^(-3/4).  The C_k are Taylor polynomials built once in mpmath,
-  and the bound adds the floating-point floor of the phases, which
-  dominates from t ~ 5000 on (about 2e-8 at t = 10^5);
+* the Riemann-Siegel formula on the critical line for t >= 200, where
+  Gabcke's explicit remainder bound |R_4| <= 0.017 (t/2pi)^(-11/4) for the
+  corrections C_0..C_4 holds (W. Gabcke, Neue Herleitung und explizite
+  Restabschaetzung der Riemann-Siegel-Formel, Goettingen 1979).  The C_k
+  are Taylor polynomials built once in mpmath, and the bound adds the
+  floating-point floor of the phases, which dominates from t ~ 5000 on
+  (about 2e-8 at t = 10^5);
 * the Riemann-Siegel formula off the line, zeta(s) = R(s) +
   chi(s) conj(R(1 - conj s)), for 0 <= sigma <= 1 and t > T_RS ~ 1885, in
   O(sqrt t) terms (J. Arias de Reyna, High precision computation of
@@ -22,10 +21,10 @@ Three evaluation routes, chosen by region:
   remainder bound, and the floating-point floor is the on-line route's
   (about 3e-10 at t = 10^4 and 6e-9 at t = 10^5);
 * Euler-Maclaurin summation with max(60, ~1.3*t) initial terms and 8
-  Bernoulli corrections everywhere else: every point with t <= 40, and
-  points above 40 off the line with t <= T_RS or sigma outside [0, 1].  It
-  doubles as the high-precision refinement route everywhere (absolute
-  error near 1e-14 at scan heights).
+  Bernoulli corrections everywhere else: points with t < 200 on the line,
+  with t <= T_RS off it, and with sigma outside [0, 1].  Its phases t ln n
+  are reduced modulo 2pi in long double.  It doubles as the high-precision
+  refinement route everywhere (absolute error near 1e-14 at scan heights).
 
 ``_zeta_many`` is the single place where the route is chosen; ``zeta_eval``
 and ``scan_line`` both call it.
@@ -214,10 +213,10 @@ def _riemann_siegel_many(ts: np.ndarray):
 
     Z = 2 sum_{n <= N} cos(theta - t ln n) / sqrt(n)
         + (-1)^(N-1) tau^(-1/4) sum_k C_k(p) tau^(-k/2),
-    tau = t/2pi, N = floor(sqrt(tau)), p = sqrt(tau) - N.  For t >= 200 the
-    sum runs over C_0..C_4 and Gabcke's |R_4| <= 0.017 tau^(-11/4) bounds
-    the truncation; below 200 it is C_0 alone with 0.9 tau^(-3/4).  The
-    bound adds the floating-point floor and covers Z exp(-i theta).
+    tau = t/2pi, N = floor(sqrt(tau)), p = sqrt(tau) - N, the sum over
+    C_0..C_4.  For t >= 200 Gabcke's |R_4| <= 0.017 tau^(-11/4) bounds the
+    truncation.  The bound adds the floating-point floor and covers
+    Z exp(-i theta).
     """
     ts = np.asarray(ts, dtype=np.float64)
     tau, a, nmain, x = _rs_split(ts)
@@ -234,21 +233,16 @@ def _riemann_siegel_many(ts: np.ndarray):
         s0[idx] = (1.0 / np.sqrt(n)).sum()
         s1[idx] = (ln_n / np.sqrt(n)).sum()
 
-    c = _rs_corrections(x)
-    corr = c[0]
-    trunc = 0.9 * tau ** -0.75
-    high = ts >= _GABCKE_T
-    if high.any():
-        c1, c2, c3, c4 = c[1:, high]
-        w = 1.0 / a[high]
-        corr[high] += w * (c1 + w * (c2 + w * (c3 + w * c4)))
-        trunc[high] = 0.017 * tau[high] ** -2.75
+    c0, c1, c2, c3, c4 = _rs_corrections(x)
+    w = 1.0 / a
+    corr = c0 + w * (c1 + w * (c2 + w * (c3 + w * c4)))
     z += (-1.0) ** (nmain - 1) * a ** -0.5 * corr
 
     # floating point: the weights are 2 n^(-1/2)
     _, fp_const, fp_slope = _rs_polys()
     d_theta, floor = _rs_floor(ts, tau, theta, nmain, 2.0 * s0, 2.0 * s1)
-    z_err = trunc + floor + a ** -0.5 * (fp_const + fp_slope * a)
+    z_err = 0.017 * tau ** -2.75 + floor \
+        + a ** -0.5 * (fp_const + fp_slope * a)
     # rotating by the computed exp(-i theta) adds |Z| (d_theta + rounding)
     err = z_err + (np.abs(z) + z_err) * (d_theta + 6.0 * _U)
     return z, theta, err
@@ -511,22 +505,24 @@ _B18 = 43867.0 / 798
 _FACT = [math.factorial(k) for k in range(20)]
 
 
-def _em_tail(s: complex, big_n: float, n_pow_s: complex):
-    """Boundary, Bernoulli corrections and remainder bound at cutoff N."""
+_EM_CHUNK = 64    # points per block of the phase matrix
+# 2pi in long double: the float64 2pi is 2.4e-16 short, which would leave a
+# phase of k turns off by k * 2.4e-16
+_TWO_PI_LD = np.longdouble(_TWO_PI) + 2.4492935982947064e-16
+
+
+def _em_tail(s, big_n, n_pow_s):
+    """Boundary, Bernoulli corrections and remainder bound at cutoff N, for
+    s, N and N^-s as scalars or as columns."""
     tail = big_n * n_pow_s / (s - 1.0) + 0.5 * n_pow_s
     poch = s  # (s)_{2k-1} built incrementally
     n_fac = n_pow_s / big_n
     for k, b2k in enumerate(_B2K, start=1):
-        tail += b2k / _FACT[2 * k] * poch * n_fac * big_n ** (2 - 2 * k)
-        poch *= (s + 2 * k - 1) * (s + 2 * k)
-    rem = abs(_B18 / _FACT[18] * poch * n_fac * big_n ** -16)
-    rem *= (abs(s) + 17.0) / (s.real + 17.0)
+        tail = tail + b2k / _FACT[2 * k] * poch * n_fac * big_n ** (2 - 2 * k)
+        poch = poch * (s + 2 * k - 1) * (s + 2 * k)
+    rem = abs(_B18 / _FACT[18] * poch * n_fac * big_n ** -16) \
+        * ((abs(s) + 17.0) / (s.real + 17.0))
     return tail, rem
-
-
-def _euler_maclaurin(s: complex) -> tuple[complex, float]:
-    vals, errs = _euler_maclaurin_many(np.array([s.real]), np.array([s.imag]))
-    return complex(vals[0]), float(errs[0])
 
 
 # the phases t ln n are reduced in np.longdouble: 2.5e-19 per unit of
@@ -535,50 +531,47 @@ def _euler_maclaurin(s: complex) -> tuple[complex, float]:
 _PHASE_ULP = 2.5e-19 * float(np.finfo(np.longdouble).eps) / 2.0 ** -63
 
 
-def _fp_floor(big_n: int, t_abs: float, scale: float) -> float:
-    # pairwise summation of ~N rounded cosines plus extended-precision
-    # phase propagation (~1 ulp of long double per t*log n)
-    per_sum = 6e-15 * max(math.log2(big_n), 1.0)
-    per_phase = _PHASE_ULP * t_abs * max(math.log(big_n), 1.0)
+def _fp_floor(big_n, t_abs, scale):
+    """Pairwise summation of ~N rounded cosines plus extended-precision
+    phase propagation (~1 ulp of long double per t*log n), for scalars or
+    columns."""
+    per_sum = 6e-15 * np.maximum(np.log2(big_n), 1.0)
+    per_phase = _PHASE_ULP * t_abs * np.maximum(np.log(big_n), 1.0)
     return (per_sum + per_phase) * (scale + 1.0)
 
 
-def _euler_maclaurin_many(sigmas: np.ndarray, ts: np.ndarray, chunk: int = 64):
-    """Chunked vector form.  Each point takes its cutoff N from its own t,
-    and a chunk holds points of one N only, so every row sum, and with it
-    each value and bound, is the same whichever points share the batch."""
+def _euler_maclaurin_many(sigmas: np.ndarray, ts: np.ndarray):
+    """zeta and a certified error bound, as columns.  Each point takes its
+    cutoff N from its own t, and a block holds points of one N only, so
+    every row sum, and with it each value and bound, is the same whichever
+    points share the batch."""
     sigmas = np.asarray(sigmas, dtype=np.float64)
     ts = np.asarray(ts, dtype=np.float64)
-    vals = np.empty(ts.shape, dtype=np.complex128)
-    errs = np.empty(ts.shape, dtype=np.float64)
+    head = np.empty(ts.shape, dtype=np.complex128)
+    n_pow_s = np.empty(ts.shape, dtype=np.complex128)
+    weight = np.empty(ts.shape, dtype=np.float64)     # sum of n^-sigma, n < N
     big_ns = np.maximum(60, (1.3 * np.abs(ts)).astype(np.int64) + 8)
     order = np.argsort(big_ns, kind="stable")
     groups = np.split(order, np.flatnonzero(np.diff(big_ns[order])) + 1)
-    n_all = np.arange(1, big_ns.max(initial=1), dtype=np.float64)
+    n_all = np.arange(1, big_ns.max(initial=1) + 1, dtype=np.float64)
     ln_all = np.log(n_all.astype(np.longdouble))
     for group in groups:
         big_n = int(big_ns[group[0]])
-        n, ln_n = n_all[:big_n - 1], ln_all[:big_n - 1]
-        for start in range(0, len(group), chunk):
-            idx = group[start:start + chunk]
-            phase = np.mod(ts[idx].astype(np.longdouble)[:, None]
-                           * ln_n[None, :],
-                           np.longdouble(_TWO_PI)).astype(np.float64)
-            mag = n[None, :] ** -sigmas[idx][:, None]
-            head = (mag * np.cos(phase)).sum(axis=1) \
-                - 1j * (mag * np.sin(phase)).sum(axis=1)
-            for j, i in enumerate(idx):
-                s = complex(sigmas[i], ts[i])
-                ph_n = float(np.mod(np.longdouble(ts[i])
-                                    * np.log(np.longdouble(big_n)),
-                                    np.longdouble(_TWO_PI)))
-                n_pow_s = big_n ** -sigmas[i] * complex(math.cos(ph_n),
-                                                        -math.sin(ph_n))
-                tail, rem = _em_tail(s, float(big_n), n_pow_s)
-                vals[i] = head[j] + tail
-                errs[i] = rem + _fp_floor(big_n, abs(ts[i]),
-                                          float(mag[j].sum()) + abs(tail))
-    return vals, errs
+        # columns n = 1..N: the head sums n < N, and column N gives N^-s
+        n, ln_n = n_all[:big_n], ln_all[:big_n]
+        for start in range(0, len(group), _EM_CHUNK):
+            idx = group[start:start + _EM_CHUNK]
+            phase = np.mod(ts[idx].astype(np.longdouble)[:, None] * ln_n,
+                           _TWO_PI_LD).astype(np.float64)
+            mag = n ** -sigmas[idx][:, None]
+            re, im = mag * np.cos(phase), mag * np.sin(phase)
+            head[idx] = re[:, :-1].sum(axis=1) - 1j * im[:, :-1].sum(axis=1)
+            n_pow_s[idx] = re[:, -1] - 1j * im[:, -1]
+            weight[idx] = mag[:, :-1].sum(axis=1)
+    big_n = big_ns.astype(np.float64)
+    tail, rem = _em_tail(sigmas + 1j * ts, big_n, n_pow_s)
+    return head + tail, rem + _fp_floor(big_n, np.abs(ts),
+                                        weight + np.abs(tail))
 
 
 # ------------------------------------------------------------- dispatcher --
@@ -590,7 +583,7 @@ def _zeta_many(sigmas, ts) -> tuple[np.ndarray, np.ndarray]:
     ts = np.asarray(ts, dtype=np.float64)
     vals = np.empty(ts.shape, dtype=np.complex128)
     errs = np.empty(ts.shape, dtype=np.float64)
-    on_line = (sigmas == 0.5) & (ts > 40.0)
+    on_line = (sigmas == 0.5) & (ts >= _GABCKE_T)
     off_line = ~on_line & (sigmas >= 0.0) & (sigmas <= 1.0) \
         & (ts > _RS_OFF_T)
     rest = ~(on_line | off_line)
@@ -626,8 +619,8 @@ def zeta(s) -> complex:
     val, err = zeta_eval(s)
     if err > 1e-8 * abs(val):
         s_c = complex(s)
-        t = abs(s_c.imag)
-        val, err = _euler_maclaurin(complex(s_c.real, t))
+        vals, errs = _euler_maclaurin_many([s_c.real], [abs(s_c.imag)])
+        val, err = complex(vals[0]), float(errs[0])
         if s_c.imag < 0:
             val = val.conjugate()
         if err > 1e-8 * abs(val):

@@ -225,10 +225,10 @@ def test_criterion_10_zeta_digit_profile(zeta_scan):
 
 def test_criterion_10_halfline_histogram_is_pinned(zeta_scan):
     # certified digits cannot move when the evaluation route changes, and
-    # only the points below t = 200 (C_0 alone) may need refinement
+    # every route's band is tight enough that no point needs refinement
     assert zeta_scan.histogram.counts.tolist() == \
         [20314, 11508, 8072, 6249, 5006, 4325, 3782, 3251, 3029]
-    assert zeta_scan.refined <= 800
+    assert zeta_scan.refined == 0
 
 
 def test_criterion_11_cue_statistics(cue_runs):

@@ -88,6 +88,12 @@ def rs_corrections_oracle(p: float) -> list:
             + d[12] / (2038431744 * q ** 4)]
 
 
+def em_point(s: complex):
+    """The Euler-Maclaurin route at one point."""
+    vals, errs = zt._euler_maclaurin_many([s.real], [s.imag])
+    return complex(vals[0]), float(errs[0])
+
+
 def rs_bound_holds(ts: np.ndarray) -> None:
     """|zeta_RS - mpmath.zeta| <= err for the complex value at every t."""
     z, theta, err = zt._riemann_siegel_many(ts)
@@ -108,19 +114,18 @@ class TestRiemannSiegelCorrections:
                 assert abs(got[k] - ref[k]) <= 1e-15, (p, k, got[k], ref[k])
 
     def test_bound_on_seeded_grid(self):
-        # pins 0.9 tau^(-3/4) below t = 200, and Gabcke's 0.017 tau^(-11/4)
-        # plus the floating-point floor above it (the floor dominates from
-        # t ~ 5000 on)
+        # pins Gabcke's 0.017 tau^(-11/4) plus the floating-point floor over
+        # the route's region t >= 200 (the floor dominates from t ~ 5000 on)
         rng = np.random.default_rng(20_260_418)
-        ts = np.exp(rng.uniform(math.log(41.0), math.log(1e5), 400))
-        ts = np.concatenate([ts, [np.nextafter(200.0, 0.0), 200.0,
-                                  np.nextafter(200.0, 1e5), 99_999.75]])
+        ts = np.exp(rng.uniform(math.log(200.0), math.log(1e5), 400))
+        ts = np.concatenate([ts, [200.0, np.nextafter(200.0, 1e5),
+                                  99_999.75, 1e5]])
         rs_bound_holds(ts)
 
     def test_removable_singularities(self):
-        # p = 1/4 and 3/4, where Psi's closed form is 0/0, on both sides of
-        # t = 200
-        big_n = np.array([3, 4, 5, 12, 40, 125])
+        # p = 1/4 and 3/4, where Psi's closed form is 0/0, from N = 6 on,
+        # the first N whose both points lie above t = 200
+        big_n = np.array([6, 7, 8, 12, 40, 125])
         ts = np.concatenate([_TWO_PI * (big_n + 0.25) ** 2,
                              _TWO_PI * (big_n + 0.75) ** 2])
         rs_bound_holds(ts)
@@ -135,13 +140,32 @@ class TestEulerMaclaurinBatches:
     def test_point_alone_and_in_batch_bit_identical(self):
         # t = 195 shared a chunk cutoff with t = 262 before each point took
         # its own; 5000 gives a row of 6,508 terms
-        alone = [zt._euler_maclaurin(complex(sig, t))
+        alone = [em_point(complex(sig, t))
                  for sig, t in ((0.5, 195.0), (0.7, 5000.0), (2.0, 41.5))]
         vals, errs = zt._euler_maclaurin_many(
             [0.5, 0.5, 0.7, 0.5, 2.0, 0.9], [262.0, 195.0, 5000.0, 195.25,
                                              41.5, 4999.5])
         for (v, e), i in zip(alone, (1, 2, 4)):
             assert vals[i] == v and errs[i] == e
+
+    def test_column_tail_matches_scalar_tail(self):
+        # the tail as columns against the same formula in Python complex
+        # scalars, point by point: the order of operations is the same, so
+        # only numpy's and Python's complex arithmetic may differ, by a few
+        # ulps of the terms
+        rng = np.random.default_rng(20_261_020)
+        sigmas = rng.uniform(0.0, 10.0, 50)
+        ts = rng.uniform(0.0, 1e5, 50)
+        big_n = np.maximum(60, (1.3 * ts).astype(np.int64) + 8).astype(float)
+        n_pow_s = big_n ** -sigmas * np.exp(-1j * rng.uniform(0, _TWO_PI, 50))
+        tails, rems = zt._em_tail(sigmas + 1j * ts, big_n, n_pow_s)
+        for i in range(50):
+            tail, rem = zt._em_tail(complex(sigmas[i], ts[i]), float(big_n[i]),
+                                    complex(n_pow_s[i]))
+            scale = big_n[i] * abs(n_pow_s[i]) / abs(complex(sigmas[i] - 1,
+                                                             ts[i]))
+            assert abs(tails[i] - tail) <= 1e-14 * (scale + abs(n_pow_s[i]))
+            assert abs(rems[i] - rem) <= 1e-14 * rem
 
 
 class TestEulerMaclaurinFloor:
@@ -158,20 +182,30 @@ class TestEulerMaclaurinFloor:
 
     def test_phase_term_covers_long_double_phases(self):
         # the phases t ln n mod 2pi as the route computes them, against the
-        # same reduction done exactly: each is within the per-phase term
+        # exact t ln n mod 2pi: each is within the per-phase term
         rng = np.random.default_rng(20_261_019)
         ts = rng.uniform(0.0, 1e5, 64)
         ns = rng.integers(2, 130_000, 64)
-        two_pi = np.longdouble(_TWO_PI)
         phases = np.mod(ts.astype(np.longdouble)
-                        * np.log(ns.astype(np.longdouble)), two_pi)
+                        * np.log(ns.astype(np.longdouble)), zt._TWO_PI_LD)
         with mpmath.workdps(50):
+            two_pi = 2 * mpmath.pi
             for t, n, ph in zip(ts, ns, phases):
-                exact = mpmath.fmod(mpmath.mpf(t) * mpmath.log(int(n)),
-                                    mpmath.mpf(_TWO_PI))
+                exact = mpmath.fmod(mpmath.mpf(t) * mpmath.log(int(n)), two_pi)
                 got = mpmath.mpf(np.format_float_scientific(ph, unique=True))
+                diff = got - exact
+                diff -= two_pi * mpmath.nint(diff / two_pi)
                 bound = zt._PHASE_ULP * t * math.log(n)
-                assert abs(got - exact) <= bound, (t, n, got - exact, bound)
+                assert abs(diff) <= bound, (t, n, diff, bound)
+
+    def test_high_phases_within_bound(self):
+        # about 2 * 10^5 turns at the top of the range: a 2pi short by
+        # 2.4e-16 put these points at 1.41 and 0.43 times their bound
+        with mpmath.workdps(30):
+            for s in (complex(1.5, 99_999.0), complex(2.0, 99_000.25)):
+                val, err = em_point(s)
+                ref = complex(mpmath.zeta(mpmath.mpc(s.real, s.imag)))
+                assert abs(val - ref) <= err, (s, abs(val - ref), err)
 
 
 def offline_bound_holds(sigmas, ts):
@@ -214,14 +248,20 @@ class TestOfflineRiemannSiegel:
         assert (np.abs(vals - vem) <= errs + eem).all()
 
     def test_routed_by_region(self):
-        # off-line points with 0 <= sigma <= 1 above T_RS take the route;
-        # sigma > 1, lower t and every t <= 40 stay with Euler-Maclaurin
+        # off-line points with 0 <= sigma <= 1 above T_RS take the route,
+        # and on-line points from t = 200 on take the on-line route;
+        # sigma > 1, lower t, and t < 200 on the line stay with
+        # Euler-Maclaurin
         for s in (complex(0.75, 5000.0), complex(0.0, 2000.0)):
             v, e = zt._riemann_siegel_offline_many([s.real], [s.imag])
             assert zt.zeta_eval(s) == (complex(v[0]), float(e[0]))
+        z, theta, e = zt._riemann_siegel_many(np.array([200.0]))
+        assert zt.zeta_eval(complex(0.5, 200.0)) == (
+            complex(z[0] * np.exp(-1j * theta[0])), float(e[0]))
         for s in (complex(1.5, 5000.0), complex(0.75, 1800.0),
-                  complex(0.5, 40.0), complex(1.0, _TWO_PI / math.log(2.0))):
-            assert zt.zeta_eval(s) == zt._euler_maclaurin(s)
+                  complex(0.5, 40.0), complex(0.5, np.nextafter(200.0, 0.0)),
+                  complex(1.0, _TWO_PI / math.log(2.0))):
+            assert zt.zeta_eval(s) == em_point(s)
         res = zt.scan_line(99000.0, 99249.75, 0.25,
                            zt.SigmaMode.near_critical(0.5))
         assert len(res.t) == 1000 and res.refined == 0
@@ -229,43 +269,48 @@ class TestOfflineRiemannSiegel:
 
 class TestRoutesAgainstHighPrecision:
     def test_small_heights_certified_without_floor(self):
-        # every point with t <= 40 takes Euler-Maclaurin: seeded heights at
-        # the fixed sigmas where a floorless bound is hardest to keep, seeded
-        # (sigma, t) over [0, 10] x [0, 40], and the edges: s = 0, t = 40
-        # and its neighbours where the on-line route starts, and the zeros
-        # of 1 - 2^(1-s) at sigma = 1, t = 2 pi k / ln 2
+        # every point with t <= 40, and every point on the line below
+        # t = 200, takes Euler-Maclaurin: seeded heights at the fixed sigmas
+        # where a floorless bound is hardest to keep, seeded (sigma, t) over
+        # [0, 10] x [0, 40], seeded heights in (40, 200) on the line, and
+        # the edges: s = 0, t = 40 and its neighbours, the last float below
+        # t = 200 and t = 200 itself, where the on-line route starts, and
+        # the zeros of 1 - 2^(1-s) at sigma = 1, t = 2 pi k / ln 2
         rng = np.random.default_rng(20_261_019)
         fixed = (0.0, 0.25, 0.5, 0.75, 1.0, 2.0, 10.0)
         sigmas = [np.repeat(fixed, 20), rng.uniform(0.0, 10.0, 60),
-                  [0.0, 0.5, 0.5, 0.5, 0.0, 0.25, 3.0], np.ones(4)]
+                  [0.0, 0.5, 0.5, 0.5, 0.0, 0.25, 3.0, 0.5, 0.5],
+                  np.ones(4)]
         ts = [rng.uniform(0.0, 40.0, 140), rng.uniform(0.0, 40.0, 60),
               [0.0, np.nextafter(40.0, 0.0), 40.0, np.nextafter(40.0, 41.0),
-               40.0, 40.0, 40.0],
+               40.0, 40.0, 40.0, np.nextafter(200.0, 0.0), 200.0],
               _TWO_PI / math.log(2.0) * np.arange(1, 5)]
-        sigmas, ts = np.concatenate(sigmas), np.concatenate(ts)
+        line = rng.uniform(40.0, 200.0, 60)
+        sigmas = np.concatenate(sigmas + [np.full(len(line), 0.5)])
+        ts = np.concatenate(ts + [line])
         vals, errs = zt._zeta_many(sigmas, ts)
         with mpmath.workdps(30):
             for sig, t, v, e in zip(sigmas, ts, vals, errs):
                 ref = complex(mpmath.zeta(mpmath.mpc(sig, t)))
                 assert abs(v - ref) <= e, (sig, t, abs(v - ref), e)
-        small = ts <= 40.0
-        em_vals, em_errs = zt._euler_maclaurin_many(sigmas[small], ts[small])
-        assert (vals[small] == em_vals).all()
-        assert (errs[small] == em_errs).all()
+        em = ts < 200.0
+        em_vals, em_errs = zt._euler_maclaurin_many(sigmas[em], ts[em])
+        assert (vals[em] == em_vals).all()
+        assert (errs[em] == em_errs).all()
 
     def test_euler_maclaurin_certified(self):
         mpmath.mp.dps = 25
         for sig, t in ((0.5, 50), (0.5, 5000), (0.75, 100), (1.2, 3000),
                        (0.51, 16383.75), (3.0, 2.0), (0.0, 60.0)):
             s = complex(sig, t)
-            val, err = zt._euler_maclaurin(s)
+            val, err = em_point(s)
             ref = complex(mpmath.zeta(s))
             assert abs(val - ref) <= err, (s, abs(val - ref), err)
             assert err < 1e-10
 
     def test_riemann_siegel_certified(self):
         mpmath.mp.dps = 25
-        ts = np.array([41.0, 50.0, 123.25, 500.0, 5000.5, 16383.75])
+        ts = np.array([200.0, 241.0, 323.25, 500.0, 5000.5, 16383.75])
         z, theta, err = zt._riemann_siegel_many(ts)
         for i, t in enumerate(ts):
             ref = complex(mpmath.zeta(complex(0.5, t)))
@@ -275,10 +320,10 @@ class TestRoutesAgainstHighPrecision:
     def test_route_cross_agreement_on_overlap(self):
         # the Riemann-Siegel route agrees with Euler-Maclaurin within its
         # certified band
-        ts = np.array([44.0, 61.5, 90.25, 333.0, 2024.75])
+        ts = np.array([200.0, 244.0, 261.5, 290.25, 333.0, 2024.75])
         z, theta, err = zt._riemann_siegel_many(ts)
         for i, t in enumerate(ts):
-            vem, eem = zt._euler_maclaurin(complex(0.5, t))
+            vem, eem = em_point(complex(0.5, t))
             got = z[i] * cmath.exp(-1j * theta[i])
             assert abs(got - vem) <= err[i] + eem
 
@@ -410,8 +455,18 @@ class TestScanRows:
                 float(res.abs[i]), res.digits[i], float(res.cert_err[i]))
 
     def test_rows_with_refined_points(self):
-        res = zt.scan_line(0.0, 300.0, 0.25, zt.SigmaMode.fixed(0.5))
-        assert res.refined > 0
+        # a float height 5e-11 past the t ~ 5002.2846510804 where
+        # |zeta(1/2 + it)| = 2: there |zeta| - 2 is about 1e-10, inside the
+        # on-line route's band (5.2e-10), so the digit boundary at 2 is
+        # straddled until Euler-Maclaurin (band 1.4e-11) refines the point
+        t = 5002.284651080438
+        res = zt.scan_line(t, t, 1.0, zt.SigmaMode.fixed(0.5))
+        assert res.refined == 1 and len(res.skipped) == 0
+        assert res.t.tolist() == [t] and res.cert_err[0] < 2e-11
+        with mpmath.workdps(30):
+            ref = abs(mpmath.zeta(mpmath.mpc(0.5, t)))
+        assert 5e-11 < ref - 2 < 5e-10
+        assert res.digits.tolist() == [2]
         self.assert_rows_pinned(res)
 
     def test_rows_around_the_pole(self):
