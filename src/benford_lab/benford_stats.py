@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -221,13 +221,12 @@ class DiscrepancyReport:
     extreme: float
     erdos_turan: float
     m_used: int
-    meta: dict = field(default_factory=dict)
 
     def to_json(self) -> str:
         return json.dumps({
             "n_points": self.n_points, "star": self.star,
             "extreme": self.extreme, "erdos_turan": self.erdos_turan,
-            "m_used": self.m_used, **self.meta,
+            "m_used": self.m_used,
         })
 
     def to_text_table(self) -> str:

@@ -6,15 +6,19 @@ chunks whose streams are spawned up front, and output formatting is
 deterministic, so reruns with the same seed produce identical bytes; the
 worker count shows only in the echoed metadata, never in the results.
 
-Output formats: ``csv`` (one '#'-prefixed JSON metadata line, then a header
-and rows), ``json`` (metadata plus the payload), and ``table`` (aligned text
-for eyeballing).  Exit codes: 0 on success, 1 when an internal assertion
-fails, 2 on configuration errors.
+Each ``cmd_*`` returns (columns, rows, table text, JSON payload), and
+``main`` alone writes it through ``emit`` as ``csv`` (one '#'-prefixed JSON
+metadata line, then a header and rows), ``json`` (metadata plus the
+payload) or ``table`` (aligned text for eyeballing).  ``main`` alone maps
+exceptions to exit codes: 0 on success, 1 when an internal assertion fails,
+2 with ``error: <message>`` and empty stdout on configuration errors, paths
+that cannot be opened and bases above ``MAX_BASE``.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
@@ -35,6 +39,7 @@ DEFAULT_CENSUS_START = 419_753_999_998_525
 DEFAULT_CENSUS_COUNT = 100_000
 DEFAULT_M = 10
 DEFAULT_BIG_DIGITS = 100_000
+MAX_BASE = 2 ** 16    # every command taking --base builds an O(base) histogram
 
 COLLATZ_PRESETS = {
     "ratio-base4": {"kind": "ratio", "base": 4},
@@ -57,7 +62,11 @@ class ConfigError(Exception):
 
 
 class CheckFailed(Exception):
-    pass
+    """An internal check failed; ``output``, if any, is emitted first."""
+
+    def __init__(self, message: str, output=None):
+        super().__init__(message)
+        self.output = output
 
 
 @dataclass
@@ -76,34 +85,20 @@ class ExperimentConfig:
         return "# " + json.dumps(doc, sort_keys=True)
 
 
-def _open_out(path):
-    if path in (None, "-"):
-        return sys.stdout, False
-    return open(path, "w", encoding="utf-8"), True
-
-
-def emit(cfg: ExperimentConfig, columns, rows, table_text: str = "",
-         json_payload=None) -> None:
-    stream, owned = _open_out(cfg.out)
-    try:
+def emit(cfg: ExperimentConfig, columns, rows, table_text: str,
+         json_payload: dict) -> None:
+    with open(cfg.out, "w", encoding="utf-8") if cfg.out != "-" \
+            else contextlib.nullcontext(sys.stdout) as stream:
         if cfg.fmt == "csv":
             print(cfg.meta_line(), file=stream)
             print(",".join(columns), file=stream)
             stream.writelines(",".join(map(str, row)) + "\n" for row in rows)
         elif cfg.fmt == "json":
-            doc = {"meta": json.loads(cfg.meta_line()[2:])}
-            if json_payload is not None:
-                doc.update(json_payload)
-            else:
-                doc.update({"columns": list(columns),
-                            "rows": [list(r) for r in rows]})
+            doc = {"meta": json.loads(cfg.meta_line()[2:]), **json_payload}
             print(json.dumps(doc, sort_keys=True), file=stream)
         else:
             print(cfg.meta_line(), file=stream)
             print(table_text, file=stream)
-    finally:
-        if owned:
-            stream.close()
 
 
 def _rng(seed: int) -> np.random.Generator:
@@ -145,9 +140,19 @@ def _number_list(text: str, kind, flag: str) -> list:
                           f"{kind.__name__} values, got {text!r}") from exc
 
 
-def _report_rows(report: benford_stats.TestReport):
-    return [(d, f"{o:.6f}", f"{p:.6f}", f"{z:.4f}")
-            for d, o, p, z in report.per_digit]
+def _benford_rows(report: benford_stats.TestReport):
+    """Columns and rows of a digit report against Benford's law."""
+    return (("digit", "observed", "benford", "z"),
+            [(d, f"{o:.6f}", f"{p:.6f}", f"{z:.4f}")
+             for d, o, p, z in report.per_digit])
+
+
+def _predicted_rows(observed, predicted):
+    """Columns and rows of observed against predicted digit frequencies,
+    digits 1 .. base - 1."""
+    return (("digit", "observed", "predicted"),
+            [(d, f"{o:.6f}", f"{p:.6f}")
+             for d, (o, p) in enumerate(zip(observed, predicted), start=1)])
 
 
 # ---------------------------------------------------------------- commands --
@@ -161,49 +166,40 @@ def _decimal_value(text: str) -> Fraction:
     return Fraction(text)
 
 
-def cmd_digits(args, cfg: ExperimentConfig) -> int:
+def cmd_digits(args, cfg: ExperimentConfig) -> tuple:
     sys.set_int_max_str_digits(2_000_000)
     base = _check_digit_base(args.base)
     digits = []
-    try:
-        with open(args.file, encoding="utf-8") as fh:
-            for ln, line in enumerate(fh, start=1):
-                text = line.strip()
-                if not text:
-                    continue
-                try:
-                    digits.append(leading_digit(_decimal_value(text), base))
-                except DomainError as exc:  # zero
-                    raise ConfigError(f"{args.file}:{ln}: {exc}")
-                except ValueError:
-                    raise ConfigError(
-                        f"{args.file}:{ln}: cannot parse {text!r}")
-    except OSError as exc:
-        raise ConfigError(str(exc))
+    with open(args.file, encoding="utf-8") as fh:
+        for ln, line in enumerate(fh, start=1):
+            text = line.strip()
+            if not text:
+                continue
+            try:
+                digits.append(leading_digit(_decimal_value(text), base))
+            except DomainError as exc:  # zero
+                raise ConfigError(f"{args.file}:{ln}: {exc}")
+            except ValueError:
+                raise ConfigError(f"{args.file}:{ln}: cannot parse {text!r}")
     if not digits:
         raise ConfigError(f"{args.file} holds no values")
     hist = benford_stats.DigitHistogram.from_digits(digits, base)
     report = benford_stats.z_statistics(hist)
-    emit(cfg, ("digit", "observed", "benford", "z"), _report_rows(report),
-         report.to_text_table(), {"report": json.loads(report.to_json())})
-    return 0
+    return (*_benford_rows(report), report.to_text_table(),
+            {"report": json.loads(report.to_json())})
 
 
-def _collatz_ratio_run(args, cfg, base) -> int:
+def _collatz_ratio_run(args, cfg, base) -> tuple:
     cfg.params["base"] = base
     seeds = collatz.census_1mod6(args.start, args.count)
     result = collatz.ratio_digit_experiment(seeds, args.iterations, base)
     freq = result.observed_freq()
-    rows = [(d, f"{freq[d - 1]:.6f}", f"{result.predicted[d - 1]:.6f}")
-            for d in range(1, base)]
-    emit(cfg, ("digit", "observed", "predicted"), rows,
-         result.to_text_table(),
-         {"observed": [float(x) for x in freq],
-          "predicted": [float(x) for x in result.predicted]})
-    return 0
+    return (*_predicted_rows(freq, result.predicted), result.to_text_table(),
+            {"observed": [float(x) for x in freq],
+             "predicted": [float(x) for x in result.predicted]})
 
 
-def _collatz_bignum_run(args, cfg, mode) -> int:
+def _collatz_bignum_run(args, cfg, mode) -> tuple:
     cfg.params["mode"] = mode
     seed_value = random_bignat(args.digits, 10, _rng(cfg.rng_seed))
     result = collatz.iterate_digit_experiment(seed_value, mode,
@@ -211,14 +207,13 @@ def _collatz_bignum_run(args, cfg, mode) -> int:
     report = benford_stats.z_statistics(result.histogram)
     table = (f"iterates recorded: {result.n_recorded} "
              f"(reached 1: {result.reached_one})\n" + report.to_text_table())
-    emit(cfg, ("digit", "observed", "benford", "z"), _report_rows(report),
-         table, {"n_recorded": result.n_recorded,
-                 "reached_one": result.reached_one,
-                 "report": json.loads(report.to_json())})
-    return 0
+    return (*_benford_rows(report), table,
+            {"n_recorded": result.n_recorded,
+             "reached_one": result.reached_one,
+             "report": json.loads(report.to_json())})
 
 
-def cmd_collatz_experiment(args, cfg: ExperimentConfig) -> int:
+def cmd_collatz_experiment(args, cfg: ExperimentConfig) -> tuple:
     if args.preset:
         if args.preset not in COLLATZ_PRESETS:
             raise ConfigError(f"unknown preset {args.preset!r}; choose from "
@@ -232,22 +227,21 @@ def cmd_collatz_experiment(args, cfg: ExperimentConfig) -> int:
     return _collatz_ratio_run(args, cfg, args.base)
 
 
-def cmd_collatz_structure(args, cfg: ExperimentConfig) -> int:
+def cmd_collatz_structure(args, cfg: ExperimentConfig) -> tuple:
     ktuple = tuple(_number_list(args.ktuple, int, "--ktuple"))
     try:
         pred = collatz.inverse_path_bruteforce(ktuple, args.limit)
     except collatz.StructureError as exc:
         raise CheckFailed(str(exc))
-    rows = [(pred.modulus, pred.residues[0], pred.residues[1])]
-    emit(cfg, ("modulus", "residue1", "residue2"), rows,
-         f"modulus {pred.modulus}; residues {pred.residues[0]}, "
-         f"{pred.residues[1]} (classes mod 6: "
-         f"{pred.residues[0] % 6}, {pred.residues[1] % 6})",
-         {"modulus": pred.modulus, "residues": list(pred.residues)})
-    return 0
+    return (("modulus", "residue1", "residue2"),
+            [(pred.modulus, pred.residues[0], pred.residues[1])],
+            f"modulus {pred.modulus}; residues {pred.residues[0]}, "
+            f"{pred.residues[1]} (classes mod 6: "
+            f"{pred.residues[0] % 6}, {pred.residues[1] % 6})",
+            {"modulus": pred.modulus, "residues": list(pred.residues)})
 
 
-def cmd_collatz_kvalues(args, cfg: ExperimentConfig) -> int:
+def cmd_collatz_kvalues(args, cfg: ExperimentConfig) -> tuple:
     seeds = collatz.census_1mod6(args.start, args.count)
     stats = collatz.kvalue_histogram(collatz.THREE_X_PLUS_1, seeds,
                                      args.iterations)
@@ -260,13 +254,12 @@ def cmd_collatz_kvalues(args, cfg: ExperimentConfig) -> int:
         for n, *_ in rows)
     table += (f"\nmean={stats.mean:.5f} (reference 2)  "
               f"variance={stats.variance:.5f} (reference 2)")
-    emit(cfg, ("k", "count", "empirical", "reference"), rows, table,
-         {"mean": stats.mean, "variance": stats.variance,
-          "counts": stats.counts.tolist()})
-    return 0
+    return (("k", "count", "empirical", "reference"), rows, table,
+            {"mean": stats.mean, "variance": stats.variance,
+             "counts": stats.counts.tolist()})
 
 
-def cmd_collatz_ratio(args, cfg: ExperimentConfig) -> int:
+def cmd_collatz_ratio(args, cfg: ExperimentConfig) -> tuple:
     seeds = collatz.census_1mod6(args.start, args.count)
     result = collatz.ratio_digit_experiment(seeds, args.iterations, args.base)
     fracs = collatz.ratio_fracs(seeds, args.iterations, args.base)
@@ -274,31 +267,25 @@ def cmd_collatz_ratio(args, cfg: ExperimentConfig) -> int:
                                            len(fracs), _rng(cfg.rng_seed))
     ks = collatz.ks_distance(fracs, model)
     freq = result.observed_freq()
-    rows = [(d, f"{freq[d - 1]:.6f}", f"{result.predicted[d - 1]:.6f}")
-            for d in range(1, args.base)]
     table = result.to_text_table() + \
         f"\nKS distance to the geometric-sum model: {ks:.5f}"
-    emit(cfg, ("digit", "observed", "predicted"), rows, table,
-         {"observed": [float(x) for x in freq], "ks_vs_model": ks})
-    return 0
+    return (*_predicted_rows(freq, result.predicted), table,
+            {"observed": [float(x) for x in freq], "ks_vs_model": ks})
 
 
-def cmd_collatz_model(args, cfg: ExperimentConfig) -> int:
+def cmd_collatz_model(args, cfg: ExperimentConfig) -> tuple:
     hist = collatz.model_digit_experiment(args.iterations, args.base,
                                           args.samples, _rng(cfg.rng_seed))
     freq = hist.frequencies()
     predicted = collatz.limit_law_digit_probabilities(args.base)
-    rows = [(d, f"{freq[d - 1]:.6f}", f"{predicted[d - 1]:.6f}")
-            for d in range(1, args.base)]
     table = "\n".join(f"digit {d}: observed {freq[d - 1]:.4f} "
                       f"predicted {predicted[d - 1]:.4f}"
                       for d in range(1, args.base))
-    emit(cfg, ("digit", "observed", "predicted"), rows, table,
-         {"observed": [float(x) for x in freq]})
-    return 0
+    return (*_predicted_rows(freq, predicted), table,
+            {"observed": [float(x) for x in freq]})
 
 
-def cmd_zeta(args, cfg: ExperimentConfig) -> int:
+def cmd_zeta(args, cfg: ExperimentConfig) -> tuple:
     params = dict(t_start=args.t_start, t_end=args.t_end, step=args.step,
                   sigma=args.sigma, base=args.base)
     if args.preset:
@@ -310,11 +297,8 @@ def cmd_zeta(args, cfg: ExperimentConfig) -> int:
     else:
         mode = zeta.SigmaMode.fixed(params["sigma"])
     cfg.params.update(params)
-    try:
-        result = zeta.scan_line(params["t_start"], params["t_end"],
-                                params["step"], mode, base=params["base"])
-    except DomainError as exc:
-        raise ConfigError(str(exc))
+    result = zeta.scan_line(params["t_start"], params["t_end"],
+                            params["step"], mode, base=params["base"])
     if not result.histogram.total:
         raise ConfigError(
             f"no point's leading digit could be certified "
@@ -326,69 +310,55 @@ def cmd_zeta(args, cfg: ExperimentConfig) -> int:
     table = (f"points recorded: {result.histogram.total}, "
              f"skipped: {len(result.skipped)}, refined: {result.refined}\n"
              + report.to_text_table())
-    emit(cfg, zeta.ScanResult.CSV_COLUMNS, result.csv_rows(), table,
-         {"histogram": result.histogram.counts.tolist(),
-          "skipped": len(result.skipped), "refined": result.refined,
-          "report": json.loads(report.to_json())})
-    return 0
+    return (zeta.ScanResult.CSV_COLUMNS, result.csv_rows(), table,
+            {"histogram": result.histogram.counts.tolist(),
+             "skipped": len(result.skipped), "refined": result.refined,
+             "report": json.loads(report.to_json())})
 
 
-def cmd_cue(args, cfg: ExperimentConfig) -> int:
+def cmd_cue(args, cfg: ExperimentConfig) -> tuple:
     result = rmt.cue_experiment(args.dim, args.samples, args.base,
                                 _rng(cfg.rng_seed), workers=cfg.workers)
     stat, dof = benford_stats.chi_square(result.histogram)
     table = (f"moments: {result.moments.to_json()}\n"
              f"digit chi-square: {stat:.3f} on {dof} dof\n"
              + benford_stats.z_statistics(result.histogram).to_text_table())
-    emit(cfg, rmt.CueResult.CSV_COLUMNS, result.csv_rows(), table,
-         {"moments": json.loads(result.moments.to_json()),
-          "chi_square": stat, "dof": dof,
-          "histogram": result.histogram.counts.tolist()})
-    return 0
+    return (rmt.CueResult.CSV_COLUMNS, result.csv_rows(), table,
+            {"moments": json.loads(result.moments.to_json()),
+             "chi_square": stat, "dof": dof,
+             "histogram": result.histogram.counts.tolist()})
 
 
-def cmd_equidist_kalpha(args, cfg: ExperimentConfig) -> int:
+def cmd_equidist_kalpha(args, cfg: ExperimentConfig) -> tuple:
     alpha = _resolve_alpha(args.alpha)
     pts = equidist.kalpha_points(alpha, args.count)
     report = benford_stats.discrepancy_report(pts, m=args.et_m)
-    rows = [(report.n_points, f"{report.star:.8e}", f"{report.extreme:.8e}",
-             f"{report.erdos_turan:.8e}", report.m_used)]
-    emit(cfg, ("n_points", "star", "extreme", "erdos_turan", "m"), rows,
-         report.to_text_table(), {"report": json.loads(report.to_json())})
-    return 0
+    return (("n_points", "star", "extreme", "erdos_turan", "m"),
+            [(report.n_points, f"{report.star:.8e}", f"{report.extreme:.8e}",
+              f"{report.erdos_turan:.8e}", report.m_used)],
+            report.to_text_table(), {"report": json.loads(report.to_json())})
 
 
-def cmd_equidist_cf(args, cfg: ExperimentConfig) -> int:
+def cmd_equidist_cf(args, cfg: ExperimentConfig) -> tuple:
     alpha = _resolve_alpha(args.alpha)
-    try:
-        convs = equidist.continued_fraction(alpha, args.depth, dps=args.dps)
-    except (equidist.PrecisionError, DomainError) as exc:
-        raise ConfigError(str(exc))
-    rows = [(p, q) for p, q in convs]
-    table = "\n".join(f"{p}/{q}" for p, q in convs)
-    emit(cfg, ("p", "q"), rows, table,
-         {"convergents": [[str(p), str(q)] for p, q in convs]})
-    return 0
+    convs = equidist.continued_fraction(alpha, args.depth, dps=args.dps)
+    return (("p", "q"), convs, "\n".join(f"{p}/{q}" for p, q in convs),
+            {"convergents": [[str(p), str(q)] for p, q in convs]})
 
 
-def cmd_equidist_type(args, cfg: ExperimentConfig) -> int:
+def cmd_equidist_type(args, cfg: ExperimentConfig) -> tuple:
     alpha = _resolve_alpha(args.alpha)
     gammas = tuple(_number_list(args.gammas, float, "--gammas"))
-    try:
-        probe = equidist.type_probe(alpha, args.depth, gammas, dps=args.dps)
-    except (equidist.PrecisionError, DomainError) as exc:
-        raise ConfigError(str(exc))
-    rows = list(probe.to_csv_rows())
-    header, rows = rows[0], rows[1:]
+    probe = equidist.type_probe(alpha, args.depth, gammas, dps=args.dps)
+    header, *rows = probe.to_csv_rows()
     table = "\n".join(",".join(r) for r in [header] + rows)
     table += f"\nempirical type: {probe.empirical_type}"
-    emit(cfg, header, rows, table,
-         {"empirical_type": probe.empirical_type,
-          "slopes": {f"{g:g}": s for g, s in probe.slopes.items()}})
-    return 0
+    return (header, rows, table,
+            {"empirical_type": probe.empirical_type,
+             "slopes": {f"{g:g}": s for g, s in probe.slopes.items()}})
 
 
-def cmd_poisson_check(args, cfg: ExperimentConfig) -> int:
+def cmd_poisson_check(args, cfg: ExperimentConfig) -> tuple:
     sigmas = _number_list(args.sigmas, float, "--sigmas")
     rows = []
     worst = 0.0
@@ -398,11 +368,11 @@ def cmd_poisson_check(args, cfg: ExperimentConfig) -> int:
         rows.append((f"{s:g}", f"{r:.3e}"))
     table = "\n".join(f"sigma={s:<8} residual={r}" for s, r in rows)
     table += f"\nmax residual: {worst:.3e}"
-    emit(cfg, ("sigma", "residual"), rows, table,
-         {"max_residual": worst})
+    output = (("sigma", "residual"), rows, table, {"max_residual": worst})
     if worst >= 1e-12:
-        raise CheckFailed(f"theta identity residual {worst:.3e} >= 1e-12")
-    return 0
+        raise CheckFailed(f"theta identity residual {worst:.3e} >= 1e-12",
+                          output)
+    return output
 
 
 # ------------------------------------------------------------------ parser --
@@ -529,34 +499,39 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    workers = args.workers
-    if workers is None:
-        workers = int(os.environ.get(WORKERS_ENV, "1"))
-    if workers < 1:
-        print("error: worker count must be >= 1", file=sys.stderr)
-        return 2
-    if args.seed < 0:
-        print("error: seed must be >= 0", file=sys.stderr)
-        return 2
-    params = {k: v for k, v in vars(args).items()
-              if k not in ("func", "seed", "workers", "out", "fmt")
-              and v is not None}
-    cfg = ExperimentConfig(
-        command=params.pop("command"),
-        params={k: (v if isinstance(v, (int, float, bool)) else str(v))
-                for k, v in params.items()},
-        rng_seed=args.seed, workers=workers, out=args.out, fmt=args.fmt)
+    failure = None
     try:
-        return args.func(args, cfg)
-    except ConfigError as exc:
+        workers = args.workers
+        if workers is None:
+            workers = int(os.environ.get(WORKERS_ENV, "1"))
+        if workers < 1:
+            raise ConfigError("worker count must be >= 1")
+        if args.seed < 0:
+            raise ConfigError("seed must be >= 0")
+        if getattr(args, "base", 0) > MAX_BASE:
+            raise ConfigError(f"--base must be <= {MAX_BASE}, got {args.base}")
+        params = {k: v for k, v in vars(args).items()
+                  if k not in ("func", "seed", "workers", "out", "fmt")
+                  and v is not None}
+        cfg = ExperimentConfig(
+            command=params.pop("command"),
+            params={k: (v if isinstance(v, (int, float, bool)) else str(v))
+                    for k, v in params.items()},
+            rng_seed=args.seed, workers=workers, out=args.out, fmt=args.fmt)
+        try:
+            output = args.func(args, cfg)
+        except CheckFailed as exc:
+            failure, output = exc, exc.output
+        if output is not None:
+            emit(cfg, *output)
+    except (ConfigError, DomainError, equidist.PrecisionError,
+            OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except DomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except CheckFailed as exc:
-        print(f"assertion failed: {exc}", file=sys.stderr)
+    if failure is not None:
+        print(f"assertion failed: {failure}", file=sys.stderr)
         return 1
+    return 0
 
 
 if __name__ == "__main__":

@@ -61,6 +61,7 @@ __all__ = [
 ]
 
 _TWO_PI = 2.0 * math.pi
+_T_MAX = 1e5    # the largest height any route is certified for
 
 
 class AccuracyError(RuntimeError):
@@ -505,7 +506,7 @@ _B18 = 43867.0 / 798
 _FACT = [math.factorial(k) for k in range(20)]
 
 
-_EM_CHUNK = 64    # points per block of the phase matrix
+_EM_BLOCK = 2 ** 16    # phase-matrix entries per block: points x cutoff N
 # 2pi in long double: the float64 2pi is 2.4e-16 short, which would leave a
 # phase of k turns off by k * 2.4e-16
 _TWO_PI_LD = np.longdouble(_TWO_PI) + 2.4492935982947064e-16
@@ -559,8 +560,9 @@ def _euler_maclaurin_many(sigmas: np.ndarray, ts: np.ndarray):
         big_n = int(big_ns[group[0]])
         # columns n = 1..N: the head sums n < N, and column N gives N^-s
         n, ln_n = n_all[:big_n], ln_all[:big_n]
-        for start in range(0, len(group), _EM_CHUNK):
-            idx = group[start:start + _EM_CHUNK]
+        chunk = max(1, _EM_BLOCK // big_n)
+        for start in range(0, len(group), chunk):
+            idx = group[start:start + chunk]
             phase = np.mod(ts[idx].astype(np.longdouble)[:, None] * ln_n,
                            _TWO_PI_LD).astype(np.float64)
             mag = n ** -sigmas[idx][:, None]
@@ -605,7 +607,7 @@ def zeta_eval(s) -> tuple[complex, float]:
         raise DomainError("zeta has a pole at s = 1")
     if s.real < 0.0:
         raise DomainError("only Re(s) >= 0 is supported")
-    if abs(s.imag) > 1e5:
+    if abs(s.imag) > _T_MAX:
         raise DomainError("|Im(s)| <= 1e5 is supported")
     if s.imag < 0:
         v, e = zeta_eval(s.conjugate())
@@ -706,7 +708,7 @@ def scan_line(t_start: float, t_end: float, step: float, mode: SigmaMode,
         raise DomainError("t_end must be >= t_start")
     if t_start < 0:
         raise DomainError("scans run over t >= 0")
-    if t_end > 1e5:
+    if t_end > _T_MAX:
         raise DomainError("evaluation is supported for t <= 1e5")
     span = (t_end - t_start) / step
     if span >= _MAX_POINTS:
@@ -733,9 +735,13 @@ def scan_line(t_start: float, t_end: float, step: float, mode: SigmaMode,
     lb = math.log(base)
 
     def certify(idx):
-        # the certified error of |zeta| becomes a band on log_base|zeta|
+        # the certified error of |zeta| becomes a band on log_base|zeta|:
+        # |zeta| >= a(1 - eps) reaches -log1p(-eps)/ln B below log_B a,
+        # farther than eps/ln B; eps >= 1 leaves an infinite band
         a = np.maximum(abs_vals[idx], 1e-300)
-        band = errs[idx] / (a * lb) + 1e-13
+        eps = np.minimum(errs[idx] / a, 1.0)
+        with np.errstate(divide="ignore"):
+            band = -np.log1p(-eps) / lb + 1e-13
         digits[idx], certified[idx] = digits_from_log(
             np.mod(np.log(a) / lb, 1.0), band, base)
 

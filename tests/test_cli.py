@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 import warnings
 
 import pytest
@@ -333,6 +334,31 @@ def test_out_file(tmp_path, capsys):
     assert code == 0 and out == ""
     text = target.read_text()
     assert text.startswith("# {") and "sigma,residual" in text
+
+
+@pytest.mark.parametrize("args", [
+    ["poisson-check", "--out", "{tmp}/missing/x.csv"],
+    ["digits", "{tmp}/missing.txt"],
+    # bases above 2^16 are refused before an O(base) histogram is built
+    ["collatz", "model", "--base", "1000000000"],
+    ["cue", "--dim", "4", "--samples", "10", "--base", "100000000000"],
+    ["digits", "{tmp}/vals.txt", "--base", "70000"],
+])
+def test_refused_quickly(args, tmp_path, capsys):
+    (tmp_path / "vals.txt").write_text("12\n")
+    start = time.perf_counter()
+    code, out, err = run_cli([a.format(tmp=tmp_path) for a in args], capsys)
+    assert code == 2 and out == "" and err.startswith("error: ")
+    assert time.perf_counter() - start < 5.0
+
+
+def test_failed_check_prints_its_rows_first(monkeypatch, capsys):
+    monkeypatch.setattr(cli.equidist, "theta_identity_residual",
+                        lambda sigma, cutoff: 1.0)
+    code, out, err = run_cli(
+        ["poisson-check", "--sigmas", "0.5", "--format", "csv"], capsys)
+    assert code == 1 and out.endswith("sigma,residual\n0.5,1.000e+00\n")
+    assert err.startswith("assertion failed: ")
 
 
 def test_cold_start_imports_no_scipy_and_builds_no_table():

@@ -1,5 +1,6 @@
 import cmath
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -166,6 +167,17 @@ class TestEulerMaclaurinBatches:
                                                              ts[i]))
             assert abs(tails[i] - tail) <= 1e-14 * (scale + abs(n_pow_s[i]))
             assert abs(rems[i] - rem) <= 1e-14 * rem
+
+    def test_block_memory_is_bounded(self):
+        # 64 points at t = 99,000 share the cutoff N = 128,708: a block of
+        # 64 rows of phases took 254 MiB, one of 2^16 // N rows does not
+        tracemalloc.start()
+        try:
+            zt._euler_maclaurin_many(np.full(64, 0.5), np.full(64, 99_000.0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2 ** 20
 
 
 class TestEulerMaclaurinFloor:
@@ -420,6 +432,21 @@ class TestScan:
             hi = math.log(d + 1) / lb
             band = err / (a * lb)
             assert f - lo > band and hi - f > band
+
+    def test_band_reaches_the_low_end_of_the_error(self, monkeypatch):
+        # with eps = err/a = 0.05, |zeta| >= a(1 - eps) = 1.9987 may have
+        # digit 1: log_10 a = log_10 2 + 0.022 sits -log1p(-eps)/ln 10 =
+        # 0.0223 above that end, but only eps/ln 10 = 0.0217 above the band
+        a = 2.0 * 10.0 ** 0.022
+
+        def fake(sigmas, ts):
+            return np.full(len(ts), a, dtype=complex), np.full(len(ts),
+                                                               0.05 * a)
+
+        monkeypatch.setattr(zt, "_zeta_many", fake)
+        monkeypatch.setattr(zt, "_euler_maclaurin_many", fake)
+        res = zt.scan_line(10.0, 10.0, 1.0, zt.SigmaMode.fixed(0.5))
+        assert res.histogram.total == 0 and res.skipped.tolist() == [10.0]
 
     def test_near_critical_mode(self):
         res = zt.scan_line(10.0, 60.0, 1.0, zt.SigmaMode.near_critical(0.5))
