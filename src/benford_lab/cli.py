@@ -21,7 +21,6 @@ import argparse
 import contextlib
 import json
 import math
-import os
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -32,8 +31,6 @@ from . import __version__
 from . import benford_stats, collatz, equidist, rmt, zeta
 from .core_numeric import DomainError, _check_digit_base, leading_digit, \
     random_bignat
-
-WORKERS_ENV = "BENFORD_LAB_WORKERS"
 
 DEFAULT_CENSUS_START = 419_753_999_998_525
 DEFAULT_CENSUS_COUNT = 100_000
@@ -169,18 +166,22 @@ def _decimal_value(text: str) -> Fraction:
 def cmd_digits(args, cfg: ExperimentConfig) -> tuple:
     sys.set_int_max_str_digits(2_000_000)
     base = _check_digit_base(args.base)
+    try:
+        with open(args.file, encoding="utf-8") as fh:
+            lines = fh.read().split("\n")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{args.file}: not UTF-8 text ({exc.reason})")
     digits = []
-    with open(args.file, encoding="utf-8") as fh:
-        for ln, line in enumerate(fh, start=1):
-            text = line.strip()
-            if not text:
-                continue
-            try:
-                digits.append(leading_digit(_decimal_value(text), base))
-            except DomainError as exc:  # zero
-                raise ConfigError(f"{args.file}:{ln}: {exc}")
-            except ValueError:
-                raise ConfigError(f"{args.file}:{ln}: cannot parse {text!r}")
+    for ln, line in enumerate(lines, start=1):
+        text = line.strip()
+        if not text:
+            continue
+        try:
+            digits.append(leading_digit(_decimal_value(text), base))
+        except DomainError as exc:  # zero
+            raise ConfigError(f"{args.file}:{ln}: {exc}")
+        except ValueError:
+            raise ConfigError(f"{args.file}:{ln}: cannot parse {text!r}")
     if not digits:
         raise ConfigError(f"{args.file} holds no values")
     hist = benford_stats.DigitHistogram.from_digits(digits, base)
@@ -379,8 +380,8 @@ def cmd_poisson_check(args, cfg: ExperimentConfig) -> tuple:
 
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=0, help="RNG seed (Philox)")
-    p.add_argument("--workers", type=int, default=None,
-                   help=f"worker count (default ${WORKERS_ENV} or 1)")
+    p.add_argument("--workers", type=int, default=1,
+                   help="worker count (default 1)")
     p.add_argument("--out", default="-", help="output path ('-' = stdout)")
     p.add_argument("--format", dest="fmt", default="table",
                    choices=("csv", "json", "table"))
@@ -501,10 +502,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     failure = None
     try:
-        workers = args.workers
-        if workers is None:
-            workers = int(os.environ.get(WORKERS_ENV, "1"))
-        if workers < 1:
+        if args.workers < 1:
             raise ConfigError("worker count must be >= 1")
         if args.seed < 0:
             raise ConfigError("seed must be >= 0")
@@ -517,7 +515,8 @@ def main(argv=None) -> int:
             command=params.pop("command"),
             params={k: (v if isinstance(v, (int, float, bool)) else str(v))
                     for k, v in params.items()},
-            rng_seed=args.seed, workers=workers, out=args.out, fmt=args.fmt)
+            rng_seed=args.seed, workers=args.workers, out=args.out,
+            fmt=args.fmt)
         try:
             output = args.func(args, cfg)
         except CheckFailed as exc:

@@ -707,10 +707,6 @@ def iterate_digit_experiment(x0: BigNat, mode: str, base: int = 10,
     counts = np.zeros(base - 1, dtype=np.int64)
     counts[leading_digit(x, base) - 1] += 1
     n_rec = 1
-    if mode == "remove_all_twos" and x % 2 == 0 and n_rec < max_iters:
-        x >>= (x & -x).bit_length() - 1
-        counts[leading_digit(x, base) - 1] += 1
-        n_rec += 1
     single = mode == "single_step"
     n_refined = 0
     mask = (1 << _BLOCK_BITS) - 1
@@ -732,11 +728,11 @@ def iterate_digit_experiment(x0: BigNat, mode: str, base: int = 10,
             n_refined += len(refine)
             continue
         # one exact step: small or even x, or a multiplicity past the
-        # low bits
+        # low bits; an even seed loses all its twos in its first step
         if single:
             x = 3 * x + 1 if x & 1 else x >> 1
         else:
-            u = 3 * x + 1
+            u = 3 * x + 1 if x & 1 else x
             x = u >> ((u & -u).bit_length() - 1)
         counts[leading_digit(x, base) - 1] += 1
         n_rec += 1

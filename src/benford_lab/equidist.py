@@ -234,21 +234,18 @@ def theta_identity_residual(sigma: float, cutoff: int | None = None) -> float:
 
 # --------------------------------------------- spreading-Gaussian machinery --
 
-def gaussian_mod1_mass(scale: float, a: float, b: float,
-                       k_window: int | None = None) -> float:
+def gaussian_mod1_mass(scale: float, a: float, b: float) -> float:
     """sum_{|k| <= W} integral_a^b density((x+k)/T)/T dx, in closed form as
     sum_k [Phi((b+k)/T) - Phi((a+k)/T)] with the standard normal CDF Phi.
 
     This is the probability that the spread Gaussian lands in [a, b] mod 1,
-    up to the tail mass beyond the window.
+    up to the tail mass beyond the window W = ceil(6.5 T) + 1.
     """
     if not 0.0 <= a < b <= 1.0:
         raise DomainError("need 0 <= a < b <= 1")
     if scale <= 0:
         raise DomainError("scale must be positive")
-    w = int(k_window) if k_window is not None else int(math.ceil(6.5 * scale)) + 1
-    if w < 0:
-        raise DomainError("k_window must be nonnegative")
+    w = int(math.ceil(6.5 * scale)) + 1
     from scipy.special import ndtr  # kept off the CLI's import path
     k = np.arange(-w, w + 1, dtype=np.float64)
     return float(np.sum(ndtr((b + k) / scale) - ndtr((a + k) / scale)))

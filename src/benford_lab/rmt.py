@@ -53,10 +53,6 @@ class SingularMatrixError(RuntimeError):
 class UnitarySample:
     matrix: np.ndarray
 
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
 
 def _check_dim(n: int) -> None:
     if not 1 <= n <= _MAX_DIM:
@@ -136,7 +132,6 @@ class CueResult:
     histogram: DigitHistogram
     moments: MomentsReport
     resampled: int = 0
-    max_unitarity_residual: float | None = None
 
     CSV_COLUMNS = ("dim", "theta", "log_abs", "standardized")
 
@@ -147,9 +142,8 @@ class CueResult:
             yield [dim, f"{th:.12f}", f"{la:.12e}", f"{la / scale:.12e}"]
 
 
-def _cue_chunk(n, count, base, gen, check_unitarity):
+def _cue_chunk(n, count, base, gen):
     us = _haar_batch(n, count, gen)
-    resid = max(map(unitarity_residual, us)) if check_unitarity else None
     thetas = gen.uniform(0.0, 2.0 * math.pi, size=count)
     resampled = 0
     while True:
@@ -161,13 +155,12 @@ def _cue_chunk(n, count, base, gen, check_unitarity):
     digits, _ = digits_from_log(np.mod(log_abs / math.log(base), 1.0), 0.0,
                                 base)
     counts = np.bincount(digits, minlength=base)[1:base]
-    return thetas, log_abs, counts, resampled, resid
+    return thetas, log_abs, counts, resampled
 
 
 def cue_experiment(n: int, n_samples: int, base: int,
                    rng: np.random.Generator, *, chunk_size: int = 1024,
-                   workers: int = 1,
-                   check_unitarity: bool = False) -> CueResult:
+                   workers: int = 1) -> CueResult:
     """Sample (U, theta) pairs, emit log|Z| with its digit histogram and a
     moments report against the reference variance q2_variance(n).
 
@@ -185,25 +178,15 @@ def cue_experiment(n: int, n_samples: int, base: int,
     if n_samples % chunk_size:
         sizes.append(n_samples % chunk_size)
     streams = rng.spawn(len(sizes))
-
-    def work(args):
-        gen, count = args
-        return _cue_chunk(n, count, base, gen, check_unitarity)
-
-    tasks = list(zip(streams, sizes))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(work, tasks))
-    else:
-        results = [work(t) for t in tasks]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        results = list(pool.map(
+            lambda gen, count: _cue_chunk(n, count, base, gen),
+            streams, sizes))
 
     thetas = np.concatenate([r[0] for r in results])
     log_abs = np.concatenate([r[1] for r in results])
     counts = np.sum([r[2] for r in results], axis=0)
     resampled = sum(r[3] for r in results)
-    resid = max((r[4] for r in results if r[4] is not None), default=None)
-    if check_unitarity and resid is not None and resid > 1e-10:
-        raise RuntimeError(f"unitarity residual {resid:.2e} exceeds 1e-10")
 
     mean = float(log_abs.mean())
     var = float(log_abs.var(ddof=1))
@@ -215,4 +198,4 @@ def cue_experiment(n: int, n_samples: int, base: int,
                             skew, kurt)
     return CueResult(n, base, thetas, log_abs,
                      DigitHistogram(base, counts.astype(np.int64)), moments,
-                     resampled, resid)
+                     resampled)

@@ -27,7 +27,8 @@ Three evaluation routes, chosen by region:
   refinement route everywhere (absolute error near 1e-14 at scan heights).
 
 ``_zeta_many`` is the single place where the route is chosen; ``zeta_eval``
-and ``scan_line`` both call it.
+and ``scan_line`` both call it.  ``_blocks`` is the single place where points
+are batched, so no route's memory grows with the scan.
 
 A sample's leading digit is never taken from a value whose certified error
 band straddles a digit boundary: such points (and points indistinguishable
@@ -90,28 +91,46 @@ def psi_variance(sigma: float, T: float, aleph: float = 1.0) -> float:
     return aleph * math.log(min(math.log(T), 1.0 / (sigma - 0.5)))
 
 
+# ---------------------------------------------------------------- batches --
+
+def _blocks(cutoffs: np.ndarray):
+    """(N, indices) for the points that share the cutoff N, at most
+    max(1, 2^16 // N) at a time.  A row sum sees its own point only, so
+    each value and bound is the same whichever points share a block."""
+    order = np.argsort(cutoffs, kind="stable")
+    values, starts = np.unique(cutoffs[order], return_index=True)
+    for big_n, group in zip(values.tolist(), np.split(order, starts[1:])):
+        size = max(1, 2 ** 16 // big_n)    # matrix entries: points x N
+        for start in range(0, len(group), size):
+            yield big_n, group[start:start + size]
+
+
+def _by_blocks(kernel, cutoffs, *cols, dtypes=(complex, float)):
+    """kernel(N, *columns) per block, its results scattered into columns."""
+    out = [np.empty(len(cutoffs), dtype=d) for d in dtypes]
+    for big_n, idx in _blocks(cutoffs):
+        for o, r in zip(out, kernel(big_n, *(c[idx] for c in cols))):
+            o[idx] = r
+    return out
+
+
 # --------------------------------------------------- Riemann-Siegel route --
 
 # theta(t) = t/2 ln(t/2pi) - t/2 - pi/8 + the sum of a / (b t^k)
 _THETA_TERMS = ((1.0, 48.0, 1), (7.0, 5760.0, 3), (31.0, 80640.0, 5))
 
 
-def _rs_theta(t):
-    """Phase theta(t), asymptotic expansion (error ~ t^-7 for t > 40)."""
-    t = np.asarray(t, dtype=np.float64)
-    theta = t / 2.0 * np.log(t / _TWO_PI) - t / 2.0 - math.pi / 8.0
-    for a, b, k in _THETA_TERMS:
-        theta = theta + a / (b * t ** k)
-    return theta
-
-
 def _rs_split(ts: np.ndarray):
-    """tau = t/2pi, a = sqrt(tau), the main-sum length N = floor(a) and
-    x = frac(a) - 1/2, exact given a."""
+    """tau = t/2pi, a = sqrt(tau), the main-sum length N = floor(a),
+    x = frac(a) - 1/2, exact given a, and the phase theta(t) from its
+    asymptotic expansion (error ~ t^-7 for t > 40)."""
     tau = ts / _TWO_PI
     a = np.sqrt(tau)
     nmain = np.floor(a).astype(np.int64)
-    return tau, a, nmain, (a - nmain) - 0.5
+    theta = ts / 2.0 * np.log(tau) - ts / 2.0 - math.pi / 8.0
+    for c, b, k in _THETA_TERMS:
+        theta = theta + c / (b * ts ** k)
+    return tau, a, nmain, (a - nmain) - 0.5, theta
 
 
 def _rs_floor(ts, tau, theta, nmain, w0, w1):
@@ -209,30 +228,21 @@ def _rs_corrections(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _riemann_siegel_many(ts: np.ndarray):
-    """Z(t), theta(t) and a certified error bound on the critical line.
+def _riemann_siegel_block(big_n: int, ts: np.ndarray):
+    """zeta and a certified error bound on the critical line at one N.
 
     Z = 2 sum_{n <= N} cos(theta - t ln n) / sqrt(n)
         + (-1)^(N-1) tau^(-1/4) sum_k C_k(p) tau^(-k/2),
     tau = t/2pi, N = floor(sqrt(tau)), p = sqrt(tau) - N, the sum over
-    C_0..C_4.  For t >= 200 Gabcke's |R_4| <= 0.017 tau^(-11/4) bounds the
-    truncation.  The bound adds the floating-point floor and covers
-    Z exp(-i theta).
+    C_0..C_4, and zeta = Z exp(-i theta).  For t >= 200 Gabcke's
+    |R_4| <= 0.017 tau^(-11/4) bounds the truncation.  The bound adds the
+    floating-point floor and covers the rotation.
     """
-    ts = np.asarray(ts, dtype=np.float64)
-    tau, a, nmain, x = _rs_split(ts)
-    theta = _rs_theta(ts)
-    z = np.zeros_like(ts)
-    s0 = np.zeros_like(ts)      # sum of n^(-1/2) over the main sum
-    s1 = np.zeros_like(ts)      # sum of n^(-1/2) ln n
-    for v in np.unique(nmain):
-        idx = np.nonzero(nmain == v)[0]
-        n = np.arange(1, v + 1, dtype=np.float64)
-        ln_n = np.log(n)
-        phases = theta[idx, None] - ts[idx, None] * ln_n[None, :]
-        z[idx] = 2.0 * (np.cos(phases) / np.sqrt(n)).sum(axis=1)
-        s0[idx] = (1.0 / np.sqrt(n)).sum()
-        s1[idx] = (ln_n / np.sqrt(n)).sum()
+    tau, a, nmain, x, theta = _rs_split(ts)
+    n = np.arange(1, big_n + 1, dtype=np.float64)
+    ln_n = np.log(n)
+    phases = theta[:, None] - ts[:, None] * ln_n[None, :]
+    z = 2.0 * (np.cos(phases) / np.sqrt(n)).sum(axis=1)
 
     c0, c1, c2, c3, c4 = _rs_corrections(x)
     w = 1.0 / a
@@ -241,12 +251,19 @@ def _riemann_siegel_many(ts: np.ndarray):
 
     # floating point: the weights are 2 n^(-1/2)
     _, fp_const, fp_slope = _rs_polys()
-    d_theta, floor = _rs_floor(ts, tau, theta, nmain, 2.0 * s0, 2.0 * s1)
+    d_theta, floor = _rs_floor(ts, tau, theta, nmain, (2.0 / np.sqrt(n)).sum(),
+                               (2.0 * ln_n / np.sqrt(n)).sum())
     z_err = 0.017 * tau ** -2.75 + floor \
         + a ** -0.5 * (fp_const + fp_slope * a)
     # rotating by the computed exp(-i theta) adds |Z| (d_theta + rounding)
     err = z_err + (np.abs(z) + z_err) * (d_theta + 6.0 * _U)
-    return z, theta, err
+    return z * np.exp(-1j * theta), err
+
+
+def _riemann_siegel_many(ts):
+    """zeta and a certified error bound on the critical line, t >= 200."""
+    ts = np.asarray(ts, dtype=np.float64)
+    return _by_blocks(_riemann_siegel_block, _rs_split(ts)[2], ts)
 
 
 # ------------------------------------------- off-line Riemann-Siegel route --
@@ -439,8 +456,9 @@ def _rs_chi_ratio(sigmas, ts):
     return np.exp(ln_x), 1.01 * ln_err + 4.0 * _U
 
 
-def _riemann_siegel_offline_many(sigmas: np.ndarray, ts: np.ndarray):
-    """zeta and a certified error bound for 0 <= sigma <= 1, t > T_RS.
+def _riemann_siegel_offline_block(big_n: int, sigmas, ts):
+    """zeta and a certified error bound for 0 <= sigma <= 1, t > T_RS, at
+    one main-sum length N.
 
     With the phases theta - t ln n of the on-line route, e^(i theta) zeta
     is sum_{n <= N} (n^(-sigma) e^(i phase) + X n^(sigma-1) e^(-i phase))
@@ -450,25 +468,17 @@ def _riemann_siegel_offline_many(sigmas: np.ndarray, ts: np.ndarray):
     and X = e^(2i theta) chi(s).  The bound adds Theorem 2's truncation at
     both R terms to the floating-point floor.
     """
-    sigmas = np.asarray(sigmas, dtype=np.float64)
-    ts = np.asarray(ts, dtype=np.float64)
-    tau, a, nmain, x = _rs_split(ts)
-    theta = _rs_theta(ts)
+    tau, a, nmain, x, theta = _rs_split(ts)
     chi_x, chi_err = _rs_chi_ratio(sigmas, ts)
-    head = np.zeros(ts.shape, dtype=np.complex128)
-    mx0, mx1, my0, my1 = (np.zeros_like(ts) for _ in range(4))
-    for v in np.unique(nmain):
-        idx = np.nonzero(nmain == v)[0]
-        ln_n = np.log(np.arange(1, v + 1, dtype=np.float64))
-        phases = theta[idx, None] - ts[idx, None] * ln_n[None, :]
-        cos, sin = np.cos(phases), np.sin(phases)
-        mx = np.exp(-sigmas[idx, None] * ln_n[None, :])         # n^-sigma
-        my = np.exp((sigmas[idx, None] - 1.0) * ln_n[None, :])  # n^(sigma-1)
-        head[idx] = ((mx * cos).sum(axis=1) + 1j * (mx * sin).sum(axis=1)) \
-            + chi_x[idx] * ((my * cos).sum(axis=1)
-                            - 1j * (my * sin).sum(axis=1))
-        mx0[idx], mx1[idx] = mx.sum(axis=1), (mx * ln_n).sum(axis=1)
-        my0[idx], my1[idx] = my.sum(axis=1), (my * ln_n).sum(axis=1)
+    ln_n = np.log(np.arange(1, big_n + 1, dtype=np.float64))
+    phases = theta[:, None] - ts[:, None] * ln_n[None, :]
+    cos, sin = np.cos(phases), np.sin(phases)
+    mx = np.exp(-sigmas[:, None] * ln_n[None, :])           # n^-sigma
+    my = np.exp((sigmas[:, None] - 1.0) * ln_n[None, :])    # n^(sigma-1)
+    head = ((mx * cos).sum(axis=1) + 1j * (mx * sin).sum(axis=1)) \
+        + chi_x * ((my * cos).sum(axis=1) - 1j * (my * sin).sum(axis=1))
+    mx0, mx1 = mx.sum(axis=1), (mx * ln_n).sum(axis=1)
+    my0, my1 = my.sum(axis=1), (my * ln_n).sum(axis=1)
 
     rho = 1.0 - 2.0 * sigmas
     s_x, s_y, s_err = _rs_offline_corrections(x, rho, a)
@@ -493,9 +503,17 @@ def _riemann_siegel_offline_many(sigmas: np.ndarray, ts: np.ndarray):
         + chi_err * abs_x * (my0 + ay * (np.abs(s_y) + s_err)) \
         + (ax + abs_x * ay) * s_err \
         + np.abs(corr) * (d_theta + _U * (np.log(a) + 10.0))
-    vals = w * np.exp(-1j * theta)
     # rotating by the computed exp(-i theta) adds |W| (d_theta + rounding)
-    return vals, w_err + (np.abs(w) + w_err) * (d_theta + 6.0 * _U)
+    return w * np.exp(-1j * theta), \
+        w_err + (np.abs(w) + w_err) * (d_theta + 6.0 * _U)
+
+
+def _riemann_siegel_offline_many(sigmas, ts):
+    """zeta and a certified error bound for 0 <= sigma <= 1, t > T_RS."""
+    sigmas = np.asarray(sigmas, dtype=np.float64)
+    ts = np.asarray(ts, dtype=np.float64)
+    return _by_blocks(_riemann_siegel_offline_block, _rs_split(ts)[2],
+                      sigmas, ts)
 
 
 # --------------------------------------------------- Euler-Maclaurin route --
@@ -505,8 +523,6 @@ _B2K = (1.0 / 6, -1.0 / 30, 1.0 / 42, -1.0 / 30,
 _B18 = 43867.0 / 798
 _FACT = [math.factorial(k) for k in range(20)]
 
-
-_EM_BLOCK = 2 ** 16    # phase-matrix entries per block: points x cutoff N
 # 2pi in long double: the float64 2pi is 2.4e-16 short, which would leave a
 # phase of k turns off by k * 2.4e-16
 _TWO_PI_LD = np.longdouble(_TWO_PI) + 2.4492935982947064e-16
@@ -542,34 +558,26 @@ def _fp_floor(big_n, t_abs, scale):
 
 
 def _euler_maclaurin_many(sigmas: np.ndarray, ts: np.ndarray):
-    """zeta and a certified error bound, as columns.  Each point takes its
-    cutoff N from its own t, and a block holds points of one N only, so
-    every row sum, and with it each value and bound, is the same whichever
-    points share the batch."""
+    """zeta and a certified error bound, as columns: the phase matrices
+    block by block, the tail and floor for all points at once."""
     sigmas = np.asarray(sigmas, dtype=np.float64)
     ts = np.asarray(ts, dtype=np.float64)
-    head = np.empty(ts.shape, dtype=np.complex128)
-    n_pow_s = np.empty(ts.shape, dtype=np.complex128)
-    weight = np.empty(ts.shape, dtype=np.float64)     # sum of n^-sigma, n < N
     big_ns = np.maximum(60, (1.3 * np.abs(ts)).astype(np.int64) + 8)
-    order = np.argsort(big_ns, kind="stable")
-    groups = np.split(order, np.flatnonzero(np.diff(big_ns[order])) + 1)
     n_all = np.arange(1, big_ns.max(initial=1) + 1, dtype=np.float64)
     ln_all = np.log(n_all.astype(np.longdouble))
-    for group in groups:
-        big_n = int(big_ns[group[0]])
-        # columns n = 1..N: the head sums n < N, and column N gives N^-s
+
+    def block(big_n, sig, t):
+        # columns n = 1..N: the head and the weight sum n < N, N gives N^-s
         n, ln_n = n_all[:big_n], ln_all[:big_n]
-        chunk = max(1, _EM_BLOCK // big_n)
-        for start in range(0, len(group), chunk):
-            idx = group[start:start + chunk]
-            phase = np.mod(ts[idx].astype(np.longdouble)[:, None] * ln_n,
-                           _TWO_PI_LD).astype(np.float64)
-            mag = n ** -sigmas[idx][:, None]
-            re, im = mag * np.cos(phase), mag * np.sin(phase)
-            head[idx] = re[:, :-1].sum(axis=1) - 1j * im[:, :-1].sum(axis=1)
-            n_pow_s[idx] = re[:, -1] - 1j * im[:, -1]
-            weight[idx] = mag[:, :-1].sum(axis=1)
+        phase = np.mod(t.astype(np.longdouble)[:, None] * ln_n,
+                       _TWO_PI_LD).astype(np.float64)
+        mag = n ** -sig[:, None]
+        re, im = mag * np.cos(phase), mag * np.sin(phase)
+        return (re[:, :-1].sum(axis=1) - 1j * im[:, :-1].sum(axis=1),
+                re[:, -1] - 1j * im[:, -1], mag[:, :-1].sum(axis=1))
+
+    head, n_pow_s, weight = _by_blocks(block, big_ns, sigmas, ts,
+                                       dtypes=(complex, complex, float))
     big_n = big_ns.astype(np.float64)
     tail, rem = _em_tail(sigmas + 1j * ts, big_n, n_pow_s)
     return head + tail, rem + _fp_floor(big_n, np.abs(ts),
@@ -586,17 +594,11 @@ def _zeta_many(sigmas, ts) -> tuple[np.ndarray, np.ndarray]:
     vals = np.empty(ts.shape, dtype=np.complex128)
     errs = np.empty(ts.shape, dtype=np.float64)
     on_line = (sigmas == 0.5) & (ts >= _GABCKE_T)
-    off_line = ~on_line & (sigmas >= 0.0) & (sigmas <= 1.0) \
-        & (ts > _RS_OFF_T)
-    rest = ~(on_line | off_line)
-    if on_line.any():
-        z, theta, errs[on_line] = _riemann_siegel_many(ts[on_line])
-        vals[on_line] = z * np.exp(-1j * theta)
-    if off_line.any():
-        vals[off_line], errs[off_line] = _riemann_siegel_offline_many(
-            sigmas[off_line], ts[off_line])
-    if rest.any():
-        vals[rest], errs[rest] = _euler_maclaurin_many(sigmas[rest], ts[rest])
+    off_line = ~on_line & (sigmas >= 0.0) & (sigmas <= 1.0) & (ts > _RS_OFF_T)
+    for mask, route in ((on_line, lambda _, t: _riemann_siegel_many(t)),
+                        (off_line, _riemann_siegel_offline_many),
+                        (~(on_line | off_line), _euler_maclaurin_many)):
+        vals[mask], errs[mask] = route(sigmas[mask], ts[mask])
     return vals, errs
 
 
@@ -748,16 +750,14 @@ def scan_line(t_start: float, t_end: float, step: float, mode: SigmaMode,
     certify(ok)
     near_zero = ok & (abs_vals < 10.0 * errs)
     refine = ok & (~certified | near_zero)
-    n_refined = int(refine.sum())
-    if n_refined:
-        idx = np.nonzero(refine)[0]
-        vals[idx], errs[idx] = _euler_maclaurin_many(sigmas[idx], ts[idx])
-        abs_vals[idx] = np.abs(vals[idx])
-        certify(idx)
+    vals[refine], errs[refine] = _euler_maclaurin_many(sigmas[refine],
+                                                       ts[refine])
+    abs_vals[refine] = np.abs(vals[refine])
+    certify(refine)
 
     keep = ok & certified & (abs_vals >= 10.0 * errs)
     skip = ok & ~keep
     return ScanResult(ts[keep], sigmas[keep], vals[keep], abs_vals[keep],
                       digits[keep], errs[keep],
                       DigitHistogram.from_digits(digits[keep], base),
-                      ts[skip], failures, n_refined)
+                      ts[skip], failures, int(refine.sum()))

@@ -76,6 +76,14 @@ class TestDigitsCommand:
             code, _, err = run_cli(["digits", str(f)], capsys)
             assert code == 2 and ":2:" in err, text
 
+    def test_file_not_utf8_is_usage_error(self, tmp_path, capsys):
+        # the decode error is raised while reading, not while parsing a line
+        f = tmp_path / "bytes.txt"
+        f.write_bytes(b"\xff\xfe12\n")
+        code, out, err = run_cli(["digits", str(f)], capsys)
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: {f}")
+
     @pytest.mark.parametrize("text,digit", [
         ("2.99999999999999999", 2),  # 3.0 as a float
         ("1.99999999999999999e5", 1),
@@ -308,6 +316,12 @@ class TestPoissonCheck:
             ["poisson-check", "--format", "json"], capsys)
         assert code == 0
         assert json.loads(out)["max_residual"] < 1e-12
+
+    def test_worker_count_comes_from_the_flag_alone(self, monkeypatch,
+                                                    capsys):
+        monkeypatch.setenv("BENFORD_LAB_WORKERS", "abc")
+        code, out, _ = run_cli(["poisson-check", "--format", "json"], capsys)
+        assert code == 0 and json.loads(out)["meta"]["workers"] == 1
 
     def test_malformed_sigmas_is_config_error(self, capsys):
         code, out, err = run_cli(["poisson-check", "--sigmas", "x"], capsys)

@@ -127,12 +127,6 @@ class TestCueExperiment:
         assert abs(res_a.moments.mean - res_b.moments.mean) < 0.08
         assert abs(res_a.moments.variance - res_b.moments.variance) < 0.12
 
-    def test_unitarity_check_mode(self):
-        res = rmt.cue_experiment(10, 200, 10, make_rng(15),
-                                 chunk_size=100, check_unitarity=True)
-        assert res.max_unitarity_residual is not None
-        assert res.max_unitarity_residual < 1e-10
-
     def test_worker_count_never_changes_results(self):
         r1 = rmt.cue_experiment(12, 3000, 10, make_rng(16), chunk_size=512,
                                 workers=1)

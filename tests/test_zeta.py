@@ -1,4 +1,3 @@
-import cmath
 import math
 import tracemalloc
 
@@ -97,12 +96,11 @@ def em_point(s: complex):
 
 def rs_bound_holds(ts: np.ndarray) -> None:
     """|zeta_RS - mpmath.zeta| <= err for the complex value at every t."""
-    z, theta, err = zt._riemann_siegel_many(ts)
+    vals, errs = zt._riemann_siegel_many(ts)
     with mpmath.workdps(15):
-        for i, t in enumerate(ts):
+        for t, v, e in zip(ts, vals, errs):
             ref = complex(mpmath.zeta(mpmath.mpc(0.5, t)))
-            got = z[i] * cmath.exp(-1j * theta[i])
-            assert abs(got - ref) <= err[i], (t, abs(got - ref), err[i])
+            assert abs(v - ref) <= e, (t, abs(v - ref), e)
 
 
 class TestRiemannSiegelCorrections:
@@ -148,6 +146,16 @@ class TestEulerMaclaurinBatches:
                                              41.5, 4999.5])
         for (v, e), i in zip(alone, (1, 2, 4)):
             assert vals[i] == v and errs[i] == e
+        # both Riemann-Siegel routes: N = 40 on 4,000 points, which fill
+        # three blocks of 2^16 // 40 = 1,638, and N = 41 on two more
+        ts = np.concatenate([np.linspace(10_100.0, 10_500.0, 4_000),
+                             [10_600.0, 11_000.0]])
+        for route, sig in ((lambda _, t: zt._riemann_siegel_many(t), 0.5),
+                           (zt._riemann_siegel_offline_many, 0.75)):
+            vals, errs = route(np.full(len(ts), sig), ts)
+            for i in (0, 1_637, 1_638, 3_999, 4_000, 4_001):
+                v, e = route([sig], [ts[i]])
+                assert vals[i] == v[0] and errs[i] == e[0], (sig, i)
 
     def test_column_tail_matches_scalar_tail(self):
         # the tail as columns against the same formula in Python complex
@@ -170,14 +178,23 @@ class TestEulerMaclaurinBatches:
 
     def test_block_memory_is_bounded(self):
         # 64 points at t = 99,000 share the cutoff N = 128,708: a block of
-        # 64 rows of phases took 254 MiB, one of 2^16 // N rows does not
-        tracemalloc.start()
-        try:
-            zt._euler_maclaurin_many(np.full(64, 0.5), np.full(64, 99_000.0))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 32 * 2 ** 20
+        # 64 rows of phases took 254 MiB, one of 2^16 // N rows does not.
+        # 32,768 points on [99,000, 100,000] at sigma = 1/2 and on the
+        # near-critical path: one matrix of every point with the same N
+        # took 75 and 147 MiB
+        ts = np.linspace(99_000.0, 100_000.0, 32_768)
+        for route, sigmas, t in (
+                (zt._euler_maclaurin_many, np.full(64, 0.5),
+                 np.full(64, 99_000.0)),
+                (zt._zeta_many, np.full(len(ts), 0.5), ts),
+                (zt._zeta_many, 0.5 + np.log(ts) ** -0.5, ts)):
+            tracemalloc.start()
+            try:
+                route(sigmas, t)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 32 * 2 ** 20, (route.__name__, peak)
 
 
 class TestEulerMaclaurinFloor:
@@ -267,9 +284,9 @@ class TestOfflineRiemannSiegel:
         for s in (complex(0.75, 5000.0), complex(0.0, 2000.0)):
             v, e = zt._riemann_siegel_offline_many([s.real], [s.imag])
             assert zt.zeta_eval(s) == (complex(v[0]), float(e[0]))
-        z, theta, e = zt._riemann_siegel_many(np.array([200.0]))
-        assert zt.zeta_eval(complex(0.5, 200.0)) == (
-            complex(z[0] * np.exp(-1j * theta[0])), float(e[0]))
+        v, e = zt._riemann_siegel_many(np.array([200.0]))
+        assert zt.zeta_eval(complex(0.5, 200.0)) == (complex(v[0]),
+                                                     float(e[0]))
         for s in (complex(1.5, 5000.0), complex(0.75, 1800.0),
                   complex(0.5, 40.0), complex(0.5, np.nextafter(200.0, 0.0)),
                   complex(1.0, _TWO_PI / math.log(2.0))):
@@ -323,21 +340,19 @@ class TestRoutesAgainstHighPrecision:
     def test_riemann_siegel_certified(self):
         mpmath.mp.dps = 25
         ts = np.array([200.0, 241.0, 323.25, 500.0, 5000.5, 16383.75])
-        z, theta, err = zt._riemann_siegel_many(ts)
-        for i, t in enumerate(ts):
+        vals, errs = zt._riemann_siegel_many(ts)
+        for t, v, e in zip(ts, vals, errs):
             ref = complex(mpmath.zeta(complex(0.5, t)))
-            got = z[i] * cmath.exp(-1j * theta[i])
-            assert abs(got - ref) < err[i], (t, abs(got - ref), err[i])
+            assert abs(v - ref) < e, (t, abs(v - ref), e)
 
     def test_route_cross_agreement_on_overlap(self):
         # the Riemann-Siegel route agrees with Euler-Maclaurin within its
         # certified band
         ts = np.array([200.0, 244.0, 261.5, 290.25, 333.0, 2024.75])
-        z, theta, err = zt._riemann_siegel_many(ts)
-        for i, t in enumerate(ts):
+        vals, errs = zt._riemann_siegel_many(ts)
+        for t, v, e in zip(ts, vals, errs):
             vem, eem = em_point(complex(0.5, t))
-            got = z[i] * cmath.exp(-1j * theta[i])
-            assert abs(got - vem) <= err[i] + eem
+            assert abs(v - vem) <= e + eem
 
     def test_conjugate_symmetry(self):
         for s in (complex(0.8, 500.0), complex(0.5, 33.0), complex(2.0, 7.0)):
