@@ -12,7 +12,8 @@ metadata line, then a header and rows), ``json`` (metadata plus the
 payload) or ``table`` (aligned text for eyeballing).  ``main`` alone maps
 exceptions to exit codes: 0 on success, 1 when an internal assertion fails,
 2 with ``error: <message>`` and empty stdout on configuration errors, paths
-that cannot be opened and bases above ``MAX_BASE``.
+that cannot be opened, bases above ``MAX_BASE`` and worker counts above
+``MAX_WORKERS``.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ DEFAULT_CENSUS_COUNT = 100_000
 DEFAULT_M = 10
 DEFAULT_BIG_DIGITS = 100_000
 MAX_BASE = 2 ** 16    # every command taking --base builds an O(base) histogram
+MAX_WORKERS = 64      # each worker is one OS thread holding a chunk's matrices
 
 COLLATZ_PRESETS = {
     "ratio-base4": {"kind": "ratio", "base": 4},
@@ -263,7 +265,8 @@ def cmd_collatz_kvalues(args, cfg: ExperimentConfig) -> tuple:
 def cmd_collatz_ratio(args, cfg: ExperimentConfig) -> tuple:
     seeds = collatz.census_1mod6(args.start, args.count)
     result = collatz.ratio_digit_experiment(seeds, args.iterations, args.base)
-    fracs = collatz.ratio_fracs(seeds, args.iterations, args.base)
+    fracs = collatz.ratio_fracs(seeds, args.iterations, args.base,
+                                census=result.census)
     model = collatz.geometric_model_points(args.iterations, args.base,
                                            len(fracs), _rng(cfg.rng_seed))
     ks = collatz.ks_distance(fracs, model)
@@ -502,8 +505,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     failure = None
     try:
-        if args.workers < 1:
-            raise ConfigError("worker count must be >= 1")
+        if not 1 <= args.workers <= MAX_WORKERS:
+            raise ConfigError(f"worker count must lie in [1, {MAX_WORKERS}], "
+                              f"got {args.workers}")
         if args.seed < 0:
             raise ConfigError("seed must be >= 0")
         if getattr(args, "base", 0) > MAX_BASE:

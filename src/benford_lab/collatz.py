@@ -29,7 +29,6 @@ exact iterate.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from functools import cache
@@ -142,11 +141,6 @@ class PathRecord:
     m: int
     kvalues: tuple
     iterates: tuple
-
-    def to_json(self) -> str:
-        return json.dumps({"seed": str(self.seed), "m": self.m,
-                           "kvalues": list(self.kvalues),
-                           "iterates": [str(x) for x in self.iterates]})
 
 
 @dataclass(frozen=True)
@@ -435,6 +429,7 @@ class RatioDigitResult:
     n_seeds: int
     histogram: DigitHistogram
     predicted: np.ndarray
+    census: tuple   # (x_m, S, log2 u) the histogram was counted from
 
     def observed_freq(self) -> np.ndarray:
         return self.histogram.frequencies()
@@ -469,9 +464,11 @@ def ratio_digit_experiment(seeds, m: int, base: int) -> RatioDigitResult:
     While log2(u) stays below half the exact upward gap g_j of 2^j to the
     next digit boundary, the digit is the exact digit of 2^j; any other seed
     (typically a tiny iterate) is recomputed from the full integer ratio.
+    The result keeps the census, which ``ratio_fracs`` can reuse.
     """
     base = _check_digit_base(base)
-    xm, s_tot, ulog2 = _ratio_census(seeds, m)
+    census = _ratio_census(seeds, m)
+    xm, s_tot, ulog2 = census
     j = 2 * m - s_tot
     j_lo = int(j.min())
     lattice, gaps = _pow2_lattice(j_lo, int(j.max()), base)
@@ -481,7 +478,7 @@ def ratio_digit_experiment(seeds, m: int, base: int) -> RatioDigitResult:
                                  3 ** m * int(seeds[i]), base)
     hist = DigitHistogram.from_digits(digits, base)
     return RatioDigitResult(base, m, len(xm), hist,
-                            limit_law_digit_probabilities(base))
+                            limit_law_digit_probabilities(base), census)
 
 
 def model_digit_experiment(m: int, base: int, n: int,
@@ -516,11 +513,13 @@ def _ratio_census(seeds, m: int):
     return xm, s_tot, ulog2
 
 
-def ratio_fracs(seeds, m: int, base) -> np.ndarray:
+def ratio_fracs(seeds, m: int, base, *, census=None) -> np.ndarray:
     """Float values of the ratio statistic over a census (for distribution
-    plots and KS comparisons; digit decisions use the exact path instead)."""
+    plots and KS comparisons; digit decisions use the exact path instead).
+    ``census`` is the ``census`` of a ``ratio_digit_experiment`` over the
+    same seeds and m, when the caller already has one."""
     c = _LN2 / math.log(_check_base(base))
-    _, s_tot, ulog2 = _ratio_census(seeds, m)
+    _, s_tot, ulog2 = _ratio_census(seeds, m) if census is None else census
     j = np.asarray(2 * m - s_tot, dtype=np.float64)
     return np.mod(j * c + ulog2 * c, 1.0)
 

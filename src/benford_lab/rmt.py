@@ -10,7 +10,9 @@ needed and values remain finite for every nonsingular sample up to N = 512.
 
 Monte Carlo runs are sharded into fixed-size chunks with generator streams
 spawned up front, so results are reproducible and independent of the worker
-count.
+count.  A chunk draws all its normals and angles first; the linear algebra
+then runs on slices of at most 4 MB of complex entries, which bounds the
+memory without changing the draws or any sample's value.
 """
 
 from __future__ import annotations
@@ -43,6 +45,7 @@ EULER_GAMMA = 0.5772156649015329
 
 _MAX_DIM = 512
 _LOG_FLOOR = -690.0  # |Z| below e^-690 (~1e-300) is treated as singular
+_SLICE_ENTRIES = 2 ** 18  # complex entries per slice of matrices: 4 MB
 
 
 class SingularMatrixError(RuntimeError):
@@ -59,13 +62,25 @@ def _check_dim(n: int) -> None:
         raise DomainError(f"dimension must lie in [1, {_MAX_DIM}]")
 
 
-def _haar_batch(n: int, count: int, rng: np.random.Generator) -> np.ndarray:
-    z = (rng.standard_normal((count, n, n))
-         + 1j * rng.standard_normal((count, n, n))) / math.sqrt(2.0)
-    q, r = np.linalg.qr(z)
+def _slices(count: int, n: int) -> list:
+    """Slices of at most max(1, 2^18 // n^2) matrices covering range(count)."""
+    step = max(1, _SLICE_ENTRIES // (n * n))
+    return [slice(lo, lo + step) for lo in range(0, count, step)]
+
+
+def _haar_from_normals(re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    """Haar unitaries from stacks of standard normal real and imaginary
+    parts: QR of the Ginibre matrices, rephased to a positive diagonal R."""
+    q, r = np.linalg.qr((re + 1j * im) / math.sqrt(2.0))
     diag = np.diagonal(r, axis1=-2, axis2=-1)
-    phases = diag / np.abs(diag)
-    return q * phases[:, None, :]
+    return q * (diag / np.abs(diag))[:, None, :]
+
+
+def _haar_batch(n: int, count: int, rng: np.random.Generator) -> np.ndarray:
+    re = rng.standard_normal((count, n, n))
+    im = rng.standard_normal((count, n, n))
+    return np.concatenate([_haar_from_normals(re[s], im[s])
+                           for s in _slices(count, n)])
 
 
 def haar_unitary(n: int, rng: np.random.Generator) -> UnitarySample:
@@ -142,16 +157,29 @@ class CueResult:
             yield [dim, f"{th:.12f}", f"{la:.12e}", f"{la / scale:.12e}"]
 
 
+def _charpolys_from_normals(re, im, thetas):
+    """_log_abs_charpolys of the unitaries built from the normals, one
+    slice at a time; each value depends on its own sample alone."""
+    log_abs = np.empty(len(thetas))
+    bad = np.empty(len(thetas), dtype=bool)
+    for s in _slices(len(thetas), re.shape[-1]):
+        log_abs[s], bad[s] = _log_abs_charpolys(
+            _haar_from_normals(re[s], im[s]), thetas[s])
+    return log_abs, bad
+
+
 def _cue_chunk(n, count, base, gen):
-    us = _haar_batch(n, count, gen)
+    re = gen.standard_normal((count, n, n))
+    im = gen.standard_normal((count, n, n))
     thetas = gen.uniform(0.0, 2.0 * math.pi, size=count)
+    log_abs, bad = _charpolys_from_normals(re, im, thetas)
     resampled = 0
-    while True:
-        log_abs, bad = _log_abs_charpolys(us, thetas)
-        if not bad.any():
-            break
-        resampled += int(bad.sum())
-        thetas[bad] = gen.uniform(0.0, 2.0 * math.pi, size=int(bad.sum()))
+    while bad.any():
+        idx = np.flatnonzero(bad)
+        resampled += idx.size
+        thetas[idx] = gen.uniform(0.0, 2.0 * math.pi, size=idx.size)
+        log_abs[idx], bad[idx] = _charpolys_from_normals(
+            re[idx], im[idx], thetas[idx])
     digits, _ = digits_from_log(np.mod(log_abs / math.log(base), 1.0), 0.0,
                                 base)
     counts = np.bincount(digits, minlength=base)[1:base]
@@ -178,7 +206,7 @@ def cue_experiment(n: int, n_samples: int, base: int,
     if n_samples % chunk_size:
         sizes.append(n_samples % chunk_size)
     streams = rng.spawn(len(sizes))
-    with ThreadPoolExecutor(max_workers=workers) as pool:
+    with ThreadPoolExecutor(max_workers=min(workers, len(sizes))) as pool:
         results = list(pool.map(
             lambda gen, count: _cue_chunk(n, count, base, gen),
             streams, sizes))

@@ -586,15 +586,23 @@ def _euler_maclaurin_many(sigmas: np.ndarray, ts: np.ndarray):
 
 # ------------------------------------------------------------- dispatcher --
 
+def _rs_regions(sigmas, ts):
+    """Masks of the points the on-line and the off-line Riemann-Siegel
+    routes serve, t >= 0: the one place where the route is chosen by region.
+    Euler-Maclaurin serves every other point."""
+    on_line = (sigmas == 0.5) & (ts >= _GABCKE_T)
+    off_line = ~on_line & (sigmas >= 0.0) & (sigmas <= 1.0) & (ts > _RS_OFF_T)
+    return on_line, off_line
+
+
 def _zeta_many(sigmas, ts) -> tuple[np.ndarray, np.ndarray]:
     """zeta with certified absolute error bounds at sigma + i t, t >= 0 and
-    s != 1: the one place where the route is chosen by region."""
+    s != 1."""
     sigmas = np.asarray(sigmas, dtype=np.float64)
     ts = np.asarray(ts, dtype=np.float64)
     vals = np.empty(ts.shape, dtype=np.complex128)
     errs = np.empty(ts.shape, dtype=np.float64)
-    on_line = (sigmas == 0.5) & (ts >= _GABCKE_T)
-    off_line = ~on_line & (sigmas >= 0.0) & (sigmas <= 1.0) & (ts > _RS_OFF_T)
+    on_line, off_line = _rs_regions(sigmas, ts)
     for mask, route in ((on_line, lambda _, t: _riemann_siegel_many(t)),
                         (off_line, _riemann_siegel_offline_many),
                         (~(on_line | off_line), _euler_maclaurin_many)):
@@ -619,14 +627,17 @@ def zeta_eval(s) -> tuple[complex, float]:
 
 
 def zeta(s) -> complex:
-    """zeta(s) certified to 1e-8 relative error (AccuracyError otherwise)."""
+    """zeta(s) certified to 1e-8 relative error (AccuracyError otherwise).
+    A Riemann-Siegel value that misses it is retried by Euler-Maclaurin."""
     val, err = zeta_eval(s)
     if err > 1e-8 * abs(val):
         s_c = complex(s)
-        vals, errs = _euler_maclaurin_many([s_c.real], [abs(s_c.imag)])
-        val, err = complex(vals[0]), float(errs[0])
-        if s_c.imag < 0:
-            val = val.conjugate()
+        sigma, t = np.array([s_c.real]), np.array([abs(s_c.imag)])
+        if any(mask[0] for mask in _rs_regions(sigma, t)):
+            vals, errs = _euler_maclaurin_many(sigma, t)
+            val, err = complex(vals[0]), float(errs[0])
+            if s_c.imag < 0:
+                val = val.conjugate()
         if err > 1e-8 * abs(val):
             raise AccuracyError(
                 f"relative error {err / max(abs(val), 1e-300):.2e} at {s}")

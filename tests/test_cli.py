@@ -251,6 +251,19 @@ class TestCueCommand:
         # identical apart from the metadata echo of the worker count
         assert out1.split("\n")[1:] == out2.split("\n")[1:]
 
+    def test_worker_count_above_cap_refused_before_any_work(self, monkeypatch,
+                                                            capsys):
+        # each worker is an OS thread: the count is refused before a pool
+        # exists, so the experiment is never entered
+        def no_work(*args, **kwargs):
+            raise AssertionError("cue_experiment ran")
+        monkeypatch.setattr(cli.rmt, "cue_experiment", no_work)
+        code, out, err = run_cli(
+            ["cue", "--dim", "4", "--samples", "10",
+             "--workers", str(cli.MAX_WORKERS + 1)], capsys)
+        assert code == 2 and out == "" and err.startswith("error: ")
+        assert str(cli.MAX_WORKERS) in err
+
     @pytest.mark.parametrize("base", ["1", "0"])
     def test_bad_base_is_config_error(self, base, capsys):
         code, out, err = run_cli(

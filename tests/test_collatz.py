@@ -112,10 +112,6 @@ class TestPath:
         with pytest.raises(DomainError):
             cz.ratio_statistic(x, 3, 10)
 
-    def test_json_round_trip(self):
-        rec = cz.path(cz.THREE_X_PLUS_1, 7, 2)
-        assert '"seed": "7"' in rec.to_json()
-
 
 class TestStructure:
     def test_predict_modulus(self):

@@ -1,5 +1,6 @@
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,6 +19,29 @@ def exact_cumulants(n):
     k3 = 0.75 * polygamma(2, j).sum()
     k4 = (7.0 / 8.0) * polygamma(3, j).sum()
     return float(k2), float(k3), float(k4)
+
+
+def whole_chunk(n, count, gen, charpolys=rmt._log_abs_charpolys):
+    """A CUE chunk with no slices: one QR over every matrix, and every round
+    of resampling recomputes the whole chunk."""
+    z = (gen.standard_normal((count, n, n))
+         + 1j * gen.standard_normal((count, n, n))) / math.sqrt(2.0)
+    q, r = np.linalg.qr(z)
+    diag = np.diagonal(r, axis1=-2, axis2=-1)
+    us = q * (diag / np.abs(diag))[:, None, :]
+    thetas = gen.uniform(0.0, 2.0 * math.pi, size=count)
+    resampled = 0
+    while True:
+        log_abs, bad = charpolys(us, thetas)
+        if not bad.any():
+            return us, thetas, log_abs, resampled
+        resampled += int(bad.sum())
+        thetas[bad] = gen.uniform(0.0, 2.0 * math.pi, size=int(bad.sum()))
+
+
+def stream(seed):
+    """The first spawned chunk stream, as cue_experiment spawns it."""
+    return make_rng(seed).spawn(1)[0]
 
 
 class TestHaarSampling:
@@ -88,6 +112,50 @@ class TestLogAbsCharpoly:
         u = np.array([[1.0 + 0.0j]])  # eigenangle 0 hit exactly by theta = 0
         with pytest.raises(rmt.SingularMatrixError):
             rmt.log_abs_charpoly(u, 0.0)
+
+
+class TestSlices:
+    # slices hold at most 2^18 // n^2 matrices: 65,536 at N = 2, 64 at
+    # N = 64 and 26 at N = 100, so 130 and 60 end in a partial slice
+    @pytest.mark.parametrize("n, count", [(2, 300), (5, 70), (64, 130),
+                                          (100, 60)])
+    def test_bit_identical_to_the_whole_chunk(self, n, count):
+        us, thetas, log_abs, resampled = whole_chunk(n, count, stream(21))
+        got = rmt._cue_chunk(n, count, 10, stream(21))
+        assert np.array_equal(got[0], thetas)
+        assert np.array_equal(got[1], log_abs)
+        assert got[3] == resampled
+        assert np.array_equal(rmt._haar_batch(n, count, stream(21)), us)
+
+    def test_resampling_recomputes_only_the_flagged(self, monkeypatch):
+        n, count = 64, 130
+        _, first, _, _ = whole_chunk(n, count, stream(22))
+        targets = first[[3, 64, 65, 129]]   # in each of the three slices
+        real = rmt._log_abs_charpolys
+
+        def flag_once(us, thetas):
+            # a flagged sample draws a new theta, so it is flagged once
+            log_abs, bad = real(us, thetas)
+            return log_abs, bad | np.isin(thetas, targets)
+        _, thetas, log_abs, resampled = whole_chunk(n, count, stream(22),
+                                                    flag_once)
+        monkeypatch.setattr(rmt, "_log_abs_charpolys", flag_once)
+        got = rmt._cue_chunk(n, count, 10, stream(22))
+        assert resampled == got[3] == 4
+        assert not np.isin(thetas, targets).any()
+        assert np.array_equal(got[0], thetas)
+        assert np.array_equal(got[1], log_abs)
+
+    def test_chunk_memory_is_its_normals_plus_slices(self):
+        n, count = 64, 512
+        normals = 2 * count * n * n * 8   # re and im: 32 MiB
+        tracemalloc.start()
+        try:
+            rmt._cue_chunk(n, count, 10, stream(23))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= normals + 32 * 2 ** 20
 
 
 class TestQ2Variance:

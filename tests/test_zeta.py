@@ -378,6 +378,20 @@ class TestDomain:
         with pytest.raises(zt.AccuracyError):
             zt.zeta(complex(0.5, 14.1347251417346937))
 
+    def test_euler_maclaurin_point_is_not_rerun(self, monkeypatch):
+        # t < 200 on the line is Euler-Maclaurin's region already: the
+        # failed certification is final after one evaluation
+        calls = []
+        em = zt._euler_maclaurin_many
+
+        def counted(*args):
+            calls.append(args)
+            return em(*args)
+        monkeypatch.setattr(zt, "_euler_maclaurin_many", counted)
+        with pytest.raises(zt.AccuracyError):
+            zt.zeta(0.5 + 14.1347251417346937j)
+        assert len(calls) == 1
+
 
 class TestParameters:
     def test_sigma_path(self):
