@@ -429,7 +429,10 @@ class RatioDigitResult:
     n_seeds: int
     histogram: DigitHistogram
     predicted: np.ndarray
-    census: tuple   # (x_m, S, log2 u) the histogram was counted from
+    # (x_m, S) the histogram was counted from; no log2 u, since the gate's
+    # estimate would not do for ``ratio_fracs`` (see there)
+    census: tuple
+    n_exact: int    # seeds whose digit came from the full integer ratio
 
     def observed_freq(self) -> np.ndarray:
         return self.histogram.frequencies()
@@ -462,23 +465,27 @@ def ratio_digit_experiment(seeds, m: int, base: int) -> RatioDigitResult:
     The digit comes from exact integer data: with S the total multiplicity,
     the ratio is 2^j * u with j = 2m - S and u = prod(1 + 1/(3 x_i)) >= 1.
     While log2(u) stays below half the exact upward gap g_j of 2^j to the
-    next digit boundary, the digit is the exact digit of 2^j; any other seed
-    (typically a tiny iterate) is recomputed from the full integer ratio.
-    The result keeps the census, which ``ratio_fracs`` can reuse.
+    next digit boundary, the digit is the exact digit of 2^j.  The gate
+    reads an estimate of log2 u less its error bound (see ``_ulog2_gate``);
+    any other seed (typically a tiny iterate) is recomputed from the full
+    integer ratio and counted in ``n_exact``.  The result keeps the census,
+    which ``ratio_fracs`` can reuse.
     """
     base = _check_digit_base(base)
-    census = _ratio_census(seeds, m)
-    xm, s_tot, ulog2 = census
+    xm, s_tot, _ = _census_paths(seeds, m, THREE_X_PLUS_1)
+    est, slack = _ulog2_gate(seeds, xm, s_tot, m)
     j = 2 * m - s_tot
     j_lo = int(j.min())
     lattice, gaps = _pow2_lattice(j_lo, int(j.max()), base)
     digits = lattice[j - j_lo]
-    for i in np.nonzero(ulog2 > 0.5 * gaps[j - j_lo])[0]:
+    exact = np.flatnonzero(est >= 0.5 * gaps[j - j_lo] - slack).tolist()
+    for i in exact:
         digits[i] = _ratio_digit(int(xm[i]) << (2 * m),
                                  3 ** m * int(seeds[i]), base)
     hist = DigitHistogram.from_digits(digits, base)
     return RatioDigitResult(base, m, len(xm), hist,
-                            limit_law_digit_probabilities(base), census)
+                            limit_law_digit_probabilities(base),
+                            (xm, s_tot), len(exact))
 
 
 def model_digit_experiment(m: int, base: int, n: int,
@@ -503,23 +510,57 @@ def _log2s(xs) -> np.ndarray:
     return w + np.fromiter(map(math.log, vals), np.float64, len(vals)) / _LN2
 
 
-def _ratio_census(seeds, m: int):
-    """x_m, total multiplicity S and log2 u over a 3x+1 census, where
-    u = x_m 2^S / (3^m x_0) >= 1 is the factor by which the ratio exceeds
-    its lattice point 2^(2m - S)."""
-    xm, s_tot, _ = _census_paths(seeds, m, THREE_X_PLUS_1)
+def _ulog2(seeds, xm, s_tot, m: int) -> np.ndarray:
+    """log2 u over a 3x+1 census, where u = x_m 2^S / (3^m x_0) >= 1 is the
+    factor by which the ratio exceeds its lattice point 2^(2m - S)."""
     # the difference of the two logs is taken first, so huge seeds cancel
-    ulog2 = (_log2s(xm) - _log2s(seeds)) + s_tot - m * math.log2(3.0)
-    return xm, s_tot, ulog2
+    return (_log2s(xm) - _log2s(seeds)) + s_tot - m * math.log2(3.0)
+
+
+def _ulog2_gate(seeds, xm, s_tot, m: int) -> tuple[np.ndarray, float]:
+    """An estimate of log2 u for each seed of a 3x+1 census, and a bound on
+    its error.
+
+    On an int64 census the estimate is numpy's log2 of the floats of x_m
+    and x_0, plus S - m log2 3; an object census (seeds or iterates beyond
+    int64) takes ``_ulog2``.  The gate only asks whether log2 u is below
+    half a digit gap, so it need not have ``_ulog2``'s bits.  The bound
+    1e-12 covers, with a wide margin, what the estimate rounds where the
+    gate can pass (log2 u < 1/2, so S - m log2 3 is within 64 of
+    log2 x_0 - log2 x_m):
+    - the float of an integer below 2^63, under 2e-16 in its log2;
+    - numpy's log2, a few ulps of a value below 64 (ulp 2^-47 = 7e-15);
+    - the sums with S, a few ulps of values below 64.
+    The product m log2 3 and the logs of b-bit integers in ``_ulog2`` add
+    at most (m + b) 2^-50.
+    """
+    if xm.dtype == object:
+        bits = max(int(xm.max()), max(map(int, seeds))).bit_length()
+        return _ulog2(seeds, xm, s_tot, m), 1e-12 + (m + bits) * 2.0 ** -50
+    x0 = np.asarray(seeds, dtype=np.float64)
+    est = (np.log2(xm.astype(np.float64)) - np.log2(x0)) + s_tot \
+        - m * math.log2(3.0)
+    return est, 1e-12 + m * 2.0 ** -50
 
 
 def ratio_fracs(seeds, m: int, base, *, census=None) -> np.ndarray:
     """Float values of the ratio statistic over a census (for distribution
     plots and KS comparisons; digit decisions use the exact path instead).
     ``census`` is the ``census`` of a ``ratio_digit_experiment`` over the
-    same seeds and m, when the caller already has one."""
+    same seeds and m, when the caller already has one.
+
+    log2 u comes from ``_ulog2``, with ``math.log``'s bits, not from the
+    digit gate's numpy estimate.  The bits matter: at the headline census
+    log2 u is often below its own rounding (about 1e-14), so the statistic
+    sits within rounding of the model's lattice points and the KS distance
+    to the model turns on the last bits (0.09564 with ``math.log``, 0.0956
+    with ``np.log2``).
+    """
     c = _LN2 / math.log(_check_base(base))
-    _, s_tot, ulog2 = _ratio_census(seeds, m) if census is None else census
+    if census is None:
+        census = _census_paths(seeds, m, THREE_X_PLUS_1)[:2]
+    xm, s_tot = census
+    ulog2 = _ulog2(seeds, xm, s_tot, m)
     j = np.asarray(2 * m - s_tot, dtype=np.float64)
     return np.mod(j * c + ulog2 * c, 1.0)
 

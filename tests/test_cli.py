@@ -183,6 +183,75 @@ class TestCollatzCommands:
         assert code == 2 and out == "" and err.startswith("error: ")
 
 
+# stdout of each ratio command on the headline census (10^5 seeds = 1 mod 6
+# from 419,753,999,998,525, m = 10, --format json), as the per-seed _log2s
+# gate printed it: the gate on the vectorised estimate of log2 u must give
+# the same bytes, ks_vs_model 0.09564 included
+HEADLINE_RATIO_STDOUT = {
+    "experiment --preset ratio-base4": (
+        '{"meta": {"command": "collatz", "params": {"base": 4, "count":'
+        ' 100000, "digits": 100000, "iterations": 10, "preset": '
+        '"ratio-base4", "start": 419753999998525, "subcommand": '
+        '"experiment"}, "seed": 0, "version": "0.1.0", "workers": 1}, '
+        '"observed": [0.50286, 0.49714, 0.0], "predicted": [0.5, 0.5, '
+        '0.0]}'),
+    "experiment --preset ratio-base8": (
+        '{"meta": {"command": "collatz", "params": {"base": 8, "count":'
+        ' 100000, "digits": 100000, "iterations": 10, "preset": '
+        '"ratio-base8", "start": 419753999998525, "subcommand": '
+        '"experiment"}, "seed": 0, "version": "0.1.0", "workers": 1}, '
+        '"observed": [0.3308, 0.33603, 0.0, 0.33317, 0.0, 0.0, 0.0], '
+        '"predicted": [0.3333333333333333, 0.3333333333333333, 0.0, '
+        '0.3333333333333333, 0.0, 0.0, 0.0]}'),
+    "experiment --preset ratio-base10": (
+        '{"meta": {"command": "collatz", "params": {"base": 10, '
+        '"count": 100000, "digits": 100000, "iterations": 10, "preset":'
+        ' "ratio-base10", "start": 419753999998525, "subcommand": '
+        '"experiment"}, "seed": 0, "version": "0.1.0", "workers": 1}, '
+        '"observed": [0.29847, 0.1785, 0.12086, 0.10003, 0.08465, '
+        '0.09759, 0.02378, 0.08727, 0.00885], "predicted": '
+        '[0.30102999566398114, 0.17609125905568124, '
+        '0.12493873660829993, 0.0969100130080564, 0.07918124604762483, '
+        '0.0669467896306132, 0.057991946977686754, '
+        '0.051152522447381284, 0.045757490560675115]}'),
+    "experiment --preset ratio-base16": (
+        '{"meta": {"command": "collatz", "params": {"base": 16, '
+        '"count": 100000, "digits": 100000, "iterations": 10, "preset":'
+        ' "ratio-base16", "start": 419753999998525, "subcommand": '
+        '"experiment"}, "seed": 0, "version": "0.1.0", "workers": 1}, '
+        '"observed": [0.24983, 0.24957, 0.0, 0.25303, 0.0, 0.0, 0.0, '
+        '0.24757, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0], "predicted": '
+        '[0.25, 0.25, 0.0, 0.25, 0.0, 0.0, 0.0, 0.25, 0.0, 0.0, 0.0, '
+        '0.0, 0.0, 0.0, 0.0]}'),
+    "experiment --base 7": (
+        '{"meta": {"command": "collatz", "params": {"base": 7, "count":'
+        ' 100000, "digits": 100000, "iterations": 10, "start": '
+        '419753999998525, "subcommand": "experiment"}, "seed": 0, '
+        '"version": "0.1.0", "workers": 1}, "observed": [0.36454, '
+        '0.23241, 0.13187, 0.16841, 0.04354, 0.05923], "predicted": '
+        '[0.3562071871080222, 0.20836784694555743, 0.14783934016246472,'
+        ' 0.11467310113087181, 0.09369474581468565, '
+        '0.07921777883839821]}'),
+    "ratio --base 10 --seed 0": (
+        '{"ks_vs_model": 0.09564, "meta": {"command": "collatz", '
+        '"params": {"base": 10, "count": 100000, "iterations": 10, '
+        '"start": 419753999998525, "subcommand": "ratio"}, "seed": 0, '
+        '"version": "0.1.0", "workers": 1}, "observed": [0.29847, '
+        '0.1785, 0.12086, 0.10003, 0.08465, 0.09759, 0.02378, 0.08727, '
+        '0.00885]}'),
+}
+
+
+@pytest.mark.parametrize("command", sorted(HEADLINE_RATIO_STDOUT))
+def test_headline_ratio_stdout_is_pinned(command, capsys):
+    code, out, _ = run_cli(
+        ["collatz"] + command.split() + [
+            "--start", "419753999998525", "--count", "100000", "-m", "10",
+            "--format", "json"], capsys)
+    assert code == 0
+    assert out == HEADLINE_RATIO_STDOUT[command] + "\n"
+
+
 class TestZetaCommand:
     def test_small_scan_csv_deterministic(self, capsys):
         args = ["zeta", "--t-start", "0", "--t-end", "30", "--step", "0.5",

@@ -385,12 +385,26 @@ class TestRatioDigitExperiment:
         assert np.array_equal(result.histogram.counts, expected)
 
     def test_small_seed_flagged_path(self):
-        # trajectories that fall to 1 make the correction u large
+        # trajectories that fall to 1 make the correction u large, so every
+        # seed takes the exact path
         result = cz.ratio_digit_experiment([1, 5, 7, 11], 8, 10)
         expected = np.zeros(9, dtype=np.int64)
         for s in (1, 5, 7, 11):
             expected[oracle_ratio_digit(s, 8, 10) - 1] += 1
         assert np.array_equal(result.histogram.counts, expected)
+        for base in range(2, 17):
+            result = cz.ratio_digit_experiment([1, 5, 7, 11], 8, base)
+            assert result.n_exact == 4
+            assert np.array_equal(
+                result.histogram.counts,
+                fraction_ratio_histogram([1, 5, 7, 11], 8, base))
+
+    def test_headline_window_matches_fraction_oracle(self):
+        seeds = cz.census_1mod6(CENSUS_START, 2000)
+        for base in range(2, 17):
+            result = cz.ratio_digit_experiment(seeds, 10, base)
+            assert np.array_equal(result.histogram.counts,
+                                  fraction_ratio_histogram(seeds, 10, base))
 
     def test_big_seed_python_path(self):
         big = 10 ** 40 + 3  # 1 mod 6
@@ -434,6 +448,56 @@ class TestRatioDigitExperiment:
         counts = np.bincount(digits, minlength=10)[1:]
         # float fracs sit ~1e-13 above exact digit boundaries, so they agree
         assert np.array_equal(counts, res.histogram.counts)
+
+
+def exact_ulog2(seeds, xm, s_tot, m):
+    """log2(x_m 2^S / (3^m x_0)) per seed, at 50 digits."""
+    with mpmath.workdps(50):
+        return np.array([float(mpmath.log(mpmath.mpf(x << s) / (3 ** m * x0),
+                                          2))
+                         for x0, x, s in zip(map(int, seeds), map(int, xm),
+                                             map(int, s_tot))])
+
+
+def int64_pairs(seeds, m):
+    """(x_0, x_m, S) over a census, cut to the seeds whose x_m fits int64
+    and cast to int64, whatever the census engine held them in."""
+    xm, s_tot, _ = cz._census_paths(seeds, m, cz.THREE_X_PLUS_1)
+    keep = np.array([int(x) < 2 ** 63 for x in xm])
+    return (np.asarray(seeds, dtype=np.int64)[keep],
+            xm[keep].astype(np.int64), s_tot[keep])
+
+
+class TestRatioGate:
+    """The digit gate's estimate of log2 u holds its stated error bound."""
+
+    @pytest.mark.parametrize("census", [
+        "headline", "random_61_62_bits", "below_2_49", "below_2_61"])
+    def test_int64_estimate_within_1e12_of_mpmath(self, census):
+        m, n = 10, 5000
+        if census == "headline":
+            seeds = cz.census_1mod6(CENSUS_START, 100_000)
+        elif census == "random_61_62_bits":
+            k = make_rng(17).integers(2 ** 60 // 6, 2 ** 62 // 6, n,
+                                      dtype=np.int64)
+            seeds = 6 * k + 1
+        else:
+            top = 2 ** int(census[-2:]) - 1   # 1 mod 6 for an odd power
+            seeds = cz.census_1mod6(top - 6 * (n - 1), n)
+        x0, xm, s_tot = int64_pairs(seeds, m)
+        assert len(x0) > 0.9 * len(seeds)
+        est, slack = cz._ulog2_gate(x0, xm, s_tot, m)
+        assert 1e-12 <= slack < 2e-12
+        err = np.abs(est - exact_ulog2(x0, xm, s_tot, m))
+        assert err.max() <= 1e-12
+
+    @pytest.mark.parametrize("start", [2 ** 62 + 3, 10 ** 399 + 3])
+    def test_object_estimate_within_its_bound(self, start):
+        seeds = cz.census_1mod6(start, 200)
+        xm, s_tot, _ = cz._census_paths(seeds, 10, cz.THREE_X_PLUS_1)
+        assert xm.dtype == object
+        est, slack = cz._ulog2_gate(seeds, xm, s_tot, 10)
+        assert np.abs(est - exact_ulog2(seeds, xm, s_tot, 10)).max() <= slack
 
 
 def test_ks_distance():
