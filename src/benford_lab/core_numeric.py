@@ -20,6 +20,7 @@ recomputed with exact integer comparisons against powers of B.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -50,6 +51,7 @@ Real = Union[int, Fraction, float]
 
 _LN2 = math.log(2.0)
 _TOP_BITS = 50
+_CSV_BLOCK = 1024  # CSV rows formatted by one printf-style %
 
 
 class DomainError(ValueError):
@@ -385,3 +387,16 @@ def random_bignat(num_digits: int, base: int, rng: np.random.Generator) -> BigNa
         return first
     rest = rng.integers(0, b, size=num_digits - 1)
     return digits_to_int(np.concatenate([[first], rest]), b)
+
+
+def _csv_blocks(row_format: str, columns):
+    """CSV rows of the equal-length numpy ``columns``, formatted
+    ``_CSV_BLOCK`` rows at a time by one printf-style ``%`` (which formats
+    a float as an f-string with the same spec does).  Yields one-field
+    rows, each holding the newline-joined lines of one block, so a writer
+    of comma-joined rows emits them unchanged."""
+    cols = [c.tolist() for c in columns]
+    for lo in range(0, len(cols[0]), _CSV_BLOCK):
+        block = list(zip(*(c[lo:lo + _CSV_BLOCK] for c in cols)))
+        yield ["\n".join([row_format] * len(block))
+               % tuple(itertools.chain.from_iterable(block))]

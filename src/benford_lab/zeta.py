@@ -47,7 +47,7 @@ import mpmath
 import numpy as np
 
 from .benford_stats import DigitHistogram
-from .core_numeric import DomainError, _check_digit_base, \
+from .core_numeric import DomainError, _check_digit_base, _csv_blocks, \
     digits_from_log
 
 __all__ = [
@@ -695,12 +695,11 @@ class ScanResult:
                    "cert_err")
 
     def csv_rows(self):
-        cols = (self.t, self.sigma, self.value.real, self.value.imag,
-                self.abs, np.log(self.abs), self.digits, self.cert_err)
-        for t, sigma, re, im, a, log_a, d, err in zip(
-                *(c.tolist() for c in cols)):
-            yield [f"{t:.6f}", f"{sigma:.10f}", f"{re:.12e}", f"{im:.12e}",
-                   f"{a:.12e}", f"{log_a:.12e}", str(d), f"{err:.3e}"]
+        """The CSV_COLUMNS rows in blocks, as ``_csv_blocks`` yields them."""
+        return _csv_blocks(
+            "%.6f,%.10f,%.12e,%.12e,%.12e,%.12e,%d,%.3e",
+            (self.t, self.sigma, self.value.real, self.value.imag, self.abs,
+             np.log(self.abs), self.digits, self.cert_err))
 
 
 def scan_line(t_start: float, t_end: float, step: float, mode: SigmaMode,

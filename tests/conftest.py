@@ -25,3 +25,12 @@ def default_int_str_limit():
 
 def make_rng(seed: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(seed))
+
+
+def csv_fields(rows):
+    """Split into per-line fields the text that ``cli.emit`` writes for
+    ``rows``: each row comma-joined, then a newline."""
+    text = "".join(",".join(map(str, row)) + "\n" for row in rows)
+    *lines, last = text.split("\n")
+    assert last == ""
+    return [line.split(",") for line in lines]

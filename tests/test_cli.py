@@ -320,6 +320,22 @@ class TestCueCommand:
         # identical apart from the metadata echo of the worker count
         assert out1.split("\n")[1:] == out2.split("\n")[1:]
 
+    def test_seed0_dim64_histogram_is_pinned(self, capsys):
+        # the benchmark's seed-0 reference for its cue command; the payload
+        # on one worker differs only in the echoed worker count
+        args = ["cue", "--dim", "64", "--samples", "4000", "--seed", "0",
+                "--format", "json", "--workers"]
+        docs = []
+        for workers in ("2", "1"):
+            code, out, _ = run_cli(args + [workers], capsys)
+            assert code == 0
+            docs.append(json.loads(out))
+        assert docs[0]["histogram"] == [1199, 694, 496, 381, 324, 276, 243,
+                                        219, 168]
+        assert docs[0]["meta"].pop("workers") == 2
+        assert docs[1]["meta"].pop("workers") == 1
+        assert docs[0] == docs[1]
+
     def test_worker_count_above_cap_refused_before_any_work(self, monkeypatch,
                                                             capsys):
         # each worker is an OS thread: the count is refused before a pool

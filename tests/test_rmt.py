@@ -2,6 +2,7 @@ import cmath
 import math
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.special import polygamma
@@ -9,7 +10,7 @@ from scipy.special import polygamma
 from benford_lab import rmt
 from benford_lab.core_numeric import DomainError
 
-from conftest import make_rng
+from conftest import csv_fields, make_rng
 
 
 def exact_cumulants(n):
@@ -21,22 +22,51 @@ def exact_cumulants(n):
     return float(k2), float(k3), float(k4)
 
 
-def whole_chunk(n, count, gen, charpolys=rmt._log_abs_charpolys):
-    """A CUE chunk with no slices: one QR over every matrix, and every round
-    of resampling recomputes the whole chunk."""
-    z = (gen.standard_normal((count, n, n))
-         + 1j * gen.standard_normal((count, n, n))) / math.sqrt(2.0)
-    q, r = np.linalg.qr(z)
-    diag = np.diagonal(r, axis1=-2, axis2=-1)
-    us = q * (diag / np.abs(diag))[:, None, :]
+def whole_chunk(n, count, gen, rule=rmt._log_abs_from_normals):
+    """A CUE chunk with no slices: the per-sample rule runs once over every
+    sample, and every round of resampling reruns it over the whole chunk."""
+    re = gen.standard_normal((count, n, n))
+    im = gen.standard_normal((count, n, n))
     thetas = gen.uniform(0.0, 2.0 * math.pi, size=count)
     resampled = 0
     while True:
-        log_abs, bad = charpolys(us, thetas)
+        log_abs, bad = rule(re, im, thetas)
         if not bad.any():
-            return us, thetas, log_abs, resampled
+            return (re, im), thetas, log_abs, resampled
         resampled += int(bad.sum())
         thetas[bad] = gen.uniform(0.0, 2.0 * math.pi, size=int(bad.sum()))
+
+
+def mp_log_abs_charpolys(re, im, thetas):
+    """log|det(I - U e^(-i theta))| at 40 digits for each theta.  U is the
+    Q factor of re + i im by modified Gram-Schmidt, whose R has a real
+    positive diagonal, as the rephasing of the Haar recipe makes it; each
+    determinant is Gaussian elimination with partial pivoting."""
+    n = len(re)
+    out = []
+    with mpmath.workdps(40):
+        us = []   # the columns of U
+        for j in range(n):
+            v = [mpmath.mpc(x, y) for x, y in zip(re[:, j], im[:, j])]
+            for u in us:
+                c = mpmath.fdot(v, u, conjugate=True)
+                v = [x - c * y for x, y in zip(v, u)]
+            norm = mpmath.sqrt(mpmath.fdot(v, v, conjugate=True).real)
+            us.append([x / norm for x in v])
+        for theta in thetas:
+            rot = mpmath.expj(-theta)
+            z = [[(i == j) - us[j][i] * rot for j in range(n)]
+                 for i in range(n)]
+            log_abs = mpmath.mpf(0)
+            for k in range(n):
+                p = max(range(k, n), key=lambda i: abs(z[i][k]))
+                z[k], z[p] = z[p], z[k]
+                log_abs += mpmath.log(abs(z[k][k]))
+                for i in range(k + 1, n):
+                    f = z[i][k] / z[k][k]
+                    z[i] = [x - f * y for x, y in zip(z[i], z[k])]
+            out.append(float(log_abs))
+    return out
 
 
 def stream(seed):
@@ -100,7 +130,7 @@ class TestLogAbsCharpoly:
         assert abs(rmt.log_abs_charpoly(u, theta) - math.log(abs(det))) < 1e-10
 
     def test_scalar_is_the_batch_rule(self):
-        # the CUE experiment and the scalar API share one charpoly rule
+        # the scalar API is the batch rule applied to one matrix
         us = rmt._haar_batch(6, 40, make_rng(4))
         thetas = make_rng(5).uniform(0.0, 2.0 * math.pi, size=40)
         log_abs, singular = rmt._log_abs_charpolys(us, thetas)
@@ -115,31 +145,34 @@ class TestLogAbsCharpoly:
 
 
 class TestSlices:
-    # slices hold at most 2^18 // n^2 matrices: 65,536 at N = 2, 64 at
-    # N = 64 and 26 at N = 100, so 130 and 60 end in a partial slice
+    # slices hold at most 2^16 // n^2 matrices: 16,384 at N = 2, 16 at
+    # N = 64 and 6 at N = 100, so 130 and 62 end in a partial slice and 60
+    # in a full one
     @pytest.mark.parametrize("n, count", [(2, 300), (5, 70), (64, 130),
-                                          (100, 60)])
+                                          (100, 60), (100, 62)])
     def test_bit_identical_to_the_whole_chunk(self, n, count):
-        us, thetas, log_abs, resampled = whole_chunk(n, count, stream(21))
+        normals, thetas, log_abs, resampled = whole_chunk(n, count,
+                                                          stream(21))
         got = rmt._cue_chunk(n, count, 10, stream(21))
         assert np.array_equal(got[0], thetas)
         assert np.array_equal(got[1], log_abs)
         assert got[3] == resampled
-        assert np.array_equal(rmt._haar_batch(n, count, stream(21)), us)
+        assert np.array_equal(rmt._haar_batch(n, count, stream(21)),
+                              rmt._haar_from_normals(*normals))
 
     def test_resampling_recomputes_only_the_flagged(self, monkeypatch):
         n, count = 64, 130
         _, first, _, _ = whole_chunk(n, count, stream(22))
-        targets = first[[3, 64, 65, 129]]   # in each of the three slices
-        real = rmt._log_abs_charpolys
+        targets = first[[3, 17, 64, 129]]   # in four slices, the last partial
+        real = rmt._log_abs_from_normals
 
-        def flag_once(us, thetas):
+        def flag_once(re, im, thetas):
             # a flagged sample draws a new theta, so it is flagged once
-            log_abs, bad = real(us, thetas)
+            log_abs, bad = real(re, im, thetas)
             return log_abs, bad | np.isin(thetas, targets)
         _, thetas, log_abs, resampled = whole_chunk(n, count, stream(22),
                                                     flag_once)
-        monkeypatch.setattr(rmt, "_log_abs_charpolys", flag_once)
+        monkeypatch.setattr(rmt, "_log_abs_from_normals", flag_once)
         got = rmt._cue_chunk(n, count, 10, stream(22))
         assert resampled == got[3] == 4
         assert not np.isin(thetas, targets).any()
@@ -156,6 +189,33 @@ class TestSlices:
         finally:
             tracemalloc.stop()
         assert peak <= normals + 32 * 2 ** 20
+
+
+class TestRFactorRule:
+    # the chunk's log|Z| comes from R and A = re + i im alone; U = QD is
+    # never formed, so both oracles build U from the same normals
+    @pytest.mark.parametrize("n", [2, 5, 64])
+    def test_agrees_with_the_q_path(self, n):
+        got = rmt._cue_chunk(n, 40, 10, stream(24))
+        us = rmt._haar_batch(n, 40, stream(24))
+        ref = [rmt.log_abs_charpoly(u, th) for u, th in zip(us, got[0])]
+        assert np.abs(got[1] - ref).max() < 1e-9
+
+    @pytest.mark.parametrize("n", [2, 5, 16, 64])
+    def test_mpmath_determinant_oracle(self, n):
+        gen = stream(25)
+        re = gen.standard_normal((1, n, n))
+        im = gen.standard_normal((1, n, n))
+        # a uniform theta, and one 1e-6 past an eigenangle, where one
+        # factor of |Z| is about 1e-6 and rounding is amplified the most
+        angles = np.angle(np.linalg.eigvals(rmt._haar_from_normals(re, im)[0]))
+        thetas = np.array([gen.uniform(0.0, 2.0 * math.pi),
+                           angles[0] + 1e-6])
+        log_abs, bad = rmt._charpolys_from_normals(
+            np.repeat(re, 2, axis=0), np.repeat(im, 2, axis=0), thetas)
+        assert not bad.any()
+        ref = mp_log_abs_charpolys(re[0], im[0], thetas.tolist())
+        assert np.abs(log_abs - ref).max() < 1e-9, (log_abs, ref)
 
 
 class TestQ2Variance:
@@ -206,7 +266,7 @@ class TestCueExperiment:
 
     def test_standardized_stream(self):
         res = rmt.cue_experiment(6, 50, 10, make_rng(17), chunk_size=32)
-        rows = list(res.csv_rows())
+        rows = csv_fields(res.csv_rows())
         assert len(rows) == 50
         scale = math.sqrt(rmt.q2_variance(6))
         for row, log_abs in zip(rows[:5], res.log_abs[:5]):

@@ -8,6 +8,8 @@ import pytest
 from benford_lab import zeta as zt
 from benford_lab.core_numeric import DomainError
 
+from conftest import csv_fields
+
 _TWO_PI = 2.0 * math.pi
 
 
@@ -490,8 +492,9 @@ class TestScan:
 
     def test_csv_row_shape(self):
         res = zt.scan_line(2.0, 4.0, 1.0, zt.SigmaMode.fixed(0.5))
-        row = next(res.csv_rows())
-        assert len(row) == len(zt.ScanResult.CSV_COLUMNS)
+        rows = csv_fields(res.csv_rows())
+        assert len(rows) == 3
+        assert all(len(row) == len(zt.ScanResult.CSV_COLUMNS) for row in rows)
 
 
 def per_point_row(t, sigma, value, a, digit, err):
@@ -503,7 +506,7 @@ def per_point_row(t, sigma, value, a, digit, err):
 
 class TestScanRows:
     def assert_rows_pinned(self, res):
-        rows = list(res.csv_rows())
+        rows = csv_fields(res.csv_rows())
         assert len(rows) == res.histogram.total == len(res.t)
         for i, row in enumerate(rows):
             assert row == per_point_row(
@@ -538,4 +541,11 @@ class TestScanRows:
                            zt.SigmaMode.fixed(0.5))
         assert res.skipped.tolist() == [gamma1]
         assert gamma1 not in res.t and len(res.t) == 8
+        self.assert_rows_pinned(res)
+
+    def test_rows_across_blocks(self):
+        # rows are formatted 1,024 at a time: 2,100 rows end in a partial
+        # block
+        res = zt.scan_line(300.0, 824.75, 0.25, zt.SigmaMode.fixed(0.5))
+        assert len(res.t) == 2100 > 2 * 1024
         self.assert_rows_pinned(res)
