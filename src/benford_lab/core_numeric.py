@@ -20,8 +20,8 @@ recomputed with exact integer comparisons against powers of B.
 
 from __future__ import annotations
 
-import itertools
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -51,7 +51,6 @@ Real = Union[int, Fraction, float]
 
 _LN2 = math.log(2.0)
 _TOP_BITS = 50
-_CSV_BLOCK = 1024  # CSV rows formatted by one printf-style %
 
 
 class DomainError(ValueError):
@@ -389,14 +388,190 @@ def random_bignat(num_digits: int, base: int, rng: np.random.Generator) -> BigNa
     return digits_to_int(np.concatenate([[first], rest]), b)
 
 
+# ------------------------------------------------------------- CSV rows --
+
+_CSV_BLOCK = 4096  # rows assembled in one byte matrix
+# %d, %.Nf and %.Ne; N <= 14 keeps a rounded e significand below 2**53
+_SPEC = re.compile(r"%(?:\.([1-9]|1[0-4])([fe])|(d))")
+_TIE_MARGIN = 1e-7  # a scaled value this close to a half-integer falls back
+_E_RANGE = (1e-290, 1e290)  # |x| read by the fast e path: no split overflows
+_POW10_K = (-290, 304)  # 10**k for k = precision - exponent on that range
+_DIGIT_PAIRS = np.frombuffer(
+    "".join(f"{i:02d}" for i in range(100)).encode(), dtype=np.uint16)
+_POWERS_OF_TEN = 10 ** np.arange(1, 19, dtype=np.int64)
+_EXP_OFFSET = 300
+# "e" suffixes as printf writes them, 0-padded on the left to 4 bytes
+_EXPONENTS = np.frombuffer("".join(
+    f"{e:+03d}".rjust(4, "\0") for e in range(-_EXP_OFFSET, _EXP_OFFSET + 1)
+).encode(), dtype=np.uint8).reshape(-1, 4)
+
+
+@lru_cache(maxsize=None)
+def _pow10_dd() -> np.ndarray:
+    """Rows ``(hh, hl, hi, lo)`` for k on ``_POW10_K``: ``hi + lo`` is
+    ``10**k`` as a double-double (``hi`` the nearest float, ``lo`` the
+    nearest float to the rest), and ``hi = hh + hl`` is split into halves
+    of 26 significant bits, as Veltkamp's split would, for Dekker's
+    product.  Built at first use from exact integer ratios, each rounded
+    once by Python's correctly rounded int division."""
+    rows = []
+    for k in range(_POW10_K[0], _POW10_K[1] + 1):
+        num, den = (10 ** k, 1) if k >= 0 else (1, 10 ** -k)
+        hi = num / den
+        h_num, h_den = hi.as_integer_ratio()
+        m, e = math.frexp(hi)
+        hh = math.ldexp(round(math.ldexp(m, 26)), e - 26)
+        rows.append((hh, hi - hh, hi,
+                     (num * h_den - h_num * den) / (den * h_den)))
+    return np.array(rows)
+
+
+def _scaled_round(a, k):
+    """``a * 10**k`` for floats ``a >= 0``, as its floor ``ip`` (a float),
+    whether it rounds half-even up from there, and whether that rounding is
+    certified: the computed fractional part lies more than ``_TIE_MARGIN``
+    from 1/2.
+
+    Dekker's two-product gives ``a * hi`` exactly as ``p + err``; with
+    ``a * lo`` the remaining error is below 2**-105 of the product.  Where
+    ``ip < 2**53`` the fractional part is therefore off by less than 1e-15
+    (a few roundings of terms below 3), far inside the margin.
+    """
+    hh, hl, hi, lo = _pow10_dd()[np.asarray(k) - _POW10_K[0]].T
+    p = a * hi
+    c = a * 134217729.0  # 2**27 + 1 splits a into 26-bit halves
+    ah = c - (c - a)
+    al = a - ah
+    err = al * hl - (((p - ah * hh) - al * hh) - ah * hl) + a * lo
+    fp = np.floor(p)
+    r = (p - fp) + err
+    fr = np.floor(r)
+    frac = r - fr
+    return fp + fr, frac > 0.5, np.abs(frac - 0.5) > _TIE_MARGIN
+
+
+def _digit_bytes(v, width: int) -> np.ndarray:
+    """ASCII digits of the int64s ``0 <= v < 10**width``, '0'-padded to
+    ``width`` columns, two at a time through a lookup of digit pairs."""
+    pairs = (width + 1) // 2
+    out = np.empty((v.size, pairs), dtype=np.uint16)
+    for j in range(pairs - 1, -1, -1):
+        q = v // 100
+        out[:, j] = _DIGIT_PAIRS[v - q * 100]
+        v = q
+    return out.view(np.uint8)[:, 2 * pairs - width:]
+
+
+def _n_digits(v):
+    return 1 + np.searchsorted(_POWERS_OF_TEN, v, side="right")
+
+
+def _signed_int_bytes(v, neg, width: int) -> np.ndarray:
+    """``[-]digits`` of the int64s ``0 <= v < 10**width`` right-aligned in
+    ``width + 1`` columns, with 0 bytes to the left."""
+    out = np.zeros((v.size, width + 1), dtype=np.uint8)
+    out[:, 1:] = _digit_bytes(v, width)
+    start = (width + 1 - _n_digits(v))[:, None]
+    col = np.arange(width + 1)
+    out[col < start] = 0
+    out[(col == start - 1) & neg[:, None]] = ord("-")
+    return out
+
+
+def _d_field(x, _):
+    if x.dtype.kind not in "iu":
+        return np.zeros((x.size, 0), dtype=np.uint8), np.zeros(x.size, bool)
+    ok = (x > -2 ** 53) & (x < 2 ** 53)
+    v = np.where(ok, np.abs(x), 0).astype(np.int64)
+    return _signed_int_bytes(v, x < 0, int(_n_digits(v.max()))), ok
+
+
+def _f_field(x, n: int):
+    a = np.abs(x, dtype=np.float64)
+    ok = a <= _E_RANGE[1]  # false at nan
+    ip, up, ok_round = _scaled_round(np.where(ok, a, 0.0), n)
+    ok &= ok_round & (ip < 2.0 ** 53)
+    whole, part = np.divmod(np.where(ok, ip + up, 0.0).astype(np.int64),
+                            10 ** n)
+    width = int(_n_digits(whole.max()))
+    out = np.empty((x.size, width + 2 + n), dtype=np.uint8)
+    out[:, :width + 1] = _signed_int_bytes(whole, np.signbit(x), width)
+    out[:, width + 1] = ord(".")
+    out[:, width + 2:] = _digit_bytes(part, n)
+    return out, ok
+
+
+def _e_field(x, n: int):
+    a = np.abs(x, dtype=np.float64)
+    ok = (a >= _E_RANGE[0]) & (a <= _E_RANGE[1])
+    a = np.where(ok, a, 1.0)
+    # an exponent off by one near a power of ten shows as an ip out of range
+    ex = np.floor(np.log10(a)).astype(np.int64)
+    ip, up, ok_round = _scaled_round(a, n - ex)
+    ok &= ok_round & (ip >= 10.0 ** n) & (ip < 10.0 ** (n + 1))
+    sig = np.where(ok, ip + up, 10.0 ** n).astype(np.int64)
+    carry = sig == 10 ** (n + 1)  # 9.99...95 rounds up to the next decade
+    sig[carry] = 10 ** n
+    ex += carry
+    out = np.empty((x.size, n + 8), dtype=np.uint8)
+    out[:, 0] = np.where(np.signbit(x), ord("-"), 0)
+    digits = _digit_bytes(sig, n + 1)
+    out[:, 1] = digits[:, 0]
+    out[:, 2] = ord(".")
+    out[:, 3:n + 3] = digits[:, 1:]
+    out[:, n + 3] = ord("e")
+    out[:, n + 4:] = _EXPONENTS[ex + _EXP_OFFSET]
+    return out, ok
+
+
+_FIELDS = {"d": _d_field, "f": _f_field, "e": _e_field}
+
+
 def _csv_blocks(row_format: str, columns):
-    """CSV rows of the equal-length numpy ``columns``, formatted
-    ``_CSV_BLOCK`` rows at a time by one printf-style ``%`` (which formats
-    a float as an f-string with the same spec does).  Yields one-field
-    rows, each holding the newline-joined lines of one block, so a writer
-    of comma-joined rows emits them unchanged."""
-    cols = [c.tolist() for c in columns]
-    for lo in range(0, len(cols[0]), _CSV_BLOCK):
-        block = list(zip(*(c[lo:lo + _CSV_BLOCK] for c in cols)))
-        yield ["\n".join([row_format] * len(block))
-               % tuple(itertools.chain.from_iterable(block))]
+    """CSV rows of the equal-length numpy ``columns``, each
+    ``row_format % row`` byte for byte, where ``row_format`` holds literal
+    text and the specs ``%d``, ``%.Nf`` and ``%.Ne`` (1 <= N <= 14).  Yields
+    one-field rows, each holding the newline-joined lines of up to
+    ``_CSV_BLOCK`` rows, so a writer of comma-joined rows emits them
+    unchanged.
+
+    Fields are formatted in numpy.  A float field scales ``|x|`` by
+    ``10**k`` (k = N for ``%f``; N minus the decimal exponent for ``%e``)
+    as a double-double product, whose fractional part is within 1e-15 of
+    the exact one.  Rounding half-even from it is certified, and equals the
+    correctly rounded printf result, wherever that part lies more than
+    ``_TIE_MARGIN`` from 1/2.  A row falls back to ``row_format % row``
+    when any field is uncertified: a tie or near-tie, nan, +-inf, an
+    integer part of 2**53 or more, ``%e`` of |x| outside [1e-290, 1e290]
+    (zero included), or an exponent guess off near a power of ten.
+    Digits come from a table of digit pairs; each block is assembled in a
+    0-padded byte matrix, and dropping the 0 bytes leaves the text.
+    """
+    cols = [np.asarray(c) for c in columns]
+    specs = list(_SPEC.finditer(row_format))
+    ends = [0] + [s.end() for s in specs]
+    literals = [row_format[e:s.start()] for e, s in zip(ends, specs)]
+    literals.append(row_format[ends[-1]:] + "\n")
+    if len(specs) != len(cols) or any("%" in t for t in literals):
+        raise ValueError(f"unsupported row format {row_format!r}")
+    fields = [(_FIELDS[s[2] or s[3]], int(s[1] or 0)) for s in specs]
+    literals = [np.frombuffer(t.encode("ascii"), dtype=np.uint8)
+                for t in literals]
+    for lo in range(0, cols[0].size, _CSV_BLOCK):
+        block = [c[lo:lo + _CSV_BLOCK] for c in cols]
+        rows = block[0].size
+        ok = np.ones(rows, dtype=bool)
+        pieces = []
+        for text, (field, n), c in zip(literals, fields, block):
+            out, field_ok = field(c, n)
+            pieces += [np.broadcast_to(text, (rows, text.size)), out]
+            ok &= field_ok
+        pieces.append(np.broadcast_to(literals[-1], (rows, literals[-1].size)))
+        text = np.concatenate(pieces, axis=1).tobytes().replace(b"\0", b"")
+        text = text.decode("ascii")
+        if not ok.all():
+            lines = text.split("\n")
+            for i in np.flatnonzero(~ok).tolist():
+                lines[i] = row_format % tuple(c[i].item() for c in block)
+            text = "\n".join(lines)
+        yield [text[:-1]]

@@ -49,9 +49,15 @@ def log_ratio(x, base, dps: int = 500) -> mpmath.mpf:
 
 # ----------------------------------------------------------------- k*alpha --
 
+_MAX_POINTS = 2 ** 27  # k*alpha points per call, for every form of alpha
+
+
 def _kalpha_range(alpha, k_start: int, count: int) -> np.ndarray:
     if count < 1:
         raise DomainError("need at least one point")
+    if count >= _MAX_POINTS:
+        raise DomainError(f"at most {_MAX_POINTS - 1} k*alpha points, "
+                          f"got {count}")
     if isinstance(alpha, Fraction):
         q = alpha.denominator
         p = alpha.numerator % q
@@ -60,7 +66,7 @@ def _kalpha_range(alpha, k_start: int, count: int) -> np.ndarray:
             return (((ks % q) * p) % q).astype(np.float64) / q
         return np.array([((k % q) * p) % q / q
                          for k in range(k_start, k_start + count)])
-    if k_start + count >= 2 ** 27:
+    if k_start + count >= _MAX_POINTS:
         raise DomainError("k range too large for the exact double-double path")
     with mpmath.workdps(60):
         c = mpmath.frac(mpmath.mpf(alpha))

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -216,6 +217,55 @@ class TestErdosTuran:
             pts = rng.random(int(rng.integers(2, 300)))
             assert bs.erdos_turan_bound(pts, 40) >= \
                 bs.extreme_discrepancy(pts) - 1e-12
+
+
+def plain_erdos_turan(points, ms):
+    """The plain full-array loop: the bound at each m in ``ms``, from the
+    running sum of |S_h| / (h N) with S_h = (z**h).sum() and each power
+    taken by ``p *= z``."""
+    pts = np.asarray(points, dtype=np.float64)
+    n = pts.size
+    z = np.exp(2j * np.pi * pts)
+    p = z.copy()
+    acc, bounds = 0.0, {}
+    for h in range(1, max(ms) + 1):
+        acc += abs(p.sum()) / (h * n)
+        if h in ms:
+            bounds[h] = bs.ERDOS_TURAN_C * (1.0 / h + acc)
+        p *= z
+    return bounds
+
+
+class TestErdosTuranKernel:
+    """The cache-blocked bound equals the plain loop bit for bit."""
+
+    LEAF = bs._ET_LEAF // 2  # complex points per leaf
+
+    @pytest.mark.parametrize("n", list(range(1, 70)) + [
+        127, 128, 129, LEAF - 1, LEAF, LEAF + 1, 2 * LEAF - 1, 2 * LEAF,
+        2 * LEAF + 1, 99_999, 100_000, 333_333, 1_000_001])
+    def test_equals_the_plain_loop(self, n):
+        pts = make_rng(n).random(n)
+        # m = 1000 at 10^6 points would cost the oracle alone 4 s
+        ms = (1, 2, 7, 100) + ((1000,) if n < 10 ** 6 else ())
+        for m, bound in plain_erdos_turan(pts, ms).items():
+            assert bs.erdos_turan_bound(pts, m) == bound
+
+    def test_benchmark_reference(self):
+        from benford_lab.equidist import kalpha_points, log_ratio
+        pts = kalpha_points(log_ratio(2, 10), 10 ** 6)
+        assert bs.erdos_turan_bound(pts, 100) == 0.03001277756020864
+
+    def test_memory_does_not_grow_with_m(self):
+        pts = make_rng(47).random(10 ** 5)
+        peaks = []
+        for m in (100, 10 ** 4):
+            tracemalloc.start()
+            bs.erdos_turan_bound(pts, m)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.stop()
+        # an (m x leaves) table of leaf sums would add 640 KB at m = 10^4
+        assert peaks[1] - peaks[0] < 100_000
 
 
 def test_discrepancy_report_round_trip():

@@ -366,6 +366,16 @@ class TestEquidistCommands:
         assert doc["report"]["star"] < 1e-3
         assert doc["report"]["erdos_turan"] >= doc["report"]["extreme"]
 
+    @pytest.mark.parametrize("alpha", ["1/3", "log:2:10", "0.25"])
+    def test_kalpha_point_count_is_bounded_for_every_alpha(self, alpha,
+                                                           capsys):
+        start = time.perf_counter()
+        code, out, err = run_cli(
+            ["equidist", "kalpha", "--alpha", alpha, "--count", "300000000"],
+            capsys)
+        assert code == 2 and out == "" and err.startswith("error: ")
+        assert time.perf_counter() - start < 1.0
+
     def test_cf(self, capsys):
         code, out, _ = run_cli(
             ["equidist", "cf", "--alpha", "log:2:10", "--depth", "8",

@@ -301,3 +301,130 @@ class TestRandomBignat:
         digits = rng.integers(0, 10, size=2000)
         digits[0] = 3
         assert cn.digits_to_int(digits, 10) == int("".join(map(str, digits)))
+
+
+ZETA_ROW = "%.6f,%.10f,%.12e,%.12e,%.12e,%.12e,%d,%.3e"
+CUE_ROW = "4,%.12f,%.12e,%.12e"
+FLOAT_SPECS = ["%.6f", "%.10f", "%.12f", "%.12e", "%.3e"]
+
+# ties, decade carries, signed zeros, non-finite values, subnormals, the
+# ends of the fast e range and three-digit exponents
+SPECIAL_FLOATS = [
+    0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf,
+    5e-324, 2.2250738585072014e-308, 1e-300, 1e300, 1e-290, 1e290,
+    1e-200, 1e200, 1.7976931348623157e308, 1234567890123.5,
+    1234567890124.5, 9.9999999999995, 9.99999999999951, 9.99999999999949,
+    99.99999999999999, 999.9999999999999, 1000.0, 0.001, 0.1, 0.5, 2.5,
+    0.0000005, 0.0000015, 0.00000049, -1e-9, -4e-7, -5e-7, -4.9e-7,
+    9007.199254740991, 9007.2, 1e15, 2.0 ** 53, 1e16, 1e22,
+    123456789.123456789, 6.283185307179586]
+
+
+def printf_text(row_format, columns):
+    return "\n".join(row_format % row for row in
+                     zip(*(np.asarray(c).tolist() for c in columns)))
+
+
+def blocks_text(row_format, columns):
+    rows = list(cn._csv_blocks(row_format, columns))
+    assert all(len(row) == 1 for row in rows)
+    return "\n".join(row[0] for row in rows)
+
+
+class TestCsvBlocks:
+    """Every row ``_csv_blocks`` yields is ``row_format % row`` byte for
+    byte."""
+
+    @pytest.mark.parametrize("spec", FLOAT_SPECS)
+    def test_special_floats(self, spec):
+        x = np.array(SPECIAL_FLOATS + [-v for v in SPECIAL_FLOATS])
+        assert blocks_text(spec, [x]) == printf_text(spec, [x])
+
+    def test_exact_ties_take_the_fallback_half_even(self):
+        x = np.array([1234567890123.5, 1234567890124.5])
+        assert blocks_text("%.12e", [x]) == \
+            "1.234567890124e+12\n1.234567890124e+12"
+
+    def test_round_up_across_a_decade(self):
+        x = np.array([9.99999999999951, 0.0999999999999996])
+        assert blocks_text("%.12e", [x]) == \
+            "1.000000000000e+01\n1.000000000000e-01"
+
+    def test_negative_values_round_to_negative_zero(self):
+        x = np.array([-1e-9, -4e-7, -0.0])
+        assert blocks_text("%.6f", [x]) == \
+            "-0.000000\n-0.000000\n-0.000000"
+
+    def test_ints(self):
+        x = np.concatenate([np.arange(-120, 121), [2 ** 53 - 1, -2 ** 53 + 1,
+                            2 ** 53, 2 ** 63 - 1, -2 ** 63]]).astype(np.int64)
+        assert blocks_text("%d", [x]) == printf_text("%d", [x])
+
+    @pytest.mark.parametrize("spec", FLOAT_SPECS)
+    def test_random_magnitudes(self, spec):
+        rng = make_rng(41)
+        n = 20_000
+        x = rng.standard_normal(n) * 10.0 ** rng.integers(-305, 305, n)
+        y = rng.standard_normal(n) * 10.0 ** rng.integers(-8, 17, n)
+        # decimal near-ties: k + 1/2 units of the last printed digit
+        z = (rng.integers(0, 10 ** 13, n) + 0.5) / 10.0 ** rng.integers(
+            0, 16, n)
+        for v in (x, y, z):
+            assert blocks_text(spec, [v]) == printf_text(spec, [v])
+
+    @given(st.lists(st.floats(width=64), min_size=1, max_size=40),
+           st.sampled_from(FLOAT_SPECS))
+    @settings(max_examples=300)
+    def test_any_float(self, values, spec):
+        x = np.array(values)
+        assert blocks_text(spec, [x]) == printf_text(spec, [x])
+
+    @given(st.integers(0, 10 ** 15), st.integers(0, 18),
+           st.sampled_from(FLOAT_SPECS), st.booleans())
+    @settings(max_examples=300)
+    def test_decimal_half_units(self, k, shift, spec, negative):
+        x = np.array([(k + 0.5) / 10.0 ** shift * (-1 if negative else 1)])
+        assert blocks_text(spec, [x]) == printf_text(spec, [x])
+
+    @given(st.lists(st.tuples(st.floats(width=64), st.floats(width=64),
+                              st.floats(width=64), st.floats(width=64),
+                              st.integers(-10 ** 6, 10 ** 6),
+                              st.floats(width=64)),
+                    min_size=1, max_size=20))
+    @settings(max_examples=100)
+    def test_caller_row_formats(self, rows):
+        t, sigma, re, im, digit, err = (np.array(c) for c in zip(*rows))
+        zeta_cols = (t, sigma, re, im, np.abs(re), im, digit, err)
+        assert blocks_text(ZETA_ROW, zeta_cols) == \
+            printf_text(ZETA_ROW, zeta_cols)
+        assert blocks_text(CUE_ROW, (t, re, im)) == \
+            printf_text(CUE_ROW, (t, re, im))
+
+    def test_caller_rows_across_blocks(self):
+        rng = make_rng(43)
+        n = 2 * cn._CSV_BLOCK + 5  # a partial last block
+        cols = (np.arange(n) * 0.25, np.full(n, 0.5),
+                rng.standard_normal(n), rng.standard_normal(n),
+                rng.random(n) * 3, np.log(rng.random(n)),
+                rng.integers(1, 10, n), rng.random(n) * 1e-10)
+        assert len(list(cn._csv_blocks(ZETA_ROW, cols))) == 3
+        assert blocks_text(ZETA_ROW, cols) == printf_text(ZETA_ROW, cols)
+        cue = (rng.random(n) * 2 * math.pi, cols[5], cols[5] / 0.7)
+        assert blocks_text(CUE_ROW, cue) == printf_text(CUE_ROW, cue)
+
+    def test_zero_rows(self):
+        assert list(cn._csv_blocks(ZETA_ROW, [np.empty(0)] * 8)) == []
+
+    @pytest.mark.parametrize("row_format", ["%f", "%.3g", "%.0f", "%.15e",
+                                            "%.012e", "100%%,%d", "%d,%d"])
+    def test_unsupported_formats_are_refused(self, row_format):
+        with pytest.raises(ValueError):
+            list(cn._csv_blocks(row_format, [np.arange(3)]))
+
+    def test_power_table_is_exact(self):
+        for row, k in zip(cn._pow10_dd(), range(cn._POW10_K[0],
+                                                cn._POW10_K[1] + 1)):
+            hh, hl, hi, lo = row
+            assert hh + hl == hi
+            assert hi == float(Fraction(10) ** k)
+            assert lo == float(Fraction(10) ** k - Fraction(hi))

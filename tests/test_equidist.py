@@ -81,6 +81,17 @@ class TestKAlpha:
         cnt, expect = eq.interval_count(alpha, 10 ** 4, 5, 0.25, 0.75)
         assert abs(cnt - expect) < (10 ** 4) ** 0.9
 
+    def test_point_count_is_bounded_for_every_alpha(self):
+        for alpha in (Fraction(1, 3), eq.log_ratio(2, 10), 0.25):
+            with pytest.raises(DomainError):
+                eq.kalpha_points(alpha, 2 ** 27)
+
+    def test_rational_offsets_stay_exact(self):
+        # the bound is on the point count; k mod q keeps far blocks exact
+        cnt, expect = eq.interval_count(Fraction(1, 3), 3, 10 ** 12, 0.0,
+                                        0.5)
+        assert (cnt, expect) == (2, 1.5)
+
 
 class TestContinuedFraction:
     def test_log10_2_convergents(self):

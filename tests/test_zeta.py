@@ -478,6 +478,7 @@ class TestScan:
         monkeypatch.setattr(zt, "_euler_maclaurin_many", fake)
         res = zt.scan_line(10.0, 10.0, 1.0, zt.SigmaMode.fixed(0.5))
         assert res.histogram.total == 0 and res.skipped.tolist() == [10.0]
+        assert list(res.csv_rows()) == []
 
     def test_near_critical_mode(self):
         res = zt.scan_line(10.0, 60.0, 1.0, zt.SigmaMode.near_critical(0.5))
