@@ -392,18 +392,25 @@ def random_bignat(num_digits: int, base: int, rng: np.random.Generator) -> BigNa
 
 _CSV_BLOCK = 4096  # rows assembled in one byte matrix
 # %d, %.Nf and %.Ne; N <= 14 keeps a rounded e significand below 2**53
-_SPEC = re.compile(r"%(?:\.([1-9]|1[0-4])([fe])|(d))")
+_SPEC = r"%(?:\.([1-9]|1[0-4])([fe])|(d))"
 _TIE_MARGIN = 1e-7  # a scaled value this close to a half-integer falls back
 _E_RANGE = (1e-290, 1e290)  # |x| read by the fast e path: no split overflows
 _POW10_K = (-290, 304)  # 10**k for k = precision - exponent on that range
-_DIGIT_PAIRS = np.frombuffer(
-    "".join(f"{i:02d}" for i in range(100)).encode(), dtype=np.uint16)
-_POWERS_OF_TEN = 10 ** np.arange(1, 19, dtype=np.int64)
 _EXP_OFFSET = 300
-# "e" suffixes as printf writes them, 0-padded on the left to 4 bytes
-_EXPONENTS = np.frombuffer("".join(
-    f"{e:+03d}".rjust(4, "\0") for e in range(-_EXP_OFFSET, _EXP_OFFSET + 1)
-).encode(), dtype=np.uint8).reshape(-1, 4)
+
+
+@lru_cache(maxsize=None)
+def _digit_tables() -> tuple:
+    """Built at first use, so importing the module stays cheap: the ASCII
+    digit pairs 00..99 as uint16s, the int64 powers 10**1..10**18, and the
+    exponent suffixes printf writes (``+05``, ``-300``) for -300..300,
+    0-padded on the left to 4 bytes."""
+    pairs = np.frombuffer("".join(f"{i:02d}" for i in range(100)).encode(),
+                          dtype=np.uint16)
+    exponents = "".join(f"{e:+03d}".rjust(4, "\0")
+                        for e in range(-_EXP_OFFSET, _EXP_OFFSET + 1))
+    return (pairs, 10 ** np.arange(1, 19, dtype=np.int64),
+            np.frombuffer(exponents.encode(), dtype=np.uint8).reshape(-1, 4))
 
 
 @lru_cache(maxsize=None)
@@ -453,17 +460,18 @@ def _scaled_round(a, k):
 def _digit_bytes(v, width: int) -> np.ndarray:
     """ASCII digits of the int64s ``0 <= v < 10**width``, '0'-padded to
     ``width`` columns, two at a time through a lookup of digit pairs."""
+    table = _digit_tables()[0]
     pairs = (width + 1) // 2
     out = np.empty((v.size, pairs), dtype=np.uint16)
     for j in range(pairs - 1, -1, -1):
         q = v // 100
-        out[:, j] = _DIGIT_PAIRS[v - q * 100]
+        out[:, j] = table[v - q * 100]
         v = q
     return out.view(np.uint8)[:, 2 * pairs - width:]
 
 
 def _n_digits(v):
-    return 1 + np.searchsorted(_POWERS_OF_TEN, v, side="right")
+    return 1 + np.searchsorted(_digit_tables()[1], v, side="right")
 
 
 def _signed_int_bytes(v, neg, width: int) -> np.ndarray:
@@ -520,7 +528,7 @@ def _e_field(x, n: int):
     out[:, 2] = ord(".")
     out[:, 3:n + 3] = digits[:, 1:]
     out[:, n + 3] = ord("e")
-    out[:, n + 4:] = _EXPONENTS[ex + _EXP_OFFSET]
+    out[:, n + 4:] = _digit_tables()[2][ex + _EXP_OFFSET]
     return out, ok
 
 
@@ -548,7 +556,7 @@ def _csv_blocks(row_format: str, columns):
     0-padded byte matrix, and dropping the 0 bytes leaves the text.
     """
     cols = [np.asarray(c) for c in columns]
-    specs = list(_SPEC.finditer(row_format))
+    specs = list(re.finditer(_SPEC, row_format))
     ends = [0] + [s.end() for s in specs]
     literals = [row_format[e:s.start()] for e, s in zip(ends, specs)]
     literals.append(row_format[ends[-1]:] + "\n")
