@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from benford_lab import zeta as zt
-from benford_lab.core_numeric import DomainError
+from benford_lab.core_numeric import _CSV_BLOCK, DomainError
 
 from conftest import csv_fields
 
@@ -545,8 +545,8 @@ class TestScanRows:
         self.assert_rows_pinned(res)
 
     def test_rows_across_blocks(self):
-        # rows are formatted 1,024 at a time: 2,100 rows end in a partial
-        # block
-        res = zt.scan_line(300.0, 824.75, 0.25, zt.SigmaMode.fixed(0.5))
-        assert len(res.t) == 2100 > 2 * 1024
+        # rows are formatted _CSV_BLOCK = 4,096 at a time: 8,500 rows end
+        # in a partial block
+        res = zt.scan_line(300.0, 2424.75, 0.25, zt.SigmaMode.fixed(0.5))
+        assert len(res.t) == 8500 > 2 * _CSV_BLOCK
         self.assert_rows_pinned(res)
