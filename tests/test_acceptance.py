@@ -126,6 +126,21 @@ def test_criterion_4_bignum_trajectories(bignum_runs):
     report("criterion 4", "; ".join(details))
 
 
+def test_criterion_4_trajectory_histograms_are_pinned(bignum_runs):
+    # every block digit is certified by the rule, none refined exactly
+    pinned = {
+        "remove_all_twos": (800_322, [241390, 140452, 99628, 77498, 63157,
+                                      53612, 46616, 41133, 36836]),
+        "single_step": (2_400_989, [723301, 423014, 300001, 232640, 189481,
+                                    160522, 138985, 122980, 110065]),
+    }
+    for mode, (n_recorded, counts) in pinned.items():
+        result = bignum_runs[mode]
+        assert result.n_recorded == n_recorded, mode
+        assert result.histogram.counts.tolist() == counts, mode
+        assert result.n_refined == 0, mode
+
+
 def test_criterion_5_structure_theorem_scan():
     tuples = []
     for m in range(1, 4):
@@ -229,6 +244,14 @@ def test_criterion_10_halfline_histogram_is_pinned(zeta_scan):
     assert zeta_scan.histogram.counts.tolist() == \
         [20314, 11508, 8072, 6249, 5006, 4325, 3782, 3251, 3029]
     assert zeta_scan.refined == 0
+
+
+def test_cue_histograms_are_pinned(cue_runs):
+    # CUE digits are the rule's band-0 mid digits of log|Z| / ln 10 mod 1
+    assert cue_runs[64].histogram.counts.tolist() == \
+        [30080, 17380, 12601, 9737, 7981, 6700, 5833, 4988, 4700]
+    assert cue_runs[4].histogram.counts.tolist() == \
+        [31609, 20324, 13274, 9229, 6808, 5514, 4887, 4261, 4094]
 
 
 def test_criterion_11_cue_statistics(cue_runs):

@@ -1,5 +1,4 @@
 import math
-from bisect import bisect_right
 from fractions import Fraction
 
 import mpmath
@@ -140,6 +139,28 @@ def integer_leading_digit(x, base):
     return x
 
 
+def exact_bound_table(base):
+    """The bounds log_base(d), d = 1..base, to 40 digits, each split as a
+    float ``hi`` and the float ``lo`` nearest the remainder."""
+    hi, lo = [], []
+    with mpmath.workdps(40):
+        lb = mpmath.log(base)
+        for d in range(1, base + 1):
+            bound = mpmath.log(d) / lb
+            hi.append(float(bound))
+            lo.append(float(bound - hi[-1]))
+    return np.array(hi), np.array(lo)
+
+
+def exact_cells(f, hi, lo):
+    """For floats f in [0, 1): the digit d of base**f, from the bound
+    table, and the distance from f to the nearer bound of its cell."""
+    d = np.searchsorted(hi, f, side="right")
+    d -= (hi[d - 1] == f) & (lo[d - 1] > 0.0)  # the bound lies above f
+    dist = np.minimum((f - hi[d - 1]) - lo[d - 1], (hi[d] - f) + lo[d])
+    return d, dist
+
+
 class TestDigitsFromLog:
     def test_never_certifies_a_wrong_digit_at_boundaries(self):
         n_certified = n_open = 0
@@ -166,31 +187,90 @@ class TestDigitsFromLog:
 
 
     def test_cells_match_the_full_bound_table(self):
-        # the bounds are computed per candidate digit; every decision must
-        # be the one a table of all log(d)/log(B), d = 1..B, gives
-        for base in range(2, 65):
-            lb = math.log(base)
-            table = [math.log(d) / lb for d in range(1, base + 1)]
-            fs = [0.0, 5e-324, math.nextafter(1.0, 0.0)]
-            for t in table[:-1]:
-                lo = hi = t
-                for _ in range(3):
-                    fs += [lo, hi]
-                    lo, hi = math.nextafter(lo, 0.0), math.nextafter(hi, 1.0)
-            fs = [f for f in fs if 0.0 <= f < 1.0]
-            for pad in (0.0, 2e-16, 1e-10):
-                want_d, want_ok = [], []
-                for f in fs:
-                    d = bisect_right(table, f)
-                    ok = f - table[d - 1] > pad and table[d] - f > pad
-                    want_d.append(d)
-                    want_ok.append(ok)
-                    assert cn._certified_digit(f, pad, base) == \
-                        (d if ok else 0)
-                digits, certified = cn.digits_from_log(np.array(fs), pad,
-                                                       base)
-                assert digits.tolist() == want_d
-                assert certified.tolist() == want_ok
+        # f at every float bound log(d)/log(B) and 1-3 ulps either side, at
+        # 4e-14 and 1e-10 + 4e-14 either side (where the rule must certify)
+        # and mid-cell; the oracle is the full table of 40-digit bounds
+        for base in [*range(2, 65), 255, 256, 257, 1000, 65536]:
+            hi, lo = exact_bound_table(base)
+            t = np.log(np.arange(1, base)) / math.log(base)
+            fs = [t, (t + np.append(t[1:], 1.0)) / 2,
+                  np.array([0.0, 5e-324, math.nextafter(1.0, 0.0)])]
+            for step in (4e-14, 1e-10 + 4e-14):
+                fs += [t - step, t + step]
+            up = down = t
+            for _ in range(3):
+                up, down = np.nextafter(up, 1.0), np.nextafter(down, 0.0)
+                fs += [up, down]
+            f = np.concatenate(fs)
+            f = f[(f >= 0.0) & (f < 1.0)]
+            exact, dist = exact_cells(f, hi, lo)
+            for pad in (0.0, 2e-16, 1e-10, math.inf):
+                scalar = np.array([cn._certified_digit(x, pad, base)
+                                   for x in f.tolist()])
+                digits, certified = cn.digits_from_log(f, pad, base)
+                # a certified digit is exact across the whole band, and a
+                # band clear of every bound by more than the rounding pads
+                # is certified
+                must = dist > pad + 3 * cn._EXP_PAD
+                assert must.any() == (pad < math.inf)
+                for ok, got in ((scalar != 0, scalar), (certified, digits)):
+                    assert (got[ok] == exact[ok]).all(), (base, pad)
+                    assert (dist[ok] > pad).all(), (base, pad)
+                    assert ok[must].all(), (base, pad)
+                # the mid digit is exact away from the bounds
+                clear = dist > 1e-15
+                assert (digits[clear] == exact[clear]).all(), base
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(2, 2 ** 16), st.data())
+    def test_rule_against_mpmath(self, base, data):
+        # f mid-cell, or within a few rounding pads of a digit boundary
+        d = data.draw(st.integers(1, base - 1))
+        offset = data.draw(st.sampled_from([0.0, 1e-16, 1e-15, 1e-14, 3e-14,
+                                            1e-10, 1e-6]))
+        f = data.draw(st.one_of(
+            st.floats(0.0, 1.0, exclude_max=True),
+            st.floats(-offset, offset).map(
+                lambda x: math.log(d) / math.log(base) + x))
+            .filter(lambda x: 0.0 <= x < 1.0))
+        pad = data.draw(st.one_of(st.sampled_from([0.0, 2e-16, 1e-10,
+                                                   math.inf]),
+                                  st.floats(0.0, 1e-6)))
+        with mpmath.workdps(40):
+            b = mpmath.mpf(base)
+            cell = int(mpmath.floor(b ** f))
+            dist = min(mpmath.mpf(f) - mpmath.log(cell, b),
+                       mpmath.log(cell + 1, b) - f)
+            ends = [int(mpmath.floor(b ** (mpmath.mpf(f) + s * pad)))
+                    for s in (-1, 1)] if pad < math.inf else [0, 0]
+        got = cn._certified_digit(f, pad, base)
+        digits, certified = cn.digits_from_log(np.array([f]), pad, base)
+        for c, digit in ((got != 0, got), (certified[0], digits[0])):
+            assert not c or ends == [digit, digit]
+            assert c or dist <= pad + 3 * cn._EXP_PAD
+        assert dist <= 1e-15 or digits[0] == cell
+
+    def test_no_certificate_outside_the_unit_interval(self):
+        # B**f has agreeing floors here, but f is no fractional log
+        for base in (2, 10):
+            f = [-0.5, -1e-9, 1.0, 1.5]
+            assert [cn._certified_digit(x, 0.0, base) for x in f] == [0] * 4
+            assert not cn.digits_from_log(np.array(f), 0.0, base)[1].any()
+
+    @pytest.mark.parametrize("base", [10 ** 400, 2 ** 1100])
+    def test_integer_base_beyond_the_float_range(self, base):
+        # B**f leaves the float range for f > 709 / ln B: no certificate
+        # there, so the exact path decides
+        xs = [5 * 10 ** 799, 12345, base - 1, base + 1, 3 * base ** 2 + 7,
+              (base // 3) * base, base ** 3 - 1, 2 ** 3000 + 1]
+        for x in xs:
+            e, a, b = cn._exact_floor_log(x, base)
+            assert cn.leading_digit(x, base) == a // b
+        f = np.array([0.001, 0.5, 0.99, 1.0 - 1e-9])
+        digits, certified = cn.digits_from_log(f, 0.0, base)
+        assert certified.tolist() == [True, False, False, False]
+        # B**0.001 is 10**0.4 or 2**1.1; the top clip is a float bound
+        assert digits.tolist() == [2] + [2 ** 62] * 3
 
     @pytest.mark.parametrize("base", [10 ** 6, 2 ** 40])
     def test_large_base_needs_no_table(self, base):
@@ -239,23 +319,6 @@ class TestLogMantissa:
 
 
 class TestExactArithmetic:
-    def test_mul_add_small(self):
-        assert cn.mul_add_small(7, 3, 1) == 22
-        assert cn.mul_add_small(1, 5, 1) == 6
-        with pytest.raises(cn.DomainError):
-            cn.mul_add_small(0, 3, -1)
-
-    def test_mul_add_huge_negative_result(self, default_int_str_limit):
-        # 5,000 digits: past the int-to-str limit of the message
-        with pytest.raises(cn.DomainError):
-            cn.mul_add_small(1, 3, -10 ** 5000)
-
-    def test_mul_add_casting_out_nines(self):
-        x = cn.random_bignat(100_000, 10, make_rng(17))
-        y = cn.mul_add_small(x, 3, 1)
-        assert y % 9 == (3 * (x % 9) + 1) % 9
-        assert y == 3 * x + 1
-
     def test_shift_out_factor(self):
         assert cn.shift_out_factor(22, 2) == (11, 1)
         assert cn.shift_out_factor(48, 2) == (3, 4)
