@@ -12,8 +12,9 @@ metadata line, then a header and rows), ``json`` (metadata plus the
 payload) or ``table`` (aligned text for eyeballing).  ``main`` alone maps
 exceptions to exit codes: 0 on success, 1 when an internal assertion fails,
 2 with ``error: <message>`` and empty stdout on configuration errors, paths
-that cannot be opened, bases above ``MAX_BASE`` and worker counts above
-``MAX_WORKERS``.
+that cannot be opened, bases above ``MAX_BASE``, worker counts above
+``MAX_WORKERS`` and sizes (``--count``, ``--limit``, ``--samples``,
+``--digits``) above ``MAX_ITEMS``.
 """
 
 from __future__ import annotations
@@ -39,6 +40,9 @@ DEFAULT_M = 10
 DEFAULT_BIG_DIGITS = 100_000
 MAX_BASE = 2 ** 16    # every command taking --base builds an O(base) histogram
 MAX_WORKERS = 64      # each worker is one OS thread holding a chunk's matrices
+# --count, --limit, --samples and --digits size arrays of one to a few dozen
+# bytes per item: at 2^24 items one int64 or float64 array takes 128 MB
+MAX_ITEMS = 2 ** 24
 
 COLLATZ_PRESETS = {
     "ratio-base4": {"kind": "ratio", "base": 4},
@@ -512,6 +516,10 @@ def main(argv=None) -> int:
             raise ConfigError("seed must be >= 0")
         if getattr(args, "base", 0) > MAX_BASE:
             raise ConfigError(f"--base must be <= {MAX_BASE}, got {args.base}")
+        for flag in ("count", "limit", "samples", "digits"):
+            if getattr(args, flag, 0) > MAX_ITEMS:
+                raise ConfigError(f"--{flag} must be <= {MAX_ITEMS}, got "
+                                  f"{getattr(args, flag)}")
         params = {k: v for k, v in vars(args).items()
                   if k not in ("func", "seed", "workers", "out", "fmt")
                   and v is not None}

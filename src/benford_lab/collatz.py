@@ -201,16 +201,11 @@ def _domain_int64(limit: int) -> np.ndarray:
 
 def _match_ktuple_3x1(ktuple, limit: int) -> np.ndarray:
     """Seeds x <= limit in the 3x+1 domain whose path starts with ktuple."""
-    if limit * 3 ** len(ktuple) * 2 > 2 ** 62:
-        raise DomainError("limit too large for the vectorised scan")
     xs = _domain_int64(limit)
-    cur = xs.copy()
     ok = np.ones(xs.shape, dtype=bool)
-    for target in ktuple:
-        u = 3 * cur + 1
-        k = _trailing_zeros(u)
+    steps = _census_steps(xs, len(ktuple), THREE_X_PLUS_1)
+    for target, (_, k) in zip(ktuple, steps):
         ok &= k == target
-        cur = u >> k
     return np.sort(xs[ok])
 
 
@@ -275,16 +270,15 @@ def _trailing_zeros(u: np.ndarray) -> np.ndarray:
     return np.log2(low.astype(np.float64)).astype(np.int64)
 
 
-def _census_paths(seeds, m: int, dmap: DghMap):
-    """x_m, total multiplicity S and pooled k-histogram over a census.
+def _census_steps(seeds, m: int, dmap: DghMap):
+    """Yield each step's iterates x_i and multiplicities k_i, i = 1..m,
+    over a census.
 
     The input is checked once: the domain (x >= 1, d and g not dividing x)
     is closed under the map, since g*x + h = h (mod g), d**k is coprime to
     g and g*x + h > 0.  Iterates stay in int64 while g*x cannot overflow
     and move to exact Python ints (an object array) when it could.
     """
-    if m < 1:
-        raise DomainError("m must be >= 1")
     if len(seeds) == 0:
         raise DomainError("need a nonempty census")
     try:
@@ -295,8 +289,6 @@ def _census_paths(seeds, m: int, dmap: DghMap):
             (x % dmap.g == 0).any():
         raise DomainError("every seed must be >= 1 and avoid the factors "
                           "d and g")
-    s_tot = np.zeros(len(x), dtype=np.int64)
-    khist = np.zeros(_K_SLOTS, dtype=np.int64)
     cap = (2 ** 62) // dmap.g
     htab = np.array([v if v is not None else 0 for v in dmap.h],
                     dtype=np.int64)
@@ -315,6 +307,16 @@ def _census_paths(seeds, m: int, dmap: DghMap):
                 u[mask] //= dmap.d
                 k += mask
             x = u
+        yield x, k
+
+
+def _census_paths(seeds, m: int, dmap: DghMap):
+    """x_m, total multiplicity S and pooled k-histogram over a census."""
+    if m < 1:
+        raise DomainError("m must be >= 1")
+    s_tot = 0
+    khist = np.zeros(_K_SLOTS, dtype=np.int64)
+    for x, k in _census_steps(seeds, m, dmap):
         s_tot += k
         khist += np.bincount(np.minimum(k, _K_SLOTS - 1),
                              minlength=_K_SLOTS)

@@ -76,7 +76,10 @@ class Mantissa:
 
 
 def _check_base(base) -> float:
-    b = float(base)
+    try:
+        b = float(base)
+    except OverflowError:
+        raise DomainError("base must lie in the float range") from None
     if not math.isfinite(b) or b <= 1.0:
         raise DomainError(f"base must be a finite real > 1, got {base!r}")
     return b

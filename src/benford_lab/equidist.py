@@ -242,7 +242,8 @@ def theta_identity_residual(sigma: float, cutoff: int | None = None) -> float:
 
 def gaussian_mod1_mass(scale: float, a: float, b: float) -> float:
     """sum_{|k| <= W} integral_a^b density((x+k)/T)/T dx, in closed form as
-    sum_k [Phi((b+k)/T) - Phi((a+k)/T)] with the standard normal CDF Phi.
+    sum_k [Phi((b+k)/T) - Phi((a+k)/T)] with the standard normal CDF
+    Phi(x) = erfc(-x / sqrt 2) / 2.
 
     This is the probability that the spread Gaussian lands in [a, b] mod 1,
     up to the tail mass beyond the window W = ceil(6.5 T) + 1.
@@ -252,9 +253,12 @@ def gaussian_mod1_mass(scale: float, a: float, b: float) -> float:
     if scale <= 0:
         raise DomainError("scale must be positive")
     w = int(math.ceil(6.5 * scale)) + 1
-    from scipy.special import ndtr  # kept off the CLI's import path
-    k = np.arange(-w, w + 1, dtype=np.float64)
-    return float(np.sum(ndtr((b + k) / scale) - ndtr((a + k) / scale)))
+
+    def phi(x: float) -> float:
+        return 0.5 * math.erfc(-x / math.sqrt(2.0))
+
+    return math.fsum(phi((b + k) / scale) - phi((a + k) / scale)
+                     for k in range(-w, w + 1))
 
 
 def condition_char_decay(scale: float) -> float:

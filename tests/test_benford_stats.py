@@ -1,6 +1,7 @@
 import math
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -99,21 +100,40 @@ class TestZStatistics:
         z2 = bs.z_statistics(bs.DigitHistogram(10, 2 * counts)).per_digit[0][3]
         assert abs(z2 / z1 - math.sqrt(2)) < 1e-9
 
-    def test_critical_value_and_verdict_match_scipy_stats(self):
+    def test_verdict_matches_scipy_stats_away_from_the_quantile(self):
         rng = make_rng(3)
         for base in range(2, 65):
             dof = base - 2
             crit = float(sstats.chi2.ppf(0.95, dof))
-            got = bs._chi2_quantile(0.95, dof)
-            assert got == crit or (math.isnan(got) and math.isnan(crit))
             probs = bs.benford_probabilities(base)
             # Benford draws (mostly accepted) and near-uniform draws
             for p in (probs, 0.5 * probs + 0.5 / (base - 1)):
                 counts = rng.multinomial(2_000, p / p.sum())
                 report = bs.z_statistics(bs.DigitHistogram(base, counts))
                 # base 2 has no degree of freedom and always matches
-                assert report.verdict_alpha05 == (
-                    dof == 0 or report.chi_square < crit)
+                if dof == 0:
+                    assert report.verdict_alpha05
+                elif abs(report.chi_square - crit) > 1e-12 * crit:
+                    assert report.verdict_alpha05 == (
+                        report.chi_square < crit)
+
+    @pytest.mark.parametrize("dof", [1, 2, 8, 14, 254, 65534])
+    def test_verdict_at_the_quantile_matches_exact_cdf(self, dof,
+                                                       monkeypatch):
+        # P(dof/2, stat/2) < 0.95 in 50-digit mpmath, against the exact
+        # value of the float 0.95, decides stat = crit * (1 -+ 1e-9)
+        crit = float(sstats.chi2.ppf(0.95, dof))
+        hist = bs.DigitHistogram(dof + 2, np.ones(dof + 1, dtype=np.int64))
+        verdicts = []
+        for stat in (crit * (1 - 1e-9), crit * (1 + 1e-9)):
+            monkeypatch.setattr(bs, "chi_square", lambda h: (stat, dof))
+            with mpmath.workdps(50):
+                want = mpmath.gammainc(mpmath.mpf(dof) / 2, 0,
+                                       mpmath.mpf(stat) / 2,
+                                       regularized=True) < mpmath.mpf(0.95)
+            verdicts.append(bs.z_statistics(hist).verdict_alpha05)
+            assert verdicts[-1] == want
+        assert verdicts == [True, False]
 
     def test_report_serialization(self):
         h = bs.DigitHistogram(10, np.array([30, 18, 12, 10, 8, 7, 6, 5, 4]))

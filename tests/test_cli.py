@@ -465,6 +465,13 @@ def test_out_file(tmp_path, capsys):
     ["collatz", "model", "--base", "1000000000"],
     ["cue", "--dim", "4", "--samples", "10", "--base", "100000000000"],
     ["digits", "{tmp}/vals.txt", "--base", "70000"],
+    # sizes above 2^24 are refused before any array is allocated
+    ["collatz", "structure", "--ktuple", "1", "--limit", "100000000000000"],
+    ["collatz", "kvalues", "--count", "100000000000000"],
+    ["cue", "--dim", "4", "--samples", str(10 ** 18)],
+    ["collatz", "model", "--samples", str(10 ** 18)],
+    ["collatz", "experiment", "--mode", "single_step", "--digits",
+     str(10 ** 18)],
 ])
 def test_refused_quickly(args, tmp_path, capsys):
     (tmp_path / "vals.txt").write_text("12\n")
@@ -483,17 +490,75 @@ def test_failed_check_prints_its_rows_first(monkeypatch, capsys):
     assert err.startswith("assertion failed: ")
 
 
-def test_cold_start_imports_no_scipy_and_builds_no_table():
-    # scipy.stats alone cost the CLI's import about 1 s and 70 MB; the
-    # residue table of trajectory blocks is built at first use
+def _src_env() -> dict:
     src = os.path.dirname(os.path.dirname(os.path.abspath(
         benford_lab.__file__)))
-    env = dict(os.environ, PYTHONPATH=src)
-    code = ("import sys, benford_lab.cli\n"
+    return dict(os.environ, PYTHONPATH=src)
+
+
+def test_cold_start_imports_no_scipy_and_builds_no_table():
+    # the residue table of trajectory blocks is built at first use, and
+    # neither the import nor a digit report loads scipy
+    code = ("import io, sys, contextlib, benford_lab.cli\n"
             "from benford_lab import collatz\n"
+            "assert collatz._residue_table.cache_info().currsize == 0\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    assert benford_lab.cli.main(\n"
+            "        ['cue', '--dim', '4', '--samples', '100']) == 0\n"
             "assert not [m for m in sys.modules if m.split('.')[0] == "
-            "'scipy'], 'scipy imported'\n"
-            "assert collatz._residue_table.cache_info().currsize == 0\n")
-    proc = subprocess.run([sys.executable, "-c", code], env=env,
+            "'scipy'], 'scipy imported'\n")
+    proc = subprocess.run([sys.executable, "-c", code], env=_src_env(),
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+_SCIPY_BLOCKED_RUNS = [
+    ["digits", "{tmp}/pows.txt"],
+    ["digits", "{tmp}/pows.txt", "--base", "7", "--format", "json"],
+    ["collatz", "experiment", "--mode", "remove_all_twos", "--digits", "2000",
+     "--base", "10"],
+    ["collatz", "experiment", "--mode", "single_step", "--digits", "2000",
+     "--base", "10", "--format", "json"],
+    # across the route change at t = 200, and near the critical line
+    ["zeta", "--t-start", "190", "--t-end", "210", "--format", "csv"],
+    ["zeta", "--t-start", "190", "--t-end", "210"],
+    ["zeta", "--t-start", "1000", "--t-end", "1010",
+     "--near-critical-delta", "0.5", "--format", "json"],
+    ["cue", "--dim", "4", "--samples", "2000", "--format", "csv"],
+    ["cue", "--dim", "4", "--samples", "2000", "--format", "json"],
+    ["collatz", "ratio", "--count", "2000", "--format", "json"],
+    ["equidist", "kalpha", "--alpha", "log:2:10", "--count", "10000",
+     "--format", "json"],
+]
+
+
+def test_commands_run_with_scipy_blocked(tmp_path):
+    # every command runs on numpy and mpmath alone, with the bytes it
+    # prints when scipy is importable
+    (tmp_path / "pows.txt").write_text(
+        "\n".join(str(2 ** k) for k in range(1, 300)))
+    runs = [[a.format(tmp=tmp_path) for a in args]
+            for args in _SCIPY_BLOCKED_RUNS]
+    code = ("import io, json, sys, contextlib\n"
+            "if sys.argv[1] == 'block':\n"
+            "    sys.modules['scipy'] = None\n"
+            "from benford_lab import cli\n"
+            "outs = []\n"
+            "for args in json.loads(sys.argv[2]):\n"
+            "    buf = io.StringIO()\n"
+            "    with contextlib.redirect_stdout(buf):\n"
+            "        assert cli.main(args) == 0, args\n"
+            "    outs.append(buf.getvalue())\n"
+            "assert not [m for m, mod in sys.modules.items() if mod and "
+            "m.split('.')[0] == 'scipy'], 'scipy imported'\n"
+            "print(json.dumps(outs))\n")
+    outs = {}
+    for mode in ("block", "open"):
+        proc = subprocess.run(
+            [sys.executable, "-c", code, mode, json.dumps(runs)],
+            env=_src_env(), capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        outs[mode] = json.loads(proc.stdout)
+    assert len(outs["block"]) == len(runs)
+    assert all(outs["block"])
+    assert outs["block"] == outs["open"]

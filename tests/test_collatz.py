@@ -150,6 +150,23 @@ class TestStructure:
         emp, theo = cz.path_probability_check((1, 1), 100_000)
         assert theo == 0.25 and abs(emp - 0.25) < 0.01
 
+    def test_scan_agrees_with_stepwise_oracle(self):
+        # the census loop widens to exact ints by itself, so a tuple with
+        # limit * 3^len * 2 > 2^62 (40 ones at 10^4) scans with no guard
+        def starts_with(x, ktuple):
+            for target in ktuple:
+                x, k = cz.step(cz.THREE_X_PLUS_1, x)
+                if k != target:
+                    return False
+            return True
+
+        for ktuple, limit in [((1,) * 40, 10 ** 4), ((1,) * 12, 10 ** 5),
+                              ((2, 1, 1, 3), 10 ** 4)]:
+            want = [x for x in range(1, limit + 1, 2)
+                    if x % 3 and starts_with(x, ktuple)]
+            assert cz._match_ktuple_3x1(ktuple, limit).tolist() == want
+        assert len(want) > 10
+
     def test_probability_converges_with_limit(self):
         e1, theo = cz.path_probability_check((2, 1), 10_000)
         e2, _ = cz.path_probability_check((2, 1), 100_000)

@@ -271,6 +271,11 @@ class TestDigitsFromLog:
         assert certified.tolist() == [True, False, False, False]
         # B**0.001 is 10**0.4 or 2**1.1; the top clip is a float bound
         assert digits.tolist() == [2] + [2 ** 62] * 3
+        # the float-valued functions refuse such a base instead of
+        # overflowing in float(base)
+        for fn in (cn.mantissa, cn.log_mantissa):
+            with pytest.raises(cn.DomainError):
+                fn(5 * 10 ** 799, base)
 
     @pytest.mark.parametrize("base", [10 ** 6, 2 ** 40])
     def test_large_base_needs_no_table(self, base):
