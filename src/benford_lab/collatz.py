@@ -24,12 +24,15 @@ table of the steps each odd residue mod 2**12 decides, built at first use,
 and c follows from the simulation's end value.  The block's leading digits
 come from log_base x plus a*log_base 3 - e*log_base 2 inside a certified
 band; a digit whose band touches a cell boundary is recomputed from the
-exact iterate.
+exact iterate.  Digits are decided a few thousand iterates at a time, over
+several blocks and the small iterates stepped exactly after them, so numpy's
+fixed cost per call is shared.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 from functools import cache
 from numbers import Integral
@@ -38,8 +41,9 @@ import numpy as np
 
 from .benford_stats import DigitHistogram, benford_probabilities
 from .core_numeric import BigNat, DomainError, _check_base, \
-    _check_digit_base, _exact_floor_log, _log_bracket, _ratio_digit, \
-    digits_from_log, leading_digit, shift_out_factor
+    _check_digit_base, _exact_floor_log, _leading_digits, _log_brackets, \
+    _log_values, _ratio_digit, digits_from_log, leading_digit, \
+    shift_out_factor
 
 __all__ = [
     "DghMap",
@@ -500,23 +504,12 @@ def model_digit_experiment(m: int, base: int, n: int,
     return DigitHistogram.from_digits(lattice[j - j_lo], base)
 
 
-def _log2s(xs) -> np.ndarray:
-    """log2 of each positive integer from its bit length and top 50 bits:
-    the float ``core_numeric._log_parts`` gives for base 2, vectorised.
-    ``math.log`` is kept over ``np.log``, whose last ulp can differ."""
-    vals = np.asarray(xs).tolist()
-    n = np.fromiter(map(int.bit_length, vals), np.int64, len(vals))
-    w = np.maximum(n - 50, 0)
-    for i in np.flatnonzero(w).tolist():
-        vals[i] >>= int(w[i])
-    return w + np.fromiter(map(math.log, vals), np.float64, len(vals)) / _LN2
-
-
 def _ulog2(seeds, xm, s_tot, m: int) -> np.ndarray:
     """log2 u over a 3x+1 census, where u = x_m 2^S / (3^m x_0) >= 1 is the
     factor by which the ratio exceeds its lattice point 2^(2m - S)."""
     # the difference of the two logs is taken first, so huge seeds cancel
-    return (_log2s(xm) - _log2s(seeds)) + s_tot - m * math.log2(3.0)
+    return (_log_values(xm, 2.0)[0] - _log_values(seeds, 2.0)[0]) \
+        + s_tot - m * math.log2(3.0)
 
 
 def _ulog2_gate(seeds, xm, s_tot, m: int) -> tuple[np.ndarray, float]:
@@ -584,14 +577,22 @@ MODES = ("remove_all_twos", "single_step")
 # A block of the map is simulated on the low _BLOCK_BITS bits of an iterate,
 # and blocks run while the iterate has n > _BLOCK_MIN_BITS bits.  A block
 # iterate takes e < _BLOCK_BITS halvings, so the carry term of
-# ``_block_logs``, 2**(e - n + 1), is at most 2**-65: far under the 5e-16
-# pad of the log bracket.  Each block pays a fixed numpy cost (exponents,
-# logs, digits) and each iterate below _BLOCK_MIN_BITS an exact step and a
-# ``leading_digit``.  On 10^4- and 3*10^4-digit trajectories 1,024-bit
+# ``_batch_logs``, 2**(e - n + 1), is at most 2**-65: far under the 5e-16
+# pad of the log bracket.  Each block pays its low-bit simulation and one
+# multiply-add-shift, and each iterate of at most _BLOCK_MIN_BITS bits one
+# exact step; digits are decided in batches (see _BATCH).  On 10^4- and
+# 3*10^4-digit trajectories, with one numpy digit pass per block, 1,024-bit
 # blocks ran 5-40% faster than 256, 512 or 2,048 bits, and a minimum just
-# above the block size 10% faster than twice it.
+# above the block size 10% faster than twice it; with batches, 512 to 2,048
+# bits and a minimum of twice the block size ran within the host's noise.
 _BLOCK_BITS = 1024
 _BLOCK_MIN_BITS = _BLOCK_BITS + 64
+# Blocks and small exact iterates queue until about _BATCH iterates wait;
+# then one numpy pass decides all their digits (``_decide``).  A block
+# records 500 to 1,500 iterates, so the fixed cost of the numpy calls is
+# paid a few times less often, and the tail below _BLOCK_MIN_BITS takes one
+# vectorised bracket instead of a ``leading_digit`` per iterate.
+_BATCH = 4096
 # the residue table of ``_block`` covers the odd residues mod 2**_TABLE_BITS
 _TABLE_BITS = 12
 
@@ -628,19 +629,21 @@ def _residue_table() -> tuple:
     multiplicities ks (j of them, e = sum(ks)) and reaches (3**j x + c) / 2**e
     after them.  Even slots and a residue whose first multiplicity reaches
     past its bits hold no step.  Built at first use, not at import."""
-    table = [((), 1, 0, 0)] * (1 << _TABLE_BITS)
+    table = [(array("H"), 1, 0, 0)] * (1 << _TABLE_BITS)
     for r in range(1, 1 << _TABLE_BITS, 2):
-        ks = []
+        ks = array("H")
         y, e = _steps(r, 0, ks, _TABLE_BITS, _TABLE_BITS)
         t = 3 ** len(ks)
-        table[r] = (tuple(ks), t, (y << e) - t * r, e)
+        table[r] = (ks, t, (y << e) - t * r, e)
     return tuple(table)
 
 
-def _block(low: int, steps: int) -> tuple[list, int, int]:
+def _block(low: int, steps: int) -> tuple[array, int, int]:
     """Up to ``steps`` accelerated steps x -> (3x+1)/2**k from an odd x whose
     low _BLOCK_BITS bits are ``low``, as far as those bits decide them: the
-    multiplicities ks, the end value y and e = sum(ks).
+    multiplicities ks, the end value y and e = sum(ks).  ks is an
+    ``array("H")``: each k is below _BLOCK_BITS, and a batch reads the
+    blocks' bytes into numpy in one call.
 
     After j steps y = (3**j * low + c_j) / 2**e_j is an exact integer
     congruent to the j-th iterate mod 2**(_BLOCK_BITS - e_j), so the next
@@ -652,7 +655,7 @@ def _block(low: int, steps: int) -> tuple[list, int, int]:
     """
     table = _residue_table()
     mask = (1 << _TABLE_BITS) - 1
-    ks = []
+    ks = array("H")
     y, e = low, 0
     # an entry holds fewer than _TABLE_BITS steps, so each one fits here
     while e <= _BLOCK_BITS - _TABLE_BITS and len(ks) < steps - _TABLE_BITS:
@@ -670,15 +673,29 @@ def _block(low: int, steps: int) -> tuple[list, int, int]:
     return ks, y, e
 
 
-def _block_exponents(ks, single: bool, room: int):
-    """(a_i, e_i) for the iterates (3**a_i x + c) / 2**e_i a block records:
-    one per accelerated step, or, in single steps, k_j + 1 per accelerated
-    step j (3 x_(j-1) + 1 and its k_j halvings), cut to ``room``."""
-    kv = np.array(ks)
+def _within(counts) -> np.ndarray:
+    """1, 2, ..., c for each count c in turn, concatenated."""
+    counts = np.asarray(counts, dtype=np.int64)
+    return np.arange(1, counts.sum() + 1) \
+        - np.repeat(np.cumsum(counts) - counts, counts)
+
+
+def _batch_exponents(blocks, counts, single: bool):
+    """(a_i, e_i) for the iterates (3**a_i x + c) / 2**e_i the queued
+    blocks record, concatenated: one per accelerated step, or, in single
+    steps, k_j + 1 per accelerated step j (3 x_(j-1) + 1 and its k_j
+    halvings).  Block b records counts[b] of them; only the last block can
+    be cut short (by ``max_iters``)."""
+    nks = [len(ks) for ks, _, _ in blocks]
+    kv = np.frombuffer(b"".join(ks for ks, _, _ in blocks),
+                       np.uint16).astype(np.int64)
+    j = _within(nks)
     if not single:
-        return np.arange(1, len(ks) + 1), np.cumsum(kv)
-    a = np.repeat(np.arange(1, len(ks) + 1), kv + 1)[:room]
-    return a, np.arange(1, len(a) + 1) - a
+        # e restarts at each block: subtract the earlier blocks' halvings
+        before = np.cumsum([0] + [e for _, _, e in blocks[:-1]])
+        return j, np.cumsum(kv) - np.repeat(before, nks)
+    a = np.repeat(j, kv + 1)[:sum(counts)]
+    return a, _within(counts) - a
 
 
 def _block_iterate(x: int, low: int, block, j: int, e: int) -> int:
@@ -687,8 +704,8 @@ def _block_iterate(x: int, low: int, block, j: int, e: int) -> int:
 
     After j steps the low-bit simulation holds y = (3**j * low + c) / 2**e_j,
     so c = y * 2**e_j - 3**j * low.  The block's end value gives c for its
-    last step; an earlier step (a refined digit, or a ``max_iters`` cut in
-    single steps) re-runs the plain loop on ``low`` to step j.
+    last step; an earlier step (a refined digit) re-runs the plain loop on
+    ``low`` to step j.
     """
     ks, y, ey = block
     if j < len(ks):
@@ -700,9 +717,10 @@ def _block_iterate(x: int, low: int, block, j: int, e: int) -> int:
     return u >> e
 
 
-def _block_logs(x: int, a: np.ndarray, e: np.ndarray, base: int):
-    """log_base of the block iterates (3**a_i * x + c) / 2**e_i mod 1, and a
-    band that holds each true value.
+def _batch_logs(xs, a: np.ndarray, e: np.ndarray, ids: np.ndarray,
+                base: int):
+    """log_base of the block iterates (3**a_i * x + c) / 2**e_i mod 1,
+    with x = xs[ids_i], and a band that holds each true value.
 
     log_base x_i = log_base x + a_i log_base 3 - e_i log_base 2 + delta_i,
     where 0 <= delta_i = log_base(1 + c / (3**a_i x)) < 2**(e_i - n + 1)
@@ -710,13 +728,51 @@ def _block_logs(x: int, a: np.ndarray, e: np.ndarray, base: int):
     powers 2**e_j / 3 with e_j <= e_i).  The band adds the bracket's pad for
     log_base x, a few ulps for each product and sum, and that correction.
     """
-    v, pad = _log_bracket(x, 1, base)
+    v, pad = _log_brackets(xs, base)
+    n = np.fromiter(map(int.bit_length, xs), np.int64, len(xs))
     lb = math.log(base)
     l3, l2 = math.log(3.0) / lb, _LN2 / lb
-    f = np.mod((v - math.floor(v)) + (a * l3 - e * l2), 1.0)
-    band = pad + (2.0 + a * l3 + e * l2) * 2.0 ** -48 \
-        + np.ldexp(1.0, e - x.bit_length() + 1) / lb
+    a3, e2 = a * l3, e * l2
+    g = (v - np.floor(v))[ids] + (a3 - e2)
+    # g - floor(g) is np.mod(g, 1.0) bit for bit (fmod is exact, and both
+    # round the same g - floor(g) when g < 0) at a tenth of the cost, and
+    # ldexp gives the same powers about eight times faster from int32
+    # exponents than from int64 ones
+    f = g - np.floor(g)
+    band = pad[ids] + (2.0 + a3 + e2) * 2.0 ** -48 \
+        + np.ldexp(1.0, (e - n[ids] + 1).astype(np.int32)) / lb
     return f, band
+
+
+def _decide(queue: list, tail: list, single: bool, base: int,
+            counts: np.ndarray) -> int:
+    """Count the digits of the queued iterates into ``counts`` and return
+    how many block digits were refined.
+
+    A queued block is (x, low, block, n): its start iterate, the low bits
+    and ``_block`` result it ran on, and the n iterates it records.  All
+    their digits come from one certified band each (see ``_batch_logs``) in
+    one pass; a digit whose band touches a boundary is recomputed from its
+    own block's exact iterate.  ``tail`` holds exact iterates of at most
+    _BLOCK_MIN_BITS bits, whose digits come from one vectorised bracket.
+    """
+    digits = [_leading_digits(tail, base)] if tail else []
+    refine = []
+    if queue:
+        xs, lows, blocks, ns = zip(*queue)
+        a, e = _batch_exponents(blocks, ns, single)
+        ids = np.repeat(np.arange(len(xs)), ns)
+        block_digits, certified = digits_from_log(
+            *_batch_logs(xs, a, e, ids, base), base)
+        # a band that touches a cell boundary: the exact iterate decides
+        refine = np.flatnonzero(~certified).tolist()
+        for i in refine:
+            b = ids[i]
+            block_digits[i] = leading_digit(_block_iterate(
+                xs[b], lows[b], blocks[b], int(a[i]), int(e[i])), base)
+        digits.append(block_digits)
+    counts += np.bincount(np.concatenate(digits) - 1, minlength=base - 1)
+    return len(refine)
 
 
 def iterate_digit_experiment(x0: BigNat, mode: str, base: int = 10,
@@ -732,11 +788,12 @@ def iterate_digit_experiment(x0: BigNat, mode: str, base: int = 10,
     the next steps depend only on the low bits (Terras 1976), so a block is
     simulated on the low _BLOCK_BITS (1,024) bits, mostly by lookups in the
     residue table (see ``_block``), and applied to the big integer with one
-    multiply-add-shift.  The block's digits come from one certified log band
-    per iterate (see ``_block_logs``); a digit whose band touches a boundary
-    is recomputed exactly and counted in ``n_refined``.  Smaller iterates
-    take one exact step and one ``leading_digit`` each.  Every digit is
-    exact.
+    multiply-add-shift.  Smaller iterates take one exact step each.  The
+    digits wait in a queue and are decided _BATCH (4,096) iterates at a time
+    (see ``_decide``): a block iterate's from one certified log band (see
+    ``_batch_logs``), recomputed exactly from its own block and counted in
+    ``n_refined`` where the band touches a boundary; a small iterate's from
+    one vectorised bracket, with an exact fallback.  Every digit is exact.
     """
     if mode not in MODES:
         raise DomainError(f"mode must be one of {MODES}")
@@ -751,32 +808,39 @@ def iterate_digit_experiment(x0: BigNat, mode: str, base: int = 10,
     n_rec = 1
     single = mode == "single_step"
     n_refined = 0
+    queue, tail = [], []    # waiting blocks and small exact iterates
+    n_queued = 0
     mask = (1 << _BLOCK_BITS) - 1
     while x != 1 and n_rec < max_iters:
         room = max_iters - n_rec
         if x & 1 and x.bit_length() > _BLOCK_MIN_BITS and \
                 (block := _block(low := x & mask, room))[0]:
-            a, e = _block_exponents(block[0], single, room)
-            digits, certified = digits_from_log(*_block_logs(x, a, e, base),
-                                                base)
-            # a band that touches a cell boundary: the exact iterate decides
-            refine = np.flatnonzero(~certified).tolist()
-            for i in refine:
-                digits[i] = leading_digit(_block_iterate(
-                    x, low, block, int(a[i]), int(e[i])), base)
-            x = _block_iterate(x, low, block, int(a[-1]), int(e[-1]))
-            np.add.at(counts, digits - 1, 1)
-            n_rec += len(a)
-            n_refined += len(refine)
-            continue
-        # one exact step: small or even x, or a multiplicity past the
-        # low bits; an even seed loses all its twos in its first step
-        if single:
-            x = 3 * x + 1 if x & 1 else x >> 1
+            ks, _, e = block
+            n = min(len(ks) + e, room) if single else len(ks)
+            queue.append((x, low, block, n))
+            # x moves to the block's end even when max_iters cuts the block
+            # short: the run then stops, and x, of over 64 bits, is not 1
+            x = _block_iterate(x, low, block, len(ks), e)
+            n_rec += n
+            n_queued += n
         else:
-            u = 3 * x + 1 if x & 1 else x
-            x = u >> ((u & -u).bit_length() - 1)
-        counts[leading_digit(x, base) - 1] += 1
-        n_rec += 1
+            # one exact step: small or even x, or a multiplicity past the
+            # low bits; an even seed loses all its twos in its first step
+            if single:
+                x = 3 * x + 1 if x & 1 else x >> 1
+            else:
+                u = 3 * x + 1 if x & 1 else x
+                x = u >> ((u & -u).bit_length() - 1)
+            n_rec += 1
+            if x.bit_length() > _BLOCK_MIN_BITS:
+                counts[leading_digit(x, base) - 1] += 1
+                continue
+            tail.append(x)
+            n_queued += 1
+        if n_queued >= _BATCH:
+            n_refined += _decide(queue, tail, single, base, counts)
+            queue, tail, n_queued = [], [], 0
+    if n_queued:
+        n_refined += _decide(queue, tail, single, base, counts)
     return IterateDigitResult(mode, base, DigitHistogram(base, counts),
                               n_rec, x == 1, n_refined)

@@ -163,6 +163,32 @@ def _log_bracket(num: int, den: int, base: float) -> tuple[float, float]:
     return v, margin + 5e-16
 
 
+def _log_values(xs, base: float) -> tuple[np.ndarray, np.ndarray]:
+    """The value ``_log_parts`` gives for each positive int in ``xs``,
+    element for element the same float operations, and the bit lengths.
+    ``math.log`` of the top bits is kept over ``np.log``, whose last ulp
+    can differ."""
+    vals = np.asarray(xs).tolist()
+    n = np.fromiter(map(int.bit_length, vals), np.int64, len(vals))
+    shift = n - np.minimum(n, _TOP_BITS)
+    for i in np.flatnonzero(shift).tolist():
+        vals[i] >>= int(shift[i])
+    lb = math.log(base)
+    v = shift * (_LN2 / lb) \
+        + np.fromiter(map(math.log, vals), np.float64, len(vals)) / lb
+    return v, n
+
+
+def _log_brackets(xs, base: float) -> tuple[np.ndarray, np.ndarray]:
+    """``_log_bracket(x, 1, base)`` of each positive int in ``xs``, element
+    for element the same float operations."""
+    v, n = _log_values(xs, base)
+    w = np.minimum(n, _TOP_BITS)
+    margin = (np.abs(v) + (n - w) + 16.0) * 2.5e-16 \
+        + np.ldexp(1.0, 1 - w) / math.log(base)
+    return v, margin + 5e-16
+
+
 # B**g increases with g, so floor(B**g) is one digit on a whole band of g
 # exactly when it agrees at both ends.  The ends are evaluated as
 # exp(fl(g * fl(ln B))) = B**g * (1 + eps), |eps| <= ln B * 2.2e-16 + the
@@ -245,6 +271,20 @@ def digits_from_log(f, band, base: int) -> tuple[np.ndarray, np.ndarray]:
     # a float bound, so int64 holds every clipped digit of any base
     top = min(base - 1, 2.0 ** 62)
     return np.fmax(np.fmin(mid, top), 1.0).astype(np.int64), certified
+
+
+def _leading_digits(xs: list, base: int) -> np.ndarray:
+    """:func:`leading_digit` of each positive int in ``xs``.
+
+    One vectorised bracket (:func:`_log_brackets`) goes through
+    :func:`digits_from_log`; a digit it leaves uncertified comes from
+    ``leading_digit``, exactly.
+    """
+    v, pad = _log_brackets(xs, base)
+    digits, certified = digits_from_log(v - np.floor(v), pad, base)
+    for i in np.flatnonzero(~certified).tolist():
+        digits[i] = leading_digit(xs[i], base)
+    return digits
 
 
 def log_mantissa(x: Real, base) -> float:

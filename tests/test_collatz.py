@@ -8,7 +8,8 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from benford_lab import collatz as cz
-from benford_lab.core_numeric import DomainError, leading_digit, \
+from benford_lab.core_numeric import DomainError, _exact_floor_log, \
+    _leading_digits, _log_brackets, digits_from_log, leading_digit, \
     log_mantissa
 
 from conftest import make_rng
@@ -630,7 +631,7 @@ class TestResidueTable:
         for r in range(2 ** w):
             ks, t, c, e = table[r]
             if r % 2 == 0:
-                assert ks == ()
+                assert not ks
                 continue
             ref_ks, _, ref_e = plain_block(r, w, w)
             assert (list(ks), e, t) == (ref_ks, ref_e, 3 ** len(ref_ks))
@@ -656,7 +657,8 @@ class TestResidueTable:
         edge = int(np.argmax(es > bits - w)) if es[-1] > bits - w \
             else len(full[0])
         for cut in (steps, max(edge + shift, 0), 10 ** 6):
-            assert cz._block(low, cut) == plain_block(low, cut, bits)
+            ks, y, e = cz._block(low, cut)
+            assert (ks.tolist(), y, e) == plain_block(low, cut, bits)
 
 
 class TestBlockTrajectory:
@@ -669,6 +671,13 @@ class TestBlockTrajectory:
     @example(3 ** 3150 + 1, 17, "single_step", 16, 60_000)
     @example(3 ** 3150 + 1, 17, "remove_all_twos", 2, 60_000)
     @example(_far_multiplicity_seed(), 0, "remove_all_twos", 7, 60_000)
+    # 20,130 bits: digits are decided about 4,600 iterates at a time, so
+    # 30,000 iterates end inside the seventh batch; the full remove-twos
+    # run also queues its sub-block tail
+    @example(3 ** 12700 + 2, 0, "remove_all_twos", 10, 30_000)
+    @example(3 ** 12700 + 2, 0, "single_step", 10, 30_000)
+    @example(3 ** 12700 + 2, 5, "single_step", 7, 30_000)
+    @example(3 ** 12700 + 2, 0, "remove_all_twos", 16, 10 ** 7)
     @settings(max_examples=50, deadline=None)
     def test_matches_stepwise_oracle(self, x, shift, mode, base, max_iters):
         x0 = x << shift
@@ -680,19 +689,80 @@ class TestBlockTrajectory:
     @pytest.mark.parametrize("single", [False, True])
     @pytest.mark.parametrize("base", [3, 10, 16])
     def test_band_holds_the_true_log(self, single, base):
+        # two consecutive blocks in one batch, the second cut short by a
+        # room of 300 iterates
         x = 3 ** 1600 + 2 ** 1400           # odd, 2,536 bits
-        assert x.bit_length() > cz._BLOCK_MIN_BITS
-        low = x & ((1 << cz._BLOCK_BITS) - 1)
-        block = cz._block(low, 10 ** 6)
-        a, e = cz._block_exponents(block[0], single, 10 ** 6)
-        f, band = cz._block_logs(x, a, e, base)
-        assert len(block[0]) > 200 and len(f) >= len(block[0])
+        mask = (1 << cz._BLOCK_BITS) - 1
+        queue = []
+        for room in (10 ** 6, 300):
+            assert x.bit_length() > cz._BLOCK_MIN_BITS
+            block = cz._block(x & mask, room)
+            ks, _, e = block
+            queue.append((x, x & mask, block,
+                          min(len(ks) + e, room) if single else len(ks)))
+            x = cz._block_iterate(x, x & mask, block, len(ks), e)
+        xs, lows, blocks, ns = zip(*queue)
+        a, e = cz._batch_exponents(blocks, ns, single)
+        ids = np.repeat([0, 1], ns)
+        f, band = cz._batch_logs(xs, a, e, ids, base)
+        assert len(blocks[0][0]) > 200 and len(f) == sum(ns)
         with mpmath.workdps(60):
             for i in range(len(a)):
-                xi = cz._block_iterate(x, low, block, int(a[i]), int(e[i]))
+                b = ids[i]
+                xi = cz._block_iterate(xs[b], lows[b], blocks[b], int(a[i]),
+                                       int(e[i]))
                 true = float(mpmath.frac(mpmath.log(xi) / mpmath.log(base)))
                 gap = abs(true - f[i])
                 assert min(gap, 1.0 - gap) < band[i]
+
+    @pytest.mark.parametrize("single", [False, True])
+    def test_batch_exponents_restart_at_each_block(self, single):
+        # the last block is cut short by a room of 20 iterates
+        x = 3 ** 1600 + 2 ** 1400
+        blocks = [cz._block(low, room) for low, room in
+                  ((x & ((1 << cz._BLOCK_BITS) - 1), 10 ** 6), (27, 10 ** 6),
+                   ((2 ** 40 - 1) // 3, 20))]
+        ns = [len(ks) + e if single else len(ks) for ks, _, e in blocks]
+        ns[-1] = min(ns[-1], 20)
+        a, e = cz._batch_exponents(blocks, ns, single)
+        ref_a, ref_e = [], []
+        for (ks, _, _), n in zip(blocks, ns):
+            # one block at a time: 3 x_(j-1) + 1 (single steps only), then
+            # its k_j halvings, or x_j alone
+            pairs, done = [], 0
+            for j, k in enumerate(ks, 1):
+                halvings = range(k + 1) if single else [k]
+                pairs += [(j, done + h) for h in halvings]
+                done += k
+            ref_a += [p[0] for p in pairs[:n]]
+            ref_e += [p[1] for p in pairs[:n]]
+        assert (a.tolist(), e.tolist()) == (ref_a, ref_e)
+
+    @pytest.mark.parametrize("mode", cz.MODES)
+    def test_refined_digit_is_rebuilt_from_its_own_block(self, mode,
+                                                         monkeypatch):
+        # clear the certificate of every 97th digit a batch decides: each
+        # such digit must be rebuilt exactly from the block that holds it
+        x0 = 3 ** 12700 + 2                 # 20,130 bits, seven batches
+        honest = cz.iterate_digit_experiment(x0, mode, 10, 30_000)
+        decide = cz.digits_from_log
+        cleared = uncertified = 0
+
+        def faulty(f, band, base):
+            nonlocal cleared, uncertified
+            digits, certified = decide(f, band, base)
+            cleared += int(np.count_nonzero(certified[96::97]))
+            certified[96::97] = False
+            uncertified += int(np.count_nonzero(~certified))
+            return digits, certified
+
+        monkeypatch.setattr(cz, "digits_from_log", faulty)
+        res = cz.iterate_digit_experiment(x0, mode, 10, 30_000)
+        counts, n, _ = stepwise_digits(x0, mode, 10, 30_000)
+        assert res.histogram.counts.tolist() == counts
+        assert res.n_recorded == n
+        assert cleared > 300
+        assert res.n_refined == uncertified == cleared + honest.n_refined
 
     # 3 x0 + 1 = 4 (2*10^1200 - 1) or 2 (10^1200 + 1): every iterate of the
     # first accelerated step sits one unit from a digit boundary
@@ -712,3 +782,29 @@ class TestBlockTrajectory:
         res = cz.iterate_digit_experiment(x0, mode, 10, max_iters=3000)
         assert res.histogram.counts.tolist() == \
             stepwise_digits(x0, mode, 10, 3000)[0]
+
+
+class TestTailDigits:
+    @pytest.mark.parametrize("base", list(range(2, 17)) + [65536])
+    def test_bracket_against_exact_floor_log(self, base):
+        # d B^k - 1, d B^k and d B^k + 1 for every B^k the tail can hold
+        ds = range(1, base) if base <= 16 else (1, 2, 255, 256, 65535)
+        xs, k = [], 0
+        while base ** k < 2 ** cz._BLOCK_MIN_BITS:
+            xs += [d * base ** k + h for d in ds for h in (-1, 0, 1)]
+            k += 1
+        xs = [x for x in xs if x >= 1]
+        exact = np.array([a // b for _, a, b in
+                          (_exact_floor_log(x, base) for x in xs)])
+        v, pad = _log_brackets(xs, base)
+        digits, certified = digits_from_log(v - np.floor(v), pad, base)
+        assert np.array_equal(digits[certified], exact[certified])
+        assert np.array_equal(_leading_digits(xs, base), exact)
+
+    @pytest.mark.parametrize("base", [2, 3, 7, 10, 16, 1000, 65536])
+    def test_trajectory_through_a_power(self, base):
+        # 3 * 333 + 1 = 1000 = 10^3
+        res = cz.iterate_digit_experiment(333, "single_step", base)
+        counts, n, reached = stepwise_digits(333, "single_step", base, 10 ** 7)
+        assert res.histogram.counts.tolist() == counts
+        assert (res.n_recorded, res.reached_one) == (n, reached)

@@ -185,6 +185,17 @@ class TestDigitsFromLog:
             n_open += int((~certified).sum())
         assert n_certified > 0 and n_open > 0
 
+    @pytest.mark.parametrize("base", [2, 2.0, 3, 10, 65536, 2.5])
+    def test_vector_bracket_is_the_scalar_one(self, base):
+        rng = np.random.default_rng(11)
+        xs = [1, 2, 3, 7, 2 ** 49 - 1, 2 ** 50, 2 ** 50 + 1, 2 ** 53 + 1,
+              3 ** 700, 10 ** 300 + 1, 2 ** 1088 - 1]
+        xs += [int(rng.integers(1, 2 ** 62)) << int(s)
+               for s in rng.integers(0, 3000, 200)]
+        v, pad = cn._log_brackets(xs, base)
+        scalar = [cn._log_bracket(x, 1, base) for x in xs]
+        assert list(zip(v.tolist(), pad.tolist())) == scalar
+
 
     def test_cells_match_the_full_bound_table(self):
         # f at every float bound log(d)/log(B) and 1-3 ulps either side, at
