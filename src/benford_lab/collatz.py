@@ -12,8 +12,10 @@ leading-digit censuses over whole trajectories of enormous seeds.
 Seed censuses run in one vectorised loop: the iterates stay in int64 while
 the next multiply by g cannot overflow and widen to exact Python ints (an
 object array) once it could, so only the census steps that need big integers
-pay for them.  Digit decisions are never made from a float that could sit on
-a digit boundary.
+pay for them.  An int64 step of a d = 2 map is a few integer ufuncs into
+buffers the loop owns: u = g*x + h(1), k counted as the ones of
+(u & -u) - 1, and x = u >> k.  Digit decisions are never made from a float
+that could sit on a digit boundary.
 
 Trajectories of big seeds advance by blocks.  The next k steps of the 3x+1
 map depend only on x mod 2**k (Terras 1976; Lagarias 1985), so a block is
@@ -265,13 +267,12 @@ _K_SLOTS = 64  # pooled multiplicity counts are binned up to this value
 
 
 def _trailing_zeros(u: np.ndarray) -> np.ndarray:
-    """Exponent of 2 in each entry of u > 0 (int64 or exact-int object)."""
-    low = u & -u
-    if u.dtype == object:
-        # exact at any size; a float log2 overflows once k reaches 1024
-        return np.fromiter((v.bit_length() - 1 for v in low), np.int64,
-                           len(low))
-    return np.log2(low.astype(np.float64)).astype(np.int64)
+    """Exponent of 2 in each entry of an exact-int object array u > 0, from
+    the bit length of u & -u: exact at any size, where a float log2 would
+    overflow once k reaches 1024.  (The int64 census counts the ones of
+    (u & -u) - 1 in its step kernel instead.)"""
+    return np.fromiter((v.bit_length() - 1 for v in u & -u), np.int64,
+                       len(u))
 
 
 def _census_steps(seeds, m: int, dmap: DghMap):
@@ -282,6 +283,12 @@ def _census_steps(seeds, m: int, dmap: DghMap):
     is closed under the map, since g*x + h = h (mod g), d**k is coprime to
     g and g*x + h > 0.  Iterates stay in int64 while g*x cannot overflow
     and move to exact Python ints (an object array) when it could.
+
+    For d = 2 the int64 steps run in buffers the generator owns, so the
+    yielded x and k are overwritten by the next step; the caller's seed
+    array is only read.  x and g are odd, so g*x is odd and h is h(1) on
+    every step, and k is the number of ones in (u & -u) - 1, in integer
+    ops.  Other d look h up by g*x mod d and divide d out while it divides.
     """
     if len(seeds) == 0:
         raise DomainError("need a nonempty census")
@@ -296,15 +303,24 @@ def _census_steps(seeds, m: int, dmap: DghMap):
     cap = (2 ** 62) // dmap.g
     htab = np.array([v if v is not None else 0 for v in dmap.h],
                     dtype=np.int64)
+    u, low, k, xbuf = (np.empty(len(x), np.int64) for _ in range(4))
     for _ in range(m):
         if x.dtype != object and x.max() > cap:
             x = x.astype(object)
-        u = dmap.g * x
-        u += htab[(u % dmap.d).astype(np.intp)]
-        if dmap.d == 2:
+        if dmap.d == 2 and x.dtype != object:
+            np.multiply(x, dmap.g, out=u)
+            u += dmap.h[1]
+            np.bitwise_and(u, np.negative(u, out=low), out=low)
+            low -= 1
+            np.bitwise_count(low, out=k)
+            x = np.right_shift(u, k, out=xbuf)
+        elif dmap.d == 2:
+            u = dmap.g * x + dmap.h[1]
             k = _trailing_zeros(u)
             x = u >> k
         else:
+            u = dmap.g * x
+            u += htab[(u % dmap.d).astype(np.intp)]
             # np.divmod has no object loop; // and % work for both dtypes
             k = np.zeros(len(x), dtype=np.int64)
             while (mask := u % dmap.d == 0).any():
@@ -315,16 +331,13 @@ def _census_steps(seeds, m: int, dmap: DghMap):
 
 
 def _census_paths(seeds, m: int, dmap: DghMap):
-    """x_m, total multiplicity S and pooled k-histogram over a census."""
+    """x_m and the total multiplicity S of each seed over a census."""
     if m < 1:
         raise DomainError("m must be >= 1")
-    s_tot = 0
-    khist = np.zeros(_K_SLOTS, dtype=np.int64)
+    s_tot = np.zeros(len(seeds), dtype=np.int64)
     for x, k in _census_steps(seeds, m, dmap):
         s_tot += k
-        khist += np.bincount(np.minimum(k, _K_SLOTS - 1),
-                             minlength=_K_SLOTS)
-    return x, s_tot, khist
+    return x, s_tot
 
 
 @dataclass
@@ -354,8 +367,14 @@ class KValueStats:
 
 
 def kvalue_histogram(dmap: DghMap, seeds, m: int) -> KValueStats:
-    """Histogram of all m * len(seeds) multiplicities along the census."""
-    _, _, khist = _census_paths(seeds, m, dmap)
+    """Histogram of all m * len(seeds) multiplicities along the census,
+    binned up to _K_SLOTS - 1."""
+    if m < 1:
+        raise DomainError("m must be >= 1")
+    khist = np.zeros(_K_SLOTS, dtype=np.int64)
+    for _, k in _census_steps(seeds, m, dmap):
+        khist += np.bincount(np.minimum(k, _K_SLOTS - 1),
+                             minlength=_K_SLOTS)
     return KValueStats(dmap.d, khist, int(khist.sum()))
 
 
@@ -478,7 +497,7 @@ def ratio_digit_experiment(seeds, m: int, base: int) -> RatioDigitResult:
     which ``ratio_fracs`` can reuse.
     """
     base = _check_digit_base(base)
-    xm, s_tot, _ = _census_paths(seeds, m, THREE_X_PLUS_1)
+    xm, s_tot = _census_paths(seeds, m, THREE_X_PLUS_1)
     est, slack = _ulog2_gate(seeds, xm, s_tot, m)
     j = 2 * m - s_tot
     j_lo = int(j.min())
@@ -553,7 +572,7 @@ def ratio_fracs(seeds, m: int, base, *, census=None) -> np.ndarray:
     """
     c = _LN2 / math.log(_check_base(base))
     if census is None:
-        census = _census_paths(seeds, m, THREE_X_PLUS_1)[:2]
+        census = _census_paths(seeds, m, THREE_X_PLUS_1)
     xm, s_tot = census
     ulog2 = _ulog2(seeds, xm, s_tot, m)
     j = np.asarray(2 * m - s_tot, dtype=np.float64)
@@ -561,12 +580,24 @@ def ratio_fracs(seeds, m: int, base, *, census=None) -> np.ndarray:
 
 
 def ks_distance(a, b) -> float:
-    """Two-sample Kolmogorov-Smirnov sup distance."""
+    """Two-sample Kolmogorov-Smirnov sup distance.
+
+    Both empirical CDFs are read at the last of each run of equal values in
+    the merged sample, where they step; a stable argsort of the two sorted
+    samples merges them, and cumulative counts give the number of each
+    sample's points at or below every value.
+    """
     a = np.sort(np.asarray(a, dtype=np.float64))
     b = np.sort(np.asarray(b, dtype=np.float64))
-    grid = np.concatenate([a, b])
-    fa = np.searchsorted(a, grid, side="right") / a.size
-    fb = np.searchsorted(b, grid, side="right") / b.size
+    both = np.concatenate([a, b])
+    order = np.argsort(both, kind="stable")
+    merged = both[order]
+    # NaNs sort last and, as in searchsorted, count as one value
+    last = np.flatnonzero(np.append(
+        (merged[1:] != merged[:-1]) & ~np.isnan(merged[:-1]), True))
+    in_a = np.cumsum(order < a.size)[last]
+    fa = in_a / a.size
+    fb = (last + 1 - in_a) / b.size
     return float(np.abs(fa - fb).max())
 
 

@@ -166,16 +166,29 @@ def _log_bracket(num: int, den: int, base: float) -> tuple[float, float]:
 def _log_values(xs, base: float) -> tuple[np.ndarray, np.ndarray]:
     """The value ``_log_parts`` gives for each positive int in ``xs``,
     element for element the same float operations, and the bit lengths.
-    ``math.log`` of the top bits is kept over ``np.log``, whose last ulp
-    can differ."""
-    vals = np.asarray(xs).tolist()
-    n = np.fromiter(map(int.bit_length, vals), np.int64, len(vals))
-    shift = n - np.minimum(n, _TOP_BITS)
-    for i in np.flatnonzero(shift).tolist():
-        vals[i] >>= int(shift[i])
+
+    An int64 array takes its bit lengths, its shifts to at most _TOP_BITS
+    bits and the floats of those top bits in numpy, all exactly (below
+    2**53 a float is the int, and ``math.log`` of an int is ``math.log`` of
+    its float); other ints take them one at a time.  Either way each top
+    goes through ``math.log``, not ``np.log``, whose last ulp can differ."""
+    xs = np.asarray(xs)
+    if xs.dtype == np.int64:
+        # frexp's exponent is the bit length, or one more where the float
+        # rounded up to the next power of two
+        e = np.frexp(xs.astype(np.float64))[1].astype(np.int64)
+        n = e - (xs >> (e - 1) == 0)
+        shift = n - np.minimum(n, _TOP_BITS)
+        tops = (xs >> shift).astype(np.float64).tolist()
+    else:
+        tops = xs.tolist()
+        n = np.fromiter(map(int.bit_length, tops), np.int64, len(tops))
+        shift = n - np.minimum(n, _TOP_BITS)
+        for i in np.flatnonzero(shift).tolist():
+            tops[i] >>= int(shift[i])
     lb = math.log(base)
     v = shift * (_LN2 / lb) \
-        + np.fromiter(map(math.log, vals), np.float64, len(vals)) / lb
+        + np.fromiter(map(math.log, tops), np.float64, len(tops)) / lb
     return v, n
 
 
@@ -372,8 +385,11 @@ def shift_out_factor(x: BigNat, d: int = 2) -> tuple[BigNat, int]:
 def digits_to_int(digits, base: int) -> BigNat:
     """Assemble an integer from most-significant-first digits in ``base``.
 
-    Chunked Horner evaluation; avoids CPython's int<->str digit limit and is
-    comfortably fast at 10**5 digits.
+    Digits are gathered into int64 chunk values of k digits each, which are
+    then combined pairwise, level by level: each level doubles the width of
+    a value and squares its radix b**k, so the large multiplies are few and
+    balanced, where a Horner pass over the chunks costs time quadratic in
+    the length.  This avoids CPython's int<->str digit limit.
     """
     b = _check_digit_base(base)
     arr = np.asarray(digits, dtype=np.int64)
@@ -389,11 +405,14 @@ def digits_to_int(digits, base: int) -> BigNat:
     vals = np.zeros(len(chunks), dtype=np.int64)
     for j in range(k):
         vals = vals * b + chunks[:, j]
-    big = 0
+    vals = vals.tolist()
     p = b ** k
-    for v in vals.tolist():
-        big = big * p + v
-    return big
+    while len(vals) > 1:
+        if len(vals) % 2:
+            vals.insert(0, 0)   # a leading zero chunk keeps the pairs aligned
+        vals = [hi * p + lo for hi, lo in zip(vals[::2], vals[1::2])]
+        p *= p
+    return vals[0]
 
 
 def random_bignat(num_digits: int, base: int, rng: np.random.Generator) -> BigNat:

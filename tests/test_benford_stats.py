@@ -295,3 +295,17 @@ def test_discrepancy_report_round_trip():
     assert rep.erdos_turan >= rep.extreme >= rep.star
     assert "erdos_turan" in rep.to_json()
     assert "D*_N" in rep.to_text_table()
+
+
+@pytest.mark.parametrize("pts", [
+    make_rng(32).random(1000),
+    make_rng(33).random(1000) * 6 - 3,      # reduced mod 1 first
+    np.sort(make_rng(34).random(1000)),     # sorted already
+    np.array([-0.0, 0.0, 0.25, 0.25, 0.999]),
+    np.array([0.5]),
+])
+def test_discrepancy_report_sorts_once_with_the_same_bits(pts):
+    rep = bs.discrepancy_report(pts, m=20)
+    assert rep.star == bs.star_discrepancy(pts)
+    assert rep.extreme == bs.extreme_discrepancy(pts)
+    assert rep.erdos_turan == bs.erdos_turan_bound(pts, 20)

@@ -224,7 +224,8 @@ class TestCensusEngine:
     def test_matches_path(self, dmap, raw, m):
         seeds = [x for x in raw if dmap.in_domain(x)]
         assume(seeds)
-        xm, s_tot, khist = cz._census_paths(seeds, m, dmap)
+        xm, s_tot = cz._census_paths(seeds, m, dmap)
+        khist = cz.kvalue_histogram(dmap, seeds, m).counts
         ref_xm, ref_s, ref_khist = path_census(dmap, seeds, m)
         assert [int(x) for x in xm] == ref_xm
         assert s_tot.tolist() == ref_s
@@ -232,9 +233,49 @@ class TestCensusEngine:
 
     def test_widens_from_int64_mid_run(self):
         seeds = np.array([7, 69, 141, 173], dtype=np.int64)
-        xm, _, _ = cz._census_paths(seeds, 150, cz.FIVE_X_PLUS_1)
+        xm, _ = cz._census_paths(seeds, 150, cz.FIVE_X_PLUS_1)
         assert xm.dtype == object
         assert max(xm).bit_length() > 90
+
+    @pytest.mark.parametrize("dmap", [cz.THREE_X_PLUS_1, cz.THREE_X_MINUS_1,
+                                      cz.FIVE_X_PLUS_1])
+    def test_every_step_matches_path_through_the_cap(self, dmap):
+        # seeds up to the int64 cap 2**62 // g: the first steps run in the
+        # int64 kernel, and its buffers widen to exact ints within a few
+        # steps; every yielded step is compared before the next overwrites it
+        cap = 2 ** 62 // dmap.g
+        seeds = np.array([x for x in range(cap - 400, cap + 1)
+                          if dmap.in_domain(x)] + [7, 11, 13], np.int64)
+        m = 12
+        paths = [cz.path(dmap, int(x0), m) for x0 in seeds]
+        dtypes = []
+        for i, (x, k) in enumerate(cz._census_steps(seeds, m, dmap)):
+            dtypes.append(x.dtype)
+            assert [int(v) for v in x] == [p.iterates[i] for p in paths]
+            assert [int(v) for v in k] == [p.kvalues[i] for p in paths]
+        assert dtypes[0] == np.int64 and dtypes[-1] == object
+
+    def test_census_leaves_the_seed_array_unchanged(self):
+        seeds = cz.census_1mod6(CENSUS_START, 2_000)
+        kept = seeds.copy()
+        res = cz.ratio_digit_experiment(seeds, 10, 10)
+        cz.ratio_fracs(seeds, 10, 10)
+        cz.kvalue_histogram(cz.THREE_X_PLUS_1, seeds, 10)
+        assert np.array_equal(seeds, kept)
+        # the census the result keeps is its own, not a step buffer reused
+        # by a later census
+        xm, s_tot = cz._census_paths(kept, 10, cz.THREE_X_PLUS_1)
+        assert np.array_equal(res.census[0], xm)
+        assert np.array_equal(res.census[1], s_tot)
+
+    def test_structure_scan_leaves_its_domain_array_unchanged(
+            self, monkeypatch):
+        xs = cz._domain_int64(10_000)
+        kept = xs.copy()
+        monkeypatch.setattr(cz, "_domain_int64", lambda limit: xs)
+        pred = cz.inverse_path_bruteforce((2, 1), 10_000)
+        assert np.array_equal(xs, kept)
+        assert pred.modulus == 48
 
     @pytest.mark.parametrize("seeds, m", [
         ([7, -5], 3), ([7, 9], 3), ([7, 10], 3), ([7, 2 ** 70 * 3], 3),
@@ -480,7 +521,7 @@ def exact_ulog2(seeds, xm, s_tot, m):
 def int64_pairs(seeds, m):
     """(x_0, x_m, S) over a census, cut to the seeds whose x_m fits int64
     and cast to int64, whatever the census engine held them in."""
-    xm, s_tot, _ = cz._census_paths(seeds, m, cz.THREE_X_PLUS_1)
+    xm, s_tot = cz._census_paths(seeds, m, cz.THREE_X_PLUS_1)
     keep = np.array([int(x) < 2 ** 63 for x in xm])
     return (np.asarray(seeds, dtype=np.int64)[keep],
             xm[keep].astype(np.int64), s_tot[keep])
@@ -512,10 +553,21 @@ class TestRatioGate:
     @pytest.mark.parametrize("start", [2 ** 62 + 3, 10 ** 399 + 3])
     def test_object_estimate_within_its_bound(self, start):
         seeds = cz.census_1mod6(start, 200)
-        xm, s_tot, _ = cz._census_paths(seeds, 10, cz.THREE_X_PLUS_1)
+        xm, s_tot = cz._census_paths(seeds, 10, cz.THREE_X_PLUS_1)
         assert xm.dtype == object
         est, slack = cz._ulog2_gate(seeds, xm, s_tot, 10)
         assert np.abs(est - exact_ulog2(seeds, xm, s_tot, 10)).max() <= slack
+
+
+def searchsorted_ks(a, b):
+    """The two-sample KS distance read at every point of both samples by
+    ``searchsorted``: the oracle of ``ks_distance``'s merge."""
+    a = np.sort(np.asarray(a, dtype=np.float64))
+    b = np.sort(np.asarray(b, dtype=np.float64))
+    grid = np.concatenate([a, b])
+    fa = np.searchsorted(a, grid, side="right") / a.size
+    fb = np.searchsorted(b, grid, side="right") / b.size
+    return float(np.abs(fa - fb).max())
 
 
 def test_ks_distance():
@@ -523,6 +575,34 @@ def test_ks_distance():
     assert cz.ks_distance(a, a) == 0.0
     b = a / 2
     assert abs(cz.ks_distance(a, b) - 0.5) < 0.01
+
+
+# a few values, so that ties fall inside each sample and across the two;
+# searchsorted counts NaN as one value above inf
+TIED = st.sampled_from([0.0, -0.0, 0.125, 0.3, 0.5, 0.5000000000000001, 1.0,
+                        math.inf, math.nan])
+
+
+@given(st.lists(st.one_of(TIED, st.floats(-1e3, 1e3)), min_size=1,
+                max_size=60),
+       st.lists(st.one_of(TIED, st.floats(-1e3, 1e3)), min_size=1,
+                max_size=60))
+@example([0.5], [0.5])
+@example([0.5], [0.125, 0.5, 0.5, 1.0])
+@example([0.0, 0.3, 0.3], [-0.0])
+@example([math.nan, math.nan], [math.nan])
+@example([0.3, math.nan, math.inf], [math.nan, 0.3])
+@settings(max_examples=300, deadline=None)
+def test_ks_distance_is_the_searchsorted_form(a, b):
+    assert cz.ks_distance(a, b) == searchsorted_ks(a, b)
+    assert cz.ks_distance(b, a) == searchsorted_ks(b, a)
+
+
+def test_ks_distance_headline_sizes():
+    rng = make_rng(3)
+    a = np.round(rng.random(100_000), 4)   # many ties
+    b = rng.random(99_999)
+    assert cz.ks_distance(a, b) == searchsorted_ks(a, b)
 
 
 class TestIterateDigitExperiment:

@@ -299,6 +299,53 @@ class TestDigitsFromLog:
             assert (int(m.significand), m.exponent) == (a // b, e)
 
 
+def per_element_log_values(xs, base):
+    """``_log_values`` one Python int at a time: the oracle of its int64
+    path."""
+    vals = [int(x) for x in xs]
+    n = np.fromiter(map(int.bit_length, vals), np.int64, len(vals))
+    shift = n - np.minimum(n, cn._TOP_BITS)
+    for i in np.flatnonzero(shift).tolist():
+        vals[i] >>= int(shift[i])
+    lb = math.log(base)
+    v = shift * (cn._LN2 / lb) \
+        + np.fromiter(map(math.log, vals), np.float64, len(vals)) / lb
+    return v, n
+
+
+# 2**k - 1, 2**k and 2**k + 1 where the top bits are cut (2**50), where a
+# float stops holding every int (2**53) and near the int64 top
+POWER_EDGES = [2 ** k + d for k in (50, 53, 62) for d in (-1, 0, 1)] \
+    + [1, 2, 3, 2 ** 63 - 1]
+
+
+class TestLogValues:
+    @given(st.lists(st.integers(1, 63).flatmap(
+               lambda b: st.integers(2 ** (b - 1), 2 ** b - 1)),
+               min_size=1, max_size=40),
+           st.sampled_from([2.0, 10, 7, 16, math.e, 65536]))
+    @example(POWER_EDGES, 2.0)
+    @example(POWER_EDGES, 10)
+    @settings(max_examples=200, deadline=None)
+    def test_int64_path_is_the_per_element_path(self, xs, base):
+        v, n = cn._log_values(np.array(xs, dtype=np.int64), base)
+        ref_v, ref_n = per_element_log_values(xs, base)
+        assert n.tolist() == [x.bit_length() for x in xs] == ref_n.tolist()
+        assert v.tolist() == ref_v.tolist()
+        # the object path too, and each value is _log_parts's
+        ov, on = cn._log_values(np.array(xs, dtype=object), base)
+        assert ov.tolist() == ref_v.tolist() and on.tolist() == n.tolist()
+        assert v.tolist() == [cn._log_parts(x, base)[0] for x in xs]
+
+    def test_random_census_values(self):
+        xs = make_rng(23).integers(1, 2 ** 63 - 1, 20_000, dtype=np.int64) \
+            >> make_rng(24).integers(0, 63, 20_000)
+        xs = np.maximum(xs, 1)
+        v, n = cn._log_values(xs, 2.0)
+        ref_v, ref_n = per_element_log_values(xs.tolist(), 2.0)
+        assert np.array_equal(n, ref_n) and v.tolist() == ref_v.tolist()
+
+
 class TestExactFloorLog:
     @given(st.integers(1, 2 ** 200), st.integers(1, 2 ** 200),
            st.integers(2, 16))
@@ -380,6 +427,33 @@ class TestRandomBignat:
         digits = rng.integers(0, 10, size=2000)
         digits[0] = 3
         assert cn.digits_to_int(digits, 10) == int("".join(map(str, digits)))
+
+    @given(st.integers(2, 65536), st.integers(1, 9), st.integers(-1, 1),
+           st.data())
+    @example(10, 1, -1, None)   # 17 digits: one chunk, zero-padded
+    @example(65536, 3, 1, None)
+    @settings(max_examples=150, deadline=None)
+    def test_digits_to_int_is_horner(self, base, chunks, offset, data):
+        # lengths around multiples of the chunk size, which sets where the
+        # pairwise combination pads and how many levels it takes
+        k = max(1, int(62 // math.log2(base)))
+        n = max(1, chunks * k + offset)
+        if data is None:
+            digits = [base - 1] * n
+        else:
+            digits = data.draw(st.lists(st.integers(0, base - 1),
+                                        min_size=n, max_size=n))
+        horner = 0
+        for d in digits:
+            horner = horner * base + d
+        assert cn.digits_to_int(digits, base) == horner
+
+    def test_digits_to_int_many_levels(self):
+        digits = make_rng(6).integers(0, 7, 5_000)
+        horner = 0
+        for d in digits.tolist():
+            horner = horner * 7 + d
+        assert cn.digits_to_int(digits, 7) == horner
 
 
 ZETA_ROW = "%.6f,%.10f,%.12e,%.12e,%.12e,%.12e,%d,%.3e"
