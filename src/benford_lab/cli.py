@@ -108,9 +108,10 @@ def _rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(seed))
 
 
-def _resolve_alpha(text: str):
+def _resolve_alpha(text: str, dps: int = 480):
     """Accept a finite float literal, 'p/q' (exact rational), or 'log:X:B'
-    (integers X >= 1, B >= 2) for a 500-digit log_B(X)."""
+    (integers X >= 1, B >= 2) for log_B(X) at ``dps`` and 20 guard digits,
+    500 digits in all by default."""
     parts = text.split(":")
     if parts[0] == "log" and len(parts) != 3:
         raise ConfigError("log alpha form must look like log:2:10")
@@ -120,7 +121,7 @@ def _resolve_alpha(text: str):
             if x < 1 or b < 2:
                 raise ConfigError(f"log:X:B needs X >= 1 and B >= 2, "
                                   f"got {text!r}")
-            alpha = equidist.log_ratio(x, b)
+            alpha = equidist.log_ratio(x, b, dps + 20)
         elif "/" in text:
             num, den = text.split("/", 1)
             return Fraction(int(num), int(den))
@@ -348,14 +349,14 @@ def cmd_equidist_kalpha(args, cfg: ExperimentConfig) -> tuple:
 
 
 def cmd_equidist_cf(args, cfg: ExperimentConfig) -> tuple:
-    alpha = _resolve_alpha(args.alpha)
+    alpha = _resolve_alpha(args.alpha, args.dps)
     convs = equidist.continued_fraction(alpha, args.depth, dps=args.dps)
     return (("p", "q"), convs, "\n".join(f"{p}/{q}" for p, q in convs),
             {"convergents": [[str(p), str(q)] for p, q in convs]})
 
 
 def cmd_equidist_type(args, cfg: ExperimentConfig) -> tuple:
-    alpha = _resolve_alpha(args.alpha)
+    alpha = _resolve_alpha(args.alpha, args.dps)
     gammas = tuple(_number_list(args.gammas, float, "--gammas"))
     probe = equidist.type_probe(alpha, args.depth, gammas, dps=args.dps)
     header, *rows = probe.to_csv_rows()
@@ -371,7 +372,7 @@ def cmd_poisson_check(args, cfg: ExperimentConfig) -> tuple:
     rows = []
     worst = 0.0
     for s in sigmas:
-        r = equidist.theta_identity_residual(s, args.cutoff)
+        r = equidist.theta_identity_residual(s)
         worst = max(worst, r)
         rows.append((f"{s:g}", f"{r:.3e}"))
     table = "\n".join(f"sigma={s:<8} residual={r}" for s, r in rows)
@@ -498,7 +499,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("poisson-check", help="theta identity residual sweep")
     p.add_argument("--sigmas", default="0.1,0.5,1,2,10,50")
-    p.add_argument("--cutoff", type=int, default=None)
     _add_common(p)
     p.set_defaults(func=cmd_poisson_check)
 

@@ -23,12 +23,12 @@ simulated on the low 1,024 bits, giving each block iterate as
 (3**a * x + c) / 2**e, and is applied to the big integer with one
 multiply-add-shift.  The simulation takes most of its steps by lookups in a
 table of the steps each odd residue mod 2**12 decides, built at first use,
-and c follows from the simulation's end value.  The block's leading digits
-come from log_base x plus a*log_base 3 - e*log_base 2 inside a certified
-band; a digit whose band touches a cell boundary is recomputed from the
-exact iterate.  Digits are decided a few thousand iterates at a time, over
-several blocks and the small iterates stepped exactly after them, so numpy's
-fixed cost per call is shared.
+and c follows from the simulation's end value.  Digits are decided a few
+thousand iterates at a time, over several blocks and the small iterates
+stepped exactly after them, in one pass: one log bracket of the block start
+values and small iterates, a block iterate's log as log_base x plus
+a*log_base 3 - e*log_base 2 inside a certified band, one digit rule, and an
+exact fallback where a band touches a cell boundary.
 """
 
 from __future__ import annotations
@@ -43,9 +43,8 @@ import numpy as np
 
 from .benford_stats import DigitHistogram, benford_probabilities
 from .core_numeric import BigNat, DomainError, _check_base, \
-    _check_digit_base, _exact_floor_log, _leading_digits, _log_brackets, \
-    _log_values, _ratio_digit, digits_from_log, leading_digit, \
-    shift_out_factor
+    _check_digit_base, _exact_floor_log, _log_brackets, _log_values, \
+    _ratio_digit, digits_from_log, leading_digit, shift_out_factor
 
 __all__ = [
     "DghMap",
@@ -403,7 +402,9 @@ def geometric_model_points(m: int, base, n: int,
     n_pow = _exact_log2(base)
     if n_pow is not None:
         return np.mod(j, n_pow) / float(n_pow)
-    return np.mod(j * (_LN2 / math.log(base)), 1.0)
+    g = j * (_LN2 / math.log(base))
+    g -= np.floor(g)    # np.mod(g, 1.0) bit for bit (see _batch_logs)
+    return g
 
 
 def _model_sums(m: int, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -576,7 +577,9 @@ def ratio_fracs(seeds, m: int, base, *, census=None) -> np.ndarray:
     xm, s_tot = census
     ulog2 = _ulog2(seeds, xm, s_tot, m)
     j = np.asarray(2 * m - s_tot, dtype=np.float64)
-    return np.mod(j * c + ulog2 * c, 1.0)
+    g = j * c + ulog2 * c
+    g -= np.floor(g)    # np.mod(g, 1.0) bit for bit (see _batch_logs)
+    return g
 
 
 def ks_distance(a, b) -> float:
@@ -621,8 +624,8 @@ _BLOCK_MIN_BITS = _BLOCK_BITS + 64
 # Blocks and small exact iterates queue until about _BATCH iterates wait;
 # then one numpy pass decides all their digits (``_decide``).  A block
 # records 500 to 1,500 iterates, so the fixed cost of the numpy calls is
-# paid a few times less often, and the tail below _BLOCK_MIN_BITS takes one
-# vectorised bracket instead of a ``leading_digit`` per iterate.
+# paid a few times less often, and the tail below _BLOCK_MIN_BITS shares the
+# pass instead of taking a ``leading_digit`` per iterate.
 _BATCH = 4096
 # the residue table of ``_block`` covers the odd residues mod 2**_TABLE_BITS
 _TABLE_BITS = 12
@@ -723,8 +726,8 @@ def _batch_exponents(blocks, counts, single: bool):
     j = _within(nks)
     if not single:
         # e restarts at each block: subtract the earlier blocks' halvings
-        before = np.cumsum([0] + [e for _, _, e in blocks[:-1]])
-        return j, np.cumsum(kv) - np.repeat(before, nks)
+        es = np.array([e for _, _, e in blocks], dtype=np.int64)
+        return j, np.cumsum(kv) - np.repeat(np.cumsum(es) - es, nks)
     a = np.repeat(j, kv + 1)[:sum(counts)]
     return a, _within(counts) - a
 
@@ -748,23 +751,25 @@ def _block_iterate(x: int, low: int, block, j: int, e: int) -> int:
     return u >> e
 
 
-def _batch_logs(xs, a: np.ndarray, e: np.ndarray, ids: np.ndarray,
-                base: int):
-    """log_base of the block iterates (3**a_i * x + c) / 2**e_i mod 1,
-    with x = xs[ids_i], and a band that holds each true value.
+def _batch_logs(starts, tail: list, a: np.ndarray, e: np.ndarray,
+                ids: np.ndarray, base: int):
+    """log_base mod 1 and a band that holds each true value, for the block
+    iterates (3**a_i * x + c) / 2**e_i with x = starts[ids_i], then for the
+    ints of ``tail``, from one ``_log_brackets`` call over both.
 
-    log_base x_i = log_base x + a_i log_base 3 - e_i log_base 2 + delta_i,
-    where 0 <= delta_i = log_base(1 + c / (3**a_i x)) < 2**(e_i - n + 1)
-    / ln(base) for an n-bit x (c / 3**a_i is at most a sum of distinct
-    powers 2**e_j / 3 with e_j <= e_i).  The band adds the bracket's pad for
-    log_base x, a few ulps for each product and sum, and that correction.
+    A tail int's band is its bracket's pad.  log_base x_i = log_base x +
+    a_i log_base 3 - e_i log_base 2 + delta_i, where 0 <= delta_i =
+    log_base(1 + c / (3**a_i x)) < 2**(e_i - n + 1) / ln(base) for an n-bit
+    x (c / 3**a_i is at most a sum of distinct powers 2**e_j / 3 with
+    e_j <= e_i), so a block iterate's band adds to the pad for log_base x a
+    few ulps for each product and sum, and that correction.
     """
-    v, pad = _log_brackets(xs, base)
-    n = np.fromiter(map(int.bit_length, xs), np.int64, len(xs))
+    v, pad, n = _log_brackets([*starts, *tail], base)
+    v -= np.floor(v)
     lb = math.log(base)
     l3, l2 = math.log(3.0) / lb, _LN2 / lb
     a3, e2 = a * l3, e * l2
-    g = (v - np.floor(v))[ids] + (a3 - e2)
+    g = v[ids] + (a3 - e2)
     # g - floor(g) is np.mod(g, 1.0) bit for bit (fmod is exact, and both
     # round the same g - floor(g) when g < 0) at a tenth of the cost, and
     # ldexp gives the same powers about eight times faster from int32
@@ -772,7 +777,8 @@ def _batch_logs(xs, a: np.ndarray, e: np.ndarray, ids: np.ndarray,
     f = g - np.floor(g)
     band = pad[ids] + (2.0 + a3 + e2) * 2.0 ** -48 \
         + np.ldexp(1.0, (e - n[ids] + 1).astype(np.int32)) / lb
-    return f, band
+    m = len(starts)
+    return np.concatenate([f, v[m:]]), np.concatenate([band, pad[m:]])
 
 
 def _decide(queue: list, tail: list, single: bool, base: int,
@@ -781,29 +787,28 @@ def _decide(queue: list, tail: list, single: bool, base: int,
     how many block digits were refined.
 
     A queued block is (x, low, block, n): its start iterate, the low bits
-    and ``_block`` result it ran on, and the n iterates it records.  All
-    their digits come from one certified band each (see ``_batch_logs``) in
-    one pass; a digit whose band touches a boundary is recomputed from its
-    own block's exact iterate.  ``tail`` holds exact iterates of at most
-    _BLOCK_MIN_BITS bits, whose digits come from one vectorised bracket.
+    and ``_block`` result it ran on, and the n iterates it records; ``tail``
+    holds exact iterates of at most _BLOCK_MIN_BITS bits.  One band each
+    (``_batch_logs``) and one ``digits_from_log`` call decide every digit; a
+    digit whose band touches a boundary is recomputed exactly, from the
+    iterate's own block (counted) or from the tail int itself.
     """
-    digits = [_leading_digits(tail, base)] if tail else []
-    refine = []
-    if queue:
-        xs, lows, blocks, ns = zip(*queue)
-        a, e = _batch_exponents(blocks, ns, single)
-        ids = np.repeat(np.arange(len(xs)), ns)
-        block_digits, certified = digits_from_log(
-            *_batch_logs(xs, a, e, ids, base), base)
-        # a band that touches a cell boundary: the exact iterate decides
-        refine = np.flatnonzero(~certified).tolist()
-        for i in refine:
+    starts, lows, blocks, ns = zip(*queue) if queue else ((),) * 4
+    a, e = _batch_exponents(blocks, ns, single)
+    ids = np.repeat(np.arange(len(starts)), ns)
+    digits, certified = digits_from_log(
+        *_batch_logs(starts, tail, a, e, ids, base), base)
+    n_blocks = len(ids)
+    for i in np.flatnonzero(~certified).tolist():
+        if i < n_blocks:
             b = ids[i]
-            block_digits[i] = leading_digit(_block_iterate(
-                xs[b], lows[b], blocks[b], int(a[i]), int(e[i])), base)
-        digits.append(block_digits)
-    counts += np.bincount(np.concatenate(digits) - 1, minlength=base - 1)
-    return len(refine)
+            x = _block_iterate(starts[b], lows[b], blocks[b], int(a[i]),
+                               int(e[i]))
+        else:
+            x = tail[i - n_blocks]
+        digits[i] = leading_digit(x, base)
+    counts += np.bincount(digits - 1, minlength=base - 1)
+    return int(np.count_nonzero(~certified[:n_blocks]))
 
 
 def iterate_digit_experiment(x0: BigNat, mode: str, base: int = 10,
@@ -821,10 +826,9 @@ def iterate_digit_experiment(x0: BigNat, mode: str, base: int = 10,
     residue table (see ``_block``), and applied to the big integer with one
     multiply-add-shift.  Smaller iterates take one exact step each.  The
     digits wait in a queue and are decided _BATCH (4,096) iterates at a time
-    (see ``_decide``): a block iterate's from one certified log band (see
-    ``_batch_logs``), recomputed exactly from its own block and counted in
-    ``n_refined`` where the band touches a boundary; a small iterate's from
-    one vectorised bracket, with an exact fallback.  Every digit is exact.
+    in one pass (see ``_decide``), each from a certified log band, or where
+    the band touches a boundary exactly: a block iterate's from its own
+    block, counted in ``n_refined``, a small iterate's from itself.
     """
     if mode not in MODES:
         raise DomainError(f"mode must be one of {MODES}")
@@ -863,6 +867,8 @@ def iterate_digit_experiment(x0: BigNat, mode: str, base: int = 10,
                 u = 3 * x + 1 if x & 1 else x
                 x = u >> ((u & -u).bit_length() - 1)
             n_rec += 1
+            # decided at once, not queued: in single steps a seed such as
+            # 2**N * odd would otherwise hold up to _BATCH huge ints
             if x.bit_length() > _BLOCK_MIN_BITS:
                 counts[leading_digit(x, base) - 1] += 1
                 continue

@@ -172,7 +172,7 @@ def _log_values(xs, base: float) -> tuple[np.ndarray, np.ndarray]:
     2**53 a float is the int, and ``math.log`` of an int is ``math.log`` of
     its float); other ints take them one at a time.  Either way each top
     goes through ``math.log``, not ``np.log``, whose last ulp can differ."""
-    xs = np.asarray(xs)
+    ints, xs = xs, np.asarray(xs)
     if xs.dtype == np.int64:
         # frexp's exponent is the bit length, or one more where the float
         # rounded up to the next power of two
@@ -181,7 +181,8 @@ def _log_values(xs, base: float) -> tuple[np.ndarray, np.ndarray]:
         shift = n - np.minimum(n, _TOP_BITS)
         tops = (xs >> shift).astype(np.float64).tolist()
     else:
-        tops = xs.tolist()
+        # numpy reads a list of ints on both sides of 2**63 as float64
+        tops = np.asarray(ints, dtype=object).tolist()
         n = np.fromiter(map(int.bit_length, tops), np.int64, len(tops))
         shift = n - np.minimum(n, _TOP_BITS)
         for i in np.flatnonzero(shift).tolist():
@@ -192,14 +193,16 @@ def _log_values(xs, base: float) -> tuple[np.ndarray, np.ndarray]:
     return v, n
 
 
-def _log_brackets(xs, base: float) -> tuple[np.ndarray, np.ndarray]:
+def _log_brackets(xs, base: float
+                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``_log_bracket(x, 1, base)`` of each positive int in ``xs``, element
-    for element the same float operations."""
+    for element the same float operations, and the bit lengths of the
+    ints, which the bracket computes on the way."""
     v, n = _log_values(xs, base)
     w = np.minimum(n, _TOP_BITS)
     margin = (np.abs(v) + (n - w) + 16.0) * 2.5e-16 \
         + np.ldexp(1.0, 1 - w) / math.log(base)
-    return v, margin + 5e-16
+    return v, margin + 5e-16, n
 
 
 # B**g increases with g, so floor(B**g) is one digit on a whole band of g
@@ -284,20 +287,6 @@ def digits_from_log(f, band, base: int) -> tuple[np.ndarray, np.ndarray]:
     # a float bound, so int64 holds every clipped digit of any base
     top = min(base - 1, 2.0 ** 62)
     return np.fmax(np.fmin(mid, top), 1.0).astype(np.int64), certified
-
-
-def _leading_digits(xs: list, base: int) -> np.ndarray:
-    """:func:`leading_digit` of each positive int in ``xs``.
-
-    One vectorised bracket (:func:`_log_brackets`) goes through
-    :func:`digits_from_log`; a digit it leaves uncertified comes from
-    ``leading_digit``, exactly.
-    """
-    v, pad = _log_brackets(xs, base)
-    digits, certified = digits_from_log(v - np.floor(v), pad, base)
-    for i in np.flatnonzero(~certified).tolist():
-        digits[i] = leading_digit(xs[i], base)
-    return digits
 
 
 def log_mantissa(x: Real, base) -> float:
@@ -385,27 +374,32 @@ def shift_out_factor(x: BigNat, d: int = 2) -> tuple[BigNat, int]:
 def digits_to_int(digits, base: int) -> BigNat:
     """Assemble an integer from most-significant-first digits in ``base``.
 
-    Digits are gathered into int64 chunk values of k digits each, which are
-    then combined pairwise, level by level: each level doubles the width of
-    a value and squares its radix b**k, so the large multiplies are few and
+    Digits are gathered into int64 chunk values of k digits each (at a base
+    past 2**62, each digit is a Python int on its own), which are then
+    combined pairwise, level by level: each level doubles the width of a
+    value and squares its radix b**k, so the large multiplies are few and
     balanced, where a Horner pass over the chunks costs time quadratic in
     the length.  This avoids CPython's int<->str digit limit.
     """
     b = _check_digit_base(base)
-    arr = np.asarray(digits, dtype=np.int64)
+    k = int(62 // math.log2(b))  # digits per chunk; 0 past 2**62
+    arr = np.asarray(digits, dtype=np.int64 if k else object)
     if arr.ndim != 1 or arr.size == 0:
         raise DomainError("digits must be a nonempty 1-D sequence")
     if arr.min() < 0 or arr.max() >= b:
         raise DomainError(f"digits must lie in [0, {b})")
-    k = max(1, int(62 // math.log2(b)))
-    pad = (-arr.size) % k
-    if pad:
-        arr = np.concatenate([np.zeros(pad, dtype=np.int64), arr])
-    chunks = arr.reshape(-1, k)
-    vals = np.zeros(len(chunks), dtype=np.int64)
-    for j in range(k):
-        vals = vals * b + chunks[:, j]
-    vals = vals.tolist()
+    if k:
+        pad = (-arr.size) % k
+        if pad:
+            arr = np.concatenate([np.zeros(pad, dtype=np.int64), arr])
+        chunks = arr.reshape(-1, k)
+        vals = np.zeros(len(chunks), dtype=np.int64)
+        for j in range(k):
+            vals = vals * b + chunks[:, j]
+        vals = vals.tolist()
+    else:
+        # a digit may not fit in int64: each one is its own chunk
+        vals, k = [int(d) for d in arr.tolist()], 1
     p = b ** k
     while len(vals) > 1:
         if len(vals) % 2:

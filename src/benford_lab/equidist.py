@@ -104,7 +104,9 @@ def interval_count(alpha, m_block: int, ell: int, a: float, b: float
 # --------------------------------------------------- continued fractions --
 
 def _alpha_brackets(alpha, dps: int) -> tuple[int, int, int, int]:
-    """Rationals lo_n/lo_d < alpha < hi_n/hi_d certifying every digit used."""
+    """Rationals lo_n/lo_d < alpha < hi_n/hi_d certifying every digit used:
+    a value other than a float, good to 10**-dps (a log with guard digits),
+    is bracketed one unit wider either side of its floor at dps digits."""
     if isinstance(alpha, float):
         # a float argument carries only its 53 bits of information
         v = Fraction(alpha)
@@ -115,7 +117,7 @@ def _alpha_brackets(alpha, dps: int) -> tuple[int, int, int, int]:
         a = mpmath.mpf(alpha)
         lo = int(mpmath.floor(a * mpmath.mpf(10) ** dps))
     den = 10 ** dps
-    return lo, den, lo + 1, den
+    return lo - 1, den, lo + 2, den
 
 
 def _bracket_quotients(lo_n, lo_d, hi_n, hi_d, max_terms: int) -> list:
@@ -213,26 +215,21 @@ def type_probe(alpha, depth: int, gamma_grid, dps: int = 500
 
 # --------------------------------------------------------- theta identity --
 
-_THETA_MAX_TERMS = 10 ** 6
-
-
-def theta_identity_residual(sigma: float, cutoff: int | None = None) -> float:
+def theta_identity_residual(sigma: float) -> float:
     """|(1/s) sum exp(-n^2 pi / s^2)  -  sum exp(-n^2 pi s^2)|.
 
-    The cutoff is enlarged automatically until both tails are below 1e-15,
-    about 3.7 max(sigma, 1/sigma) terms.  Sigma outside [4e-6, 2.5e5] and
-    cutoffs above 10^6 are refused, so no sum passes 10^6 terms.
+    Both sums run to the one cutoff at which both tails are below 1e-15,
+    about 3.7 max(sigma, 1/sigma) terms; further terms could not move the
+    residual.  Sigma outside [4e-6, 2.5e5] is refused, so no sum passes
+    10^6 terms.
     """
     if not (math.isfinite(sigma) and sigma > 0):
         raise DomainError(f"sigma must be finite and positive, got {sigma}")
-    if max(sigma, 1.0 / sigma) > _THETA_MAX_TERMS / 4 \
-            or (cutoff or 0) > _THETA_MAX_TERMS:
-        raise DomainError(f"sigma must lie in [4e-6, 2.5e5] and the cutoff "
-                          f"be at most {_THETA_MAX_TERMS}")
+    if max(sigma, 1.0 / sigma) > 2.5e5:
+        raise DomainError("sigma must lie in [4e-6, 2.5e5]")
     s2 = sigma * sigma
     need = int(math.ceil(math.sqrt(42.0 / (math.pi * min(s2, 1.0 / s2))))) + 1
-    n_cut = max(int(cutoff or 0), need)
-    n2 = np.arange(1, n_cut + 1, dtype=np.float64) ** 2
+    n2 = np.arange(1, need + 1, dtype=np.float64) ** 2
     lhs = (1.0 + 2.0 * np.exp(-n2 * math.pi / s2).sum()) / sigma
     rhs = 1.0 + 2.0 * np.exp(-n2 * math.pi * s2).sum()
     return abs(lhs - rhs)

@@ -3,11 +3,11 @@ their characteristic polynomial, log|det(I - U e^(-i theta))|.
 
 Sampling uses the standard recipe: a complex Ginibre matrix A = QR is
 QR-factored and U = QD, with D = diag(r_jj / |r_jj|), which makes the
-distribution exactly Haar.  ``haar_unitary`` forms U so; ``log_abs_charpoly``
-takes the log-magnitude of the determinant from row-pivoted elimination
-(LAPACK slogdet), summing the log-magnitudes of the triangular diagonal, so
-no eigen-decomposition is needed and values remain finite for every
-nonsingular sample up to N = 512.
+distribution exactly Haar.  ``haar_unitary`` draws one A and forms U so;
+``log_abs_charpoly`` calls LAPACK slogdet (row-pivoted elimination) on
+I - U e^(-i theta) itself, summing the log-magnitudes of the triangular
+diagonal, so no eigen-decomposition is needed and values remain finite for
+every nonsingular sample up to N = 512.
 
 The Monte Carlo experiment needs only that number, so it never forms Q.
 Since Q = A R^-1 and D* D = I,
@@ -25,13 +25,13 @@ with that distance alone.  Over the 10^5 samples of ``benford-lab cue
 samples only, both with |Z| < 1e-5 (by 3.7e-9 and 4.1e-8); at the worse
 one the Q path itself is 4e-9 off a 40-digit value.
 
-Monte Carlo runs are sharded into fixed-size chunks with generator streams
-spawned up front, so results are reproducible and independent of the worker
-count.  A chunk draws all its normals and angles first; the linear algebra
-then runs on slices of at most 1 MB of complex entries, which bounds the
-memory without changing the draws or any sample's value.  Larger slices
-run no faster, and with two worker threads they fragment glibc's per-thread
-arenas, so peak RSS creeps up over repeated runs in one process.
+Monte Carlo runs are sharded into chunks of 1,024 samples with generator
+streams spawned up front, so results are reproducible and independent of
+the worker count.  A chunk draws all its normals and angles first; the
+linear algebra then runs on slices of at most 1 MB of complex entries, which
+bounds the memory without changing the draws or any sample's value.  Larger
+slices run no faster, and with two worker threads they fragment glibc's
+per-thread arenas, so peak RSS creeps up over repeated runs in one process.
 """
 
 from __future__ import annotations
@@ -65,6 +65,7 @@ EULER_GAMMA = 0.5772156649015329
 _MAX_DIM = 512
 _LOG_FLOOR = -690.0  # |Z| below e^-690 (~1e-300) is treated as singular
 _SLICE_ENTRIES = 2 ** 16  # complex entries per slice of matrices: 1 MB
+_CHUNK = 1024  # samples per Monte Carlo chunk, each with its own stream
 
 
 class SingularMatrixError(RuntimeError):
@@ -88,24 +89,19 @@ def _slices(count: int, n: int) -> list:
 
 
 def _haar_from_normals(re: np.ndarray, im: np.ndarray) -> np.ndarray:
-    """Haar unitaries from stacks of standard normal real and imaginary
-    parts: QR of the Ginibre matrices, rephased to a positive diagonal R."""
+    """Haar unitaries from standard normal real and imaginary parts, one
+    matrix or a stack: QR of the Ginibre matrices, rephased to a positive
+    diagonal R."""
     q, r = np.linalg.qr((re + 1j * im) / math.sqrt(2.0))
     diag = np.diagonal(r, axis1=-2, axis2=-1)
-    return q * (diag / np.abs(diag))[:, None, :]
-
-
-def _haar_batch(n: int, count: int, rng: np.random.Generator) -> np.ndarray:
-    re = rng.standard_normal((count, n, n))
-    im = rng.standard_normal((count, n, n))
-    return np.concatenate([_haar_from_normals(re[s], im[s])
-                           for s in _slices(count, n)])
+    return q * (diag / np.abs(diag))[..., None, :]
 
 
 def haar_unitary(n: int, rng: np.random.Generator) -> UnitarySample:
     """One n x n unitary matrix distributed with Haar measure."""
     _check_dim(n)
-    return UnitarySample(_haar_batch(n, 1, rng)[0])
+    re = rng.standard_normal((n, n))
+    return UnitarySample(_haar_from_normals(re, rng.standard_normal((n, n))))
 
 
 def unitarity_residual(u: np.ndarray) -> float:
@@ -114,23 +110,16 @@ def unitarity_residual(u: np.ndarray) -> float:
     return float(np.abs(u.conj().T @ u - np.eye(n)).max())
 
 
-def _log_abs_charpolys(us: np.ndarray, thetas):
-    """log|det(I - U e^(-i theta))| for a stack of matrices by row-pivoted
-    elimination, plus a mask of the samples whose theta lies on an
-    eigenangle (log|Z| not finite or below _LOG_FLOOR)."""
-    rot = np.exp(-1j * np.asarray(thetas))[:, None, None]
-    _, log_abs = np.linalg.slogdet(np.eye(us.shape[-1]) - us * rot)
-    return log_abs, ~np.isfinite(log_abs) | (log_abs < _LOG_FLOOR)
-
-
 def log_abs_charpoly(u, theta: float) -> float:
-    """log|det(I - U e^(-i theta))| by row-pivoted elimination."""
+    """log|det(I - U e^(-i theta))| by row-pivoted elimination.  A theta on
+    an eigenangle (log|Z| not finite or below _LOG_FLOOR) is refused."""
     mat = u.matrix if isinstance(u, UnitarySample) else np.asarray(u)
-    log_abs, singular = _log_abs_charpolys(mat[None], [theta])
-    if singular[0]:
+    _, log_abs = np.linalg.slogdet(np.eye(mat.shape[-1])
+                                   - mat * np.exp(-1j * theta))
+    if not math.isfinite(log_abs) or log_abs < _LOG_FLOOR:
         raise SingularMatrixError(
             "theta lies on an eigenangle; resample theta")
-    return float(log_abs[0])
+    return float(log_abs)
 
 
 def q2_variance(n: int) -> float:
@@ -179,7 +168,8 @@ class CueResult:
 def _log_abs_from_normals(re, im, thetas):
     """log|det(I - U e^(-i theta))| for the Haar unitaries U of stacks of
     normals, from R and A = re + i im by the identity in the module
-    docstring, plus the mask of _log_abs_charpolys."""
+    docstring, plus a mask of the samples whose theta lies on an
+    eigenangle (log|Z| not finite or below _LOG_FLOOR)."""
     a = re + 1j * im
     r = np.linalg.qr(a, mode="r")
     diag = np.diagonal(r, axis1=-2, axis2=-1)
@@ -220,14 +210,15 @@ def _cue_chunk(n, count, base, gen):
 
 
 def cue_experiment(n: int, n_samples: int, base: int,
-                   rng: np.random.Generator, *, chunk_size: int = 1024,
+                   rng: np.random.Generator, *,
                    workers: int = 1) -> CueResult:
     """Sample (U, theta) pairs, emit log|Z| with its digit histogram and a
     moments report against the reference variance q2_variance(n).
 
-    Chunk streams are spawned before any work is dispatched, so the result
-    is a pure function of (rng state, n, n_samples, base, chunk_size) and in
-    particular does not depend on the worker count.
+    The samples run in chunks of _CHUNK (1,024), whose streams are spawned
+    before any work is dispatched, so the result is a pure function of
+    (rng state, n, n_samples, base) and in particular does not depend on
+    the worker count.
     """
     _check_dim(n)
     base = _check_digit_base(base)
@@ -235,9 +226,9 @@ def cue_experiment(n: int, n_samples: int, base: int,
         raise DomainError("the digit experiment needs n >= 2")
     if n_samples < 1:
         raise DomainError("n_samples must be >= 1")
-    sizes = [chunk_size] * (n_samples // chunk_size)
-    if n_samples % chunk_size:
-        sizes.append(n_samples % chunk_size)
+    sizes = [_CHUNK] * (n_samples // _CHUNK)
+    if n_samples % _CHUNK:
+        sizes.append(n_samples % _CHUNK)
     streams = rng.spawn(len(sizes))
     with ThreadPoolExecutor(max_workers=min(workers, len(sizes))) as pool:
         results = list(pool.map(

@@ -62,9 +62,11 @@ def zeta_scan():
 @pytest.fixture(scope="session")
 def cue_runs():
     out = {}
-    for dim in (64, 4):
-        out[dim] = rmt.cue_experiment(dim, 100_000, 10, make_rng(0),
-                                      chunk_size=2000, workers=2)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(rmt, "_CHUNK", 2000)
+        for dim in (64, 4):
+            out[dim] = rmt.cue_experiment(dim, 100_000, 10, make_rng(0),
+                                          workers=2)
     return out
 
 
@@ -301,9 +303,10 @@ def test_criterion_11_normality_moment_tolerances(cue_runs):
     assert abs(moments.kurtosis - 3.0) < 0.1
 
 
-def test_criterion_12_worker_determinism():
-    runs = [rmt.cue_experiment(16, 6000, 10, make_rng(5), chunk_size=512,
-                               workers=w) for w in (1, 2, 4)]
+def test_criterion_12_worker_determinism(monkeypatch):
+    monkeypatch.setattr(rmt, "_CHUNK", 512)
+    runs = [rmt.cue_experiment(16, 6000, 10, make_rng(5), workers=w)
+            for w in (1, 2, 4)]
     for other in runs[1:]:
         assert np.array_equal(runs[0].log_abs, other.log_abs)
         assert np.array_equal(runs[0].thetas, other.thetas)

@@ -5,6 +5,7 @@ import sys
 import time
 import warnings
 
+import mpmath
 import pytest
 
 import benford_lab
@@ -384,6 +385,24 @@ class TestEquidistCommands:
         doc = json.loads(out)
         assert ["1", "3"] in doc["convergents"]
 
+    @pytest.mark.parametrize("depth, dps", [(600, 700), (1000, 1200)])
+    def test_cf_holds_past_500_digits(self, depth, dps, capsys):
+        # log:X:B is evaluated at dps and guard digits, so convergents that
+        # 500 digits cannot determine are still log10(2)'s own
+        code, out, _ = run_cli(
+            ["equidist", "cf", "--alpha", "log:2:10", "--depth", str(depth),
+             "--dps", str(dps), "--format", "json"], capsys)
+        assert code == 0
+        want, (p, p0, q, q0) = [], (1, 0, 0, 1)
+        with mpmath.workdps(2 * dps):
+            a = mpmath.log(2) / mpmath.log(10)
+            for _ in range(depth):
+                k = int(mpmath.floor(a))
+                a = 1 / (a - k)
+                p, p0, q, q0 = k * p + p0, p, k * q + q0, q
+                want.append([str(p), str(q)])
+        assert json.loads(out)["convergents"] == want
+
     def test_cf_rational_rejected(self, capsys):
         code, _, err = run_cli(
             ["equidist", "cf", "--alpha", "3/7", "--depth", "8"], capsys)
@@ -441,8 +460,6 @@ class TestPoissonCheck:
         ["--sigmas", "1e200"],
         ["--sigmas", "1e-200"],
         ["--sigmas", "0.5,1e-200"],
-        # 10^8 terms: refused before any array is built
-        ["--cutoff", "100000000"],
     ])
     def test_bad_sigma_or_cutoff_is_config_error(self, args, capsys):
         code, out, err = run_cli(["poisson-check"] + args, capsys)
@@ -483,7 +500,7 @@ def test_refused_quickly(args, tmp_path, capsys):
 
 def test_failed_check_prints_its_rows_first(monkeypatch, capsys):
     monkeypatch.setattr(cli.equidist, "theta_identity_residual",
-                        lambda sigma, cutoff: 1.0)
+                        lambda sigma: 1.0)
     code, out, err = run_cli(
         ["poisson-check", "--sigmas", "0.5", "--format", "csv"], capsys)
     assert code == 1 and out.endswith("sigma,residual\n0.5,1.000e+00\n")

@@ -9,8 +9,7 @@ from hypothesis import strategies as st
 
 from benford_lab import collatz as cz
 from benford_lab.core_numeric import DomainError, _exact_floor_log, \
-    _leading_digits, _log_brackets, digits_from_log, leading_digit, \
-    log_mantissa
+    _log_brackets, digits_from_log, leading_digit, log_mantissa
 
 from conftest import make_rng
 
@@ -673,6 +672,31 @@ def stepwise_digits(x, mode, base, max_iters):
     return counts, n, x == 1
 
 
+def two_blocks(single):
+    """Two consecutive blocks of an odd 2,536-bit iterate queued as
+    ``iterate_digit_experiment`` queues them, the second cut short by a
+    room of 300 iterates, and the iterates they record, stepped plainly."""
+    x = 3 ** 1600 + 2 ** 1400
+    mask = (1 << cz._BLOCK_BITS) - 1
+    queue, iterates = [], []
+    for room in (10 ** 6, 300):
+        assert x.bit_length() > cz._BLOCK_MIN_BITS
+        block = cz._block(x & mask, room)
+        ks, _, e = block
+        n = min(len(ks) + e, room) if single else len(ks)
+        queue.append((x, x & mask, block, n))
+        y = x
+        for _ in range(n):
+            if single:
+                y = 3 * y + 1 if y & 1 else y >> 1
+            else:
+                u = 3 * y + 1
+                y = u >> ((u & -u).bit_length() - 1)
+            iterates.append(y)
+        x = cz._block_iterate(x, x & mask, block, len(ks), e)
+    return queue, iterates
+
+
 def _far_multiplicity_seed():
     # 3x + 1 = 2**300 * m: the first multiplicity runs past the low bits a
     # block sees, so that step is taken exactly
@@ -769,31 +793,23 @@ class TestBlockTrajectory:
     @pytest.mark.parametrize("single", [False, True])
     @pytest.mark.parametrize("base", [3, 10, 16])
     def test_band_holds_the_true_log(self, single, base):
-        # two consecutive blocks in one batch, the second cut short by a
-        # room of 300 iterates
-        x = 3 ** 1600 + 2 ** 1400           # odd, 2,536 bits
-        mask = (1 << cz._BLOCK_BITS) - 1
-        queue = []
-        for room in (10 ** 6, 300):
-            assert x.bit_length() > cz._BLOCK_MIN_BITS
-            block = cz._block(x & mask, room)
-            ks, _, e = block
-            queue.append((x, x & mask, block,
-                          min(len(ks) + e, room) if single else len(ks)))
-            x = cz._block_iterate(x, x & mask, block, len(ks), e)
+        # two consecutive blocks in one batch, then a tail of small ints
+        queue, iterates = two_blocks(single)
+        tail = [3 ** 600, 10 ** 300 - 1, 7, 2 ** 1088 - 1]
         xs, lows, blocks, ns = zip(*queue)
         a, e = cz._batch_exponents(blocks, ns, single)
         ids = np.repeat([0, 1], ns)
-        f, band = cz._batch_logs(xs, a, e, ids, base)
-        assert len(blocks[0][0]) > 200 and len(f) == sum(ns)
+        f, band = cz._batch_logs(xs, tail, a, e, ids, base)
+        assert len(blocks[0][0]) > 200 and len(f) == sum(ns) + len(tail)
+        for i in range(len(a)):
+            b = ids[i]
+            assert cz._block_iterate(xs[b], lows[b], blocks[b], int(a[i]),
+                                     int(e[i])) == iterates[i]
         with mpmath.workdps(60):
-            for i in range(len(a)):
-                b = ids[i]
-                xi = cz._block_iterate(xs[b], lows[b], blocks[b], int(a[i]),
-                                       int(e[i]))
+            for xi, fi, bi in zip(iterates + tail, f, band):
                 true = float(mpmath.frac(mpmath.log(xi) / mpmath.log(base)))
-                gap = abs(true - f[i])
-                assert min(gap, 1.0 - gap) < band[i]
+                gap = abs(true - fi)
+                assert min(gap, 1.0 - gap) < bi
 
     @pytest.mark.parametrize("single", [False, True])
     def test_batch_exponents_restart_at_each_block(self, single):
@@ -864,6 +880,43 @@ class TestBlockTrajectory:
             stepwise_digits(x0, mode, 10, 3000)[0]
 
 
+class TestDecide:
+    # the first int's digit is certified: the test spoils it
+    TAIL = [3 ** 600, 10 ** 300 - 1, 10 ** 300, 10 ** 300 + 1, 999, 1,
+            2 ** 1088 - 1]
+
+    @pytest.mark.parametrize("single", [False, True])
+    @pytest.mark.parametrize("parts", ["tail", "blocks", "both"])
+    def test_one_pass_decides_every_digit(self, parts, single, monkeypatch):
+        queue, iterates = two_blocks(single) if parts != "tail" else ([], [])
+        tail = list(self.TAIL) if parts != "blocks" else []
+        decide, calls = cz.digits_from_log, []
+
+        def spoil(f, band, base):
+            # a wrong digit with its certificate cleared, in the first
+            # block iterate and in the first tail int, must be recomputed
+            digits, certified = decide(f, band, base)
+            for i in ([0] if iterates else []) + ([len(iterates)]
+                                                  if tail else []):
+                assert certified[i]
+                digits[i] = 9 if digits[i] != 9 else 1
+                certified[i] = False
+            calls.append((digits, certified.copy()))
+            return digits, certified
+
+        monkeypatch.setattr(cz, "digits_from_log", spoil)
+        counts = np.zeros(9, dtype=np.int64)
+        n_refined = cz._decide(queue, tail, single, 10, counts)
+        (digits, certified), = calls        # one digit pass per batch
+        want = [leading_digit(v, 10) for v in iterates + tail]
+        assert digits.tolist() == want
+        assert counts.tolist() == np.bincount(np.subtract(want, 1),
+                                              minlength=9).tolist()
+        # only block digits count as refined
+        assert n_refined == np.count_nonzero(~certified[:len(iterates)])
+        assert n_refined >= (1 if iterates else 0)
+
+
 class TestTailDigits:
     @pytest.mark.parametrize("base", list(range(2, 17)) + [65536])
     def test_bracket_against_exact_floor_log(self, base):
@@ -876,10 +929,29 @@ class TestTailDigits:
         xs = [x for x in xs if x >= 1]
         exact = np.array([a // b for _, a, b in
                           (_exact_floor_log(x, base) for x in xs)])
-        v, pad = _log_brackets(xs, base)
-        digits, certified = digits_from_log(v - np.floor(v), pad, base)
+        v, pad, n = _log_brackets(xs, base)
+        assert n.tolist() == [x.bit_length() for x in xs]
+        none = np.zeros(0, dtype=np.int64)
+        f, band = cz._batch_logs((), xs, none, none, none, base)
+        assert np.array_equal(f, v - np.floor(v))
+        assert np.array_equal(band, pad)
+        digits, certified = digits_from_log(f, band, base)
         assert np.array_equal(digits[certified], exact[certified])
-        assert np.array_equal(_leading_digits(xs, base), exact)
+        counts = np.zeros(base - 1, dtype=np.int64)
+        assert cz._decide([], xs, False, base, counts) == 0
+        assert np.array_equal(counts,
+                              np.bincount(exact - 1, minlength=base - 1))
+
+    # single steps from 2**62 + 1 and accelerated ones from 2**62 + 7 put
+    # iterates either side of 2**63 in one batch, a list numpy reads as
+    # float64
+    @pytest.mark.parametrize("mode, x0", [("single_step", 2 ** 62 + 1),
+                                          ("remove_all_twos", 2 ** 62 + 7)])
+    def test_batch_either_side_of_2_63(self, mode, x0):
+        res = cz.iterate_digit_experiment(x0, mode, 10)
+        counts, n, reached = stepwise_digits(x0, mode, 10, 10 ** 7)
+        assert res.histogram.counts.tolist() == counts
+        assert (res.n_recorded, res.reached_one) == (n, reached)
 
     @pytest.mark.parametrize("base", [2, 3, 7, 10, 16, 1000, 65536])
     def test_trajectory_through_a_power(self, base):

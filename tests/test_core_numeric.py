@@ -192,9 +192,18 @@ class TestDigitsFromLog:
               3 ** 700, 10 ** 300 + 1, 2 ** 1088 - 1]
         xs += [int(rng.integers(1, 2 ** 62)) << int(s)
                for s in rng.integers(0, 3000, 200)]
-        v, pad = cn._log_brackets(xs, base)
+        v, pad, n = cn._log_brackets(xs, base)
         scalar = [cn._log_bracket(x, 1, base) for x in xs]
         assert list(zip(v.tolist(), pad.tolist())) == scalar
+        assert n.tolist() == [x.bit_length() for x in xs]
+
+    def test_ints_either_side_of_2_63(self):
+        # numpy reads such a list as float64; the bracket reads the ints
+        xs = [2 ** 63, 5, 2 ** 64 - 1, 2 ** 63 - 1]
+        v, pad, n = cn._log_brackets(xs, 10)
+        assert list(zip(v.tolist(), pad.tolist())) \
+            == [cn._log_bracket(x, 1, 10) for x in xs]
+        assert n.tolist() == [64, 3, 64, 63]
 
 
     def test_cells_match_the_full_bound_table(self):
@@ -447,6 +456,19 @@ class TestRandomBignat:
         for d in digits:
             horner = horner * base + d
         assert cn.digits_to_int(digits, base) == horner
+
+    @pytest.mark.parametrize("base", [2 ** 62, 2 ** 63, 2 ** 64 + 1,
+                                      10 ** 30])
+    def test_digits_to_int_past_int64(self, base):
+        # a digit of a base past 2**62 may not fit in int64
+        for n in (1, 2, 3, 7, 64):
+            digits = ([base - 1, 0, 1, base // 3, base // 2, 5] * 11)[:n]
+            horner = 0
+            for d in digits:
+                horner = horner * base + d
+            assert cn.digits_to_int(digits, base) == horner
+        with pytest.raises(cn.DomainError):
+            cn.digits_to_int([1, base], base)
 
     def test_digits_to_int_many_levels(self):
         digits = make_rng(6).integers(0, 7, 5_000)

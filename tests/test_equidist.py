@@ -158,9 +158,6 @@ class TestThetaIdentity:
     def test_residual_below_1e12(self, sigma):
         assert eq.theta_identity_residual(sigma) < 1e-12
 
-    def test_user_cutoff_is_enlarged(self):
-        assert eq.theta_identity_residual(0.1, cutoff=2) < 1e-12
-
     def test_sigma_positive(self):
         with pytest.raises(DomainError):
             eq.theta_identity_residual(0.0)

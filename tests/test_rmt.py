@@ -89,10 +89,20 @@ class TestHaarSampling:
         # E[Tr U] = 0 and E|Tr U|^2 = 1 for Haar measure
         rng = make_rng(3)
         n_samp = 6000
-        us = rmt._haar_batch(20, n_samp, rng)
+        re = rng.standard_normal((n_samp, 20, 20))
+        us = rmt._haar_from_normals(re, rng.standard_normal((n_samp, 20, 20)))
         traces = np.trace(us, axis1=-2, axis2=-1)
         assert abs(traces.mean()) < 4.0 / math.sqrt(n_samp)
         assert abs(np.mean(np.abs(traces) ** 2) - 1.0) < 0.1
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 64])
+    def test_one_matrix_is_the_stack_rule(self, n):
+        # haar_unitary draws re then im, n x n each, and gives the bits the
+        # stacked rule gives for a stack of one
+        gen = make_rng(6)
+        re, im = gen.standard_normal((2, 1, n, n))
+        assert np.array_equal(rmt.haar_unitary(n, make_rng(6)).matrix,
+                              rmt._haar_from_normals(re, im)[0])
 
     def test_dim_validation(self):
         with pytest.raises(DomainError):
@@ -129,15 +139,6 @@ class TestLogAbsCharpoly:
                + a[0, 2] * (a[1, 0] * a[2, 1] - a[1, 1] * a[2, 0]))
         assert abs(rmt.log_abs_charpoly(u, theta) - math.log(abs(det))) < 1e-10
 
-    def test_scalar_is_the_batch_rule(self):
-        # the scalar API is the batch rule applied to one matrix
-        us = rmt._haar_batch(6, 40, make_rng(4))
-        thetas = make_rng(5).uniform(0.0, 2.0 * math.pi, size=40)
-        log_abs, singular = rmt._log_abs_charpolys(us, thetas)
-        assert not singular.any()
-        assert [rmt.log_abs_charpoly(u, th) for u, th in zip(us, thetas)] \
-            == log_abs.tolist()
-
     def test_singular_rejected(self):
         u = np.array([[1.0 + 0.0j]])  # eigenangle 0 hit exactly by theta = 0
         with pytest.raises(rmt.SingularMatrixError):
@@ -157,8 +158,12 @@ class TestSlices:
         assert np.array_equal(got[0], thetas)
         assert np.array_equal(got[1], log_abs)
         assert got[3] == resampled
-        assert np.array_equal(rmt._haar_batch(n, count, stream(21)),
-                              rmt._haar_from_normals(*normals))
+        # the Haar rule, too, gives each matrix the same bits in any slice
+        re, im = normals
+        assert np.array_equal(
+            np.concatenate([rmt._haar_from_normals(re[s], im[s])
+                            for s in rmt._slices(count, n)]),
+            rmt._haar_from_normals(re, im))
 
     def test_resampling_recomputes_only_the_flagged(self, monkeypatch):
         n, count = 64, 130
@@ -197,7 +202,9 @@ class TestRFactorRule:
     @pytest.mark.parametrize("n", [2, 5, 64])
     def test_agrees_with_the_q_path(self, n):
         got = rmt._cue_chunk(n, 40, 10, stream(24))
-        us = rmt._haar_batch(n, 40, stream(24))
+        gen = stream(24)
+        re = gen.standard_normal((40, n, n))
+        us = rmt._haar_from_normals(re, gen.standard_normal((40, n, n)))
         ref = [rmt.log_abs_charpoly(u, th) for u, th in zip(us, got[0])]
         assert np.abs(got[1] - ref).max() < 1e-9
 
@@ -236,9 +243,10 @@ class TestQ2Variance:
 
 
 class TestCueExperiment:
-    def test_moments_match_exact_cumulants(self):
+    def test_moments_match_exact_cumulants(self, monkeypatch):
         n, n_samp = 16, 20_000
-        res = rmt.cue_experiment(n, n_samp, 10, make_rng(11), chunk_size=4000)
+        monkeypatch.setattr(rmt, "_CHUNK", 4000)
+        res = rmt.cue_experiment(n, n_samp, 10, make_rng(11))
         k2, k3, k4 = exact_cumulants(n)
         skew_ref = k3 / k2 ** 1.5
         kurt_ref = 3.0 + k4 / k2 ** 2
@@ -248,24 +256,25 @@ class TestCueExperiment:
         assert abs(res.moments.kurtosis - kurt_ref) < 0.6
         assert res.moments.q2_reference == rmt.q2_variance(n)
 
-    def test_theta_rotation_invariance(self):
+    def test_theta_rotation_invariance(self, monkeypatch):
         # the law of log|Z| does not depend on a fixed rotation of theta
-        res_a = rmt.cue_experiment(8, 8000, 10, make_rng(13), chunk_size=2000)
-        res_b = rmt.cue_experiment(8, 8000, 10, make_rng(14), chunk_size=2000)
+        monkeypatch.setattr(rmt, "_CHUNK", 2000)
+        res_a = rmt.cue_experiment(8, 8000, 10, make_rng(13))
+        res_b = rmt.cue_experiment(8, 8000, 10, make_rng(14))
         assert abs(res_a.moments.mean - res_b.moments.mean) < 0.08
         assert abs(res_a.moments.variance - res_b.moments.variance) < 0.12
 
-    def test_worker_count_never_changes_results(self):
-        r1 = rmt.cue_experiment(12, 3000, 10, make_rng(16), chunk_size=512,
-                                workers=1)
-        r2 = rmt.cue_experiment(12, 3000, 10, make_rng(16), chunk_size=512,
-                                workers=4)
+    def test_worker_count_never_changes_results(self, monkeypatch):
+        monkeypatch.setattr(rmt, "_CHUNK", 512)
+        r1 = rmt.cue_experiment(12, 3000, 10, make_rng(16), workers=1)
+        r2 = rmt.cue_experiment(12, 3000, 10, make_rng(16), workers=4)
         assert np.array_equal(r1.log_abs, r2.log_abs)
         assert np.array_equal(r1.thetas, r2.thetas)
         assert np.array_equal(r1.histogram.counts, r2.histogram.counts)
 
-    def test_standardized_stream(self):
-        res = rmt.cue_experiment(6, 50, 10, make_rng(17), chunk_size=32)
+    def test_standardized_stream(self, monkeypatch):
+        monkeypatch.setattr(rmt, "_CHUNK", 32)
+        res = rmt.cue_experiment(6, 50, 10, make_rng(17))
         rows = csv_fields(res.csv_rows())
         assert len(rows) == 50
         scale = math.sqrt(rmt.q2_variance(6))
