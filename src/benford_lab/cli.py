@@ -26,6 +26,7 @@ import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 
 import numpy as np
 
@@ -395,7 +396,13 @@ def _add_common(p: argparse.ArgumentParser) -> None:
                    choices=("csv", "json", "table"))
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process (its 100-odd
+    ``add_argument`` calls cost about 4 ms) and shared by every ``main``
+    call; do not mutate it.  ``parse_args`` leaves a parser unchanged and
+    returns a fresh namespace, and argparse looks up ``sys.stderr`` only
+    when it writes, so a shared parser parses as a fresh one would."""
     ap = argparse.ArgumentParser(
         prog="benford-lab",
         description="Leading-digit statistics of dynamical systems")

@@ -9,13 +9,15 @@ of an iterate to its drift-predicted size as a mod-1 statistic with exact
 leading-digit extraction, the matching geometric-sum sampler, and
 leading-digit censuses over whole trajectories of enormous seeds.
 
-Seed censuses run in one vectorised loop: the iterates stay in int64 while
-the next multiply by g cannot overflow and widen to exact Python ints (an
-object array) once it could, so only the census steps that need big integers
-pay for them.  An int64 step of a d = 2 map is a few integer ufuncs into
-buffers the loop owns: u = g*x + h(1), k counted as the ones of
-(u & -u) - 1, and x = u >> k.  Digit decisions are never made from a float
-that could sit on a digit boundary.
+Seed censuses run tile by tile: one vectorised loop takes a tile of seeds
+through all m steps before the next tile starts, so its buffers stay in
+cache.  A tile's iterates stay in int64 while the next multiply by g cannot
+overflow and widen to exact Python ints (an object array) once it could, so
+only the tiles and steps that need big integers pay for them.  An int64 step
+of a d = 2 map is a few integer ufuncs into buffers the loop owns:
+u = g*x + h(1), k counted as the ones of (u & -u) - 1, and x = u >> k.
+Digit decisions are never made from a float that could sit on a digit
+boundary.
 
 Trajectories of big seeds advance by blocks.  The next k steps of the 3x+1
 map depend only on x mod 2**k (Terras 1976; Lagarias 1985), so a block is
@@ -208,9 +210,8 @@ def _match_ktuple_3x1(ktuple, limit: int) -> np.ndarray:
     """Seeds x <= limit in the 3x+1 domain whose path starts with ktuple."""
     xs = _domain_int64(limit)
     ok = np.ones(xs.shape, dtype=bool)
-    steps = _census_steps(xs, len(ktuple), THREE_X_PLUS_1)
-    for target, (_, k) in zip(ktuple, steps):
-        ok &= k == target
+    for tile, i, _, k in _census_steps(xs, len(ktuple), THREE_X_PLUS_1):
+        ok[tile] &= k == ktuple[i]
     return np.sort(xs[ok])
 
 
@@ -274,14 +275,28 @@ def _trailing_zeros(u: np.ndarray) -> np.ndarray:
                        len(u))
 
 
+# A census is stepped a tile of _TILE seeds at a time: all m steps of one
+# tile run before the next tile starts, so the int64 kernel's four buffers
+# (128 KB each) stay in cache instead of streaming the whole census through
+# memory on every step.  On the 10^5 headline seeds (m = 10; 2-vCPU Xeon,
+# 2 MB of L2 per core) ``_census_paths`` took 21.3, 9.6, 7.7, 7.4, 8.3 and
+# 8.4 ms at tiles of 2^10, 2^12, 2^13, 2^14, 2^15 and 2^16 seeds, against
+# 10.2 ms in one tile (medians of 25 interleaved runs): below 2^13 numpy's
+# fixed cost per call dominates, above 2^15 the buffers leave L2.
+_TILE = 2 ** 14
+
+
 def _census_steps(seeds, m: int, dmap: DghMap):
-    """Yield each step's iterates x_i and multiplicities k_i, i = 1..m,
-    over a census.
+    """Yield (tile, i, x, k) for the steps i = 0..m-1 of each tile of a
+    census: the slice ``tile`` of the seeds, and the iterates x and
+    multiplicities k of those seeds after step i + 1.  All m steps of a
+    tile are yielded before the next tile's first.
 
     The input is checked once: the domain (x >= 1, d and g not dividing x)
     is closed under the map, since g*x + h = h (mod g), d**k is coprime to
-    g and g*x + h > 0.  Iterates stay in int64 while g*x cannot overflow
-    and move to exact Python ints (an object array) when it could.
+    g and g*x + h > 0.  A tile's iterates stay in int64 while g*x cannot
+    overflow and move to exact Python ints (an object array) when it could;
+    the other tiles are unaffected.
 
     For d = 2 the int64 steps run in buffers the generator owns, so the
     yielded x and k are overwritten by the next step; the caller's seed
@@ -292,51 +307,63 @@ def _census_steps(seeds, m: int, dmap: DghMap):
     if len(seeds) == 0:
         raise DomainError("need a nonempty census")
     try:
-        x = np.asarray(seeds, dtype=np.int64)
+        x0 = np.asarray(seeds, dtype=np.int64)
     except OverflowError:
-        x = np.array([int(s) for s in seeds], dtype=object)
-    if x.min() < 1 or (x % dmap.d == 0).any() or \
-            (x % dmap.g == 0).any():
+        x0 = np.array([int(s) for s in seeds], dtype=object)
+    # x // d * d == x tests divisibility about three times faster than
+    # x % d == 0 on int64, whose // by a scalar numpy does by multiplication
+    if x0.min() < 1 or (x0 // dmap.d * dmap.d == x0).any() or \
+            (x0 // dmap.g * dmap.g == x0).any():
         raise DomainError("every seed must be >= 1 and avoid the factors "
                           "d and g")
     cap = (2 ** 62) // dmap.g
     htab = np.array([v if v is not None else 0 for v in dmap.h],
                     dtype=np.int64)
-    u, low, k, xbuf = (np.empty(len(x), np.int64) for _ in range(4))
-    for _ in range(m):
-        if x.dtype != object and x.max() > cap:
-            x = x.astype(object)
-        if dmap.d == 2 and x.dtype != object:
-            np.multiply(x, dmap.g, out=u)
-            u += dmap.h[1]
-            np.bitwise_and(u, np.negative(u, out=low), out=low)
-            low -= 1
-            np.bitwise_count(low, out=k)
-            x = np.right_shift(u, k, out=xbuf)
-        elif dmap.d == 2:
-            u = dmap.g * x + dmap.h[1]
-            k = _trailing_zeros(u)
-            x = u >> k
-        else:
-            u = dmap.g * x
-            u += htab[(u % dmap.d).astype(np.intp)]
-            # np.divmod has no object loop; // and % work for both dtypes
-            k = np.zeros(len(x), dtype=np.int64)
-            while (mask := u % dmap.d == 0).any():
-                u[mask] //= dmap.d
-                k += mask
-            x = u
-        yield x, k
+    bufs = [np.empty(min(len(x0), _TILE), np.int64) for _ in range(4)]
+    for lo in range(0, len(x0), _TILE):
+        tile = slice(lo, lo + _TILE)
+        x = x0[tile]
+        # sliced anew per tile: the exact-int branches rebind u and k
+        u, low, k, xbuf = (b[:len(x)] for b in bufs)
+        for i in range(m):
+            if x.dtype != object and x.max() > cap:
+                x = x.astype(object)
+            if dmap.d == 2 and x.dtype != object:
+                np.multiply(x, dmap.g, out=u)
+                u += dmap.h[1]
+                np.bitwise_and(u, np.negative(u, out=low), out=low)
+                low -= 1
+                np.bitwise_count(low, out=k)
+                x = np.right_shift(u, k, out=xbuf)
+            elif dmap.d == 2:
+                u = dmap.g * x + dmap.h[1]
+                k = _trailing_zeros(u)
+                x = u >> k
+            else:
+                u = dmap.g * x
+                u += htab[(u % dmap.d).astype(np.intp)]
+                # np.divmod has no object loop; // and % work for both dtypes
+                k = np.zeros(len(x), dtype=np.int64)
+                while (mask := u % dmap.d == 0).any():
+                    u[mask] //= dmap.d
+                    k += mask
+                x = u
+            yield tile, i, x, k
 
 
 def _census_paths(seeds, m: int, dmap: DghMap):
-    """x_m and the total multiplicity S of each seed over a census."""
+    """x_m and the total multiplicity S of each seed over a census.  x_m is
+    an object array when any tile left int64."""
     if m < 1:
         raise DomainError("m must be >= 1")
     s_tot = np.zeros(len(seeds), dtype=np.int64)
-    for x, k in _census_steps(seeds, m, dmap):
-        s_tot += k
-    return x, s_tot
+    xm = []
+    for tile, i, x, k in _census_steps(seeds, m, dmap):
+        s = s_tot[tile]
+        s += k      # s_tot[tile] += k would copy s back onto itself
+        if i == m - 1:
+            xm.append(x.copy())     # the next tile reuses x's buffer
+    return np.concatenate(xm), s_tot
 
 
 @dataclass
@@ -371,9 +398,11 @@ def kvalue_histogram(dmap: DghMap, seeds, m: int) -> KValueStats:
     if m < 1:
         raise DomainError("m must be >= 1")
     khist = np.zeros(_K_SLOTS, dtype=np.int64)
-    for _, k in _census_steps(seeds, m, dmap):
-        khist += np.bincount(np.minimum(k, _K_SLOTS - 1),
-                             minlength=_K_SLOTS)
+    for _, _, _, k in _census_steps(seeds, m, dmap):
+        # a k past the last slot counts in it
+        counts = np.bincount(k, minlength=_K_SLOTS)
+        khist[:-1] += counts[:_K_SLOTS - 1]
+        khist[-1] += counts[_K_SLOTS - 1:].sum()
     return KValueStats(dmap.d, khist, int(khist.sum()))
 
 

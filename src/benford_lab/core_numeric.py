@@ -413,11 +413,14 @@ def random_bignat(num_digits: int, base: int, rng: np.random.Generator) -> BigNa
     """Random integer with exactly ``num_digits`` digits in ``base``.
 
     The leading digit is uniform on [1, base); the rest uniform on [0, base).
-    Deterministic given the generator state.
+    Deterministic given the generator state.  The digits are numpy int64
+    draws, so the base is at most 2**63.
     """
     if num_digits < 1:
         raise DomainError("num_digits must be >= 1")
     b = _check_digit_base(base)
+    if b > 2 ** 63:
+        raise DomainError(f"base must be <= 2**63 for random digits, got {b}")
     first = int(rng.integers(1, b))
     if num_digits == 1:
         return first

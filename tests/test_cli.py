@@ -579,3 +579,37 @@ def test_commands_run_with_scipy_blocked(tmp_path):
     assert len(outs["block"]) == len(runs)
     assert all(outs["block"])
     assert outs["block"] == outs["open"]
+
+
+_PARSER_REUSE_RUNS = [
+    ["collatz", "ratio", "--base", "ten"],                  # argparse: exit 2
+    ["collatz", "experiment", "--preset", "nope"],          # ConfigError
+    ["collatz", "experiment", "--preset", "ratio-base10", "--count", "2000",
+     "--format", "json"],
+    ["collatz", "experiment", "--base", "7", "--count", "2000",
+     "--format", "json"],
+    ["zeta", "--t-start", "1000", "--t-end", "1010",
+     "--near-critical-delta", "0.5", "--format", "json"],
+    ["zeta", "--t-start", "1000", "--t-end", "1010", "--format", "json"],
+]
+
+
+def test_parser_reuse_matches_fresh_processes(capsys):
+    # main builds its parser once per process: failures, presets and
+    # optional flags of one call must not leak into the next
+    assert cli.build_parser() is cli.build_parser()
+    codes = []
+    for args in _PARSER_REUSE_RUNS:
+        try:
+            code = cli.main(args)
+        except SystemExit as exc:
+            code = exc.code
+        out, err = capsys.readouterr()
+        proc = subprocess.run(
+            [sys.executable, "-m", "benford_lab.cli", *args], env=_src_env(),
+            capture_output=True, text=True, timeout=120)
+        assert (code, out, err) == (proc.returncode, proc.stdout,
+                                    proc.stderr), args
+        codes.append(code)
+    assert codes == [2, 2, 0, 0, 0, 0]
+    assert cli.build_parser.cache_info().misses == 1

@@ -238,21 +238,59 @@ class TestCensusEngine:
 
     @pytest.mark.parametrize("dmap", [cz.THREE_X_PLUS_1, cz.THREE_X_MINUS_1,
                                       cz.FIVE_X_PLUS_1])
-    def test_every_step_matches_path_through_the_cap(self, dmap):
-        # seeds up to the int64 cap 2**62 // g: the first steps run in the
-        # int64 kernel, and its buffers widen to exact ints within a few
-        # steps; every yielded step is compared before the next overwrites it
+    def test_every_step_matches_path_through_the_cap(self, dmap, monkeypatch):
+        # seeds up to the int64 cap 2**62 // g, in tiles of 64: the first
+        # steps of each tile run in the int64 kernel, and its buffers widen
+        # to exact ints within a few steps; every yielded step is compared
+        # before the next overwrites it, and the tiles come in order, each
+        # with all its steps
+        monkeypatch.setattr(cz, "_TILE", 64)
         cap = 2 ** 62 // dmap.g
         seeds = np.array([x for x in range(cap - 400, cap + 1)
                           if dmap.in_domain(x)] + [7, 11, 13], np.int64)
         m = 12
         paths = [cz.path(dmap, int(x0), m) for x0 in seeds]
-        dtypes = []
-        for i, (x, k) in enumerate(cz._census_steps(seeds, m, dmap)):
-            dtypes.append(x.dtype)
-            assert [int(v) for v in x] == [p.iterates[i] for p in paths]
-            assert [int(v) for v in k] == [p.kvalues[i] for p in paths]
-        assert dtypes[0] == np.int64 and dtypes[-1] == object
+        order, dtypes = [], {}
+        for tile, i, x, k in cz._census_steps(seeds, m, dmap):
+            order.append((tile.start, i))
+            dtypes.setdefault(tile.start, []).append(x.dtype)
+            assert [int(v) for v in x] == [p.iterates[i] for p in paths[tile]]
+            assert [int(v) for v in k] == [p.kvalues[i] for p in paths[tile]]
+        assert order == [(lo, i) for lo in range(0, len(seeds), 64)
+                         for i in range(m)]
+        assert all(d[0] == np.int64 and d[-1] == object
+                   for d in dtypes.values())
+
+    def test_only_the_middle_tile_crosses_the_cap(self, monkeypatch):
+        # three tiles at the module's tile size: small seeds, seeds just
+        # under the int64 cap 2**62 // 3 (they pass it after one step), and
+        # a short last tile of small seeds; only the middle tile leaves
+        # int64, and every result equals the per-seed paths
+        dmap, m, t = cz.THREE_X_PLUS_1, 5, cz._TILE
+        cap = 2 ** 62 // 3
+        high = [x for x in range(cap - 4 * t, cap + 1) if dmap.in_domain(x)]
+        seeds = np.concatenate([cz.census_1mod6(7, t),
+                                np.array(high[-t:], np.int64),
+                                cz.census_1mod6(7 + 6 * t, t // 2)])
+        wide = {tile.start for tile, _, x, _ in cz._census_steps(seeds, m, dmap)
+                if x.dtype == object}
+        assert wide == {t}
+        paths = [cz.path(dmap, x0, m) for x0 in seeds.tolist()]
+        xm, s_tot = cz._census_paths(seeds, m, dmap)
+        assert xm.dtype == object
+        assert xm.tolist() == [p.iterates[-1] for p in paths]
+        assert s_tot.tolist() == [sum(p.kvalues) for p in paths]
+        khist = np.bincount([k for p in paths for k in p.kvalues],
+                            minlength=64)
+        assert np.array_equal(cz.kvalue_histogram(dmap, seeds, m).counts,
+                              khist)
+        # the structure scan reads the same engine over the same seeds
+        monkeypatch.setattr(cz, "_domain_int64", lambda limit: seeds)
+        for ktuple in ((1, 1), (2, 1, 1), (1, 2, 1, 1, 3)):
+            want = sorted(p.seed for p in paths
+                          if p.kvalues[:len(ktuple)] == ktuple)
+            assert want
+            assert cz._match_ktuple_3x1(ktuple, 0).tolist() == want
 
     def test_census_leaves_the_seed_array_unchanged(self):
         seeds = cz.census_1mod6(CENSUS_START, 2_000)

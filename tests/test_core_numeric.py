@@ -431,6 +431,16 @@ class TestRandomBignat:
         assert len(digits) == nd
         assert 1 <= digits[-1] < base
 
+    def test_base_up_to_2_63(self):
+        # the digits are int64 draws: 2**63 is the largest base they reach
+        base = 2 ** 63
+        x = cn.random_bignat(5, base, make_rng(4))
+        assert base ** 4 <= x < base ** 5
+        assert cn.random_bignat(5, base, make_rng(4)) == x
+        for base in (2 ** 63 + 1, 2 ** 64 + 1):
+            with pytest.raises(cn.DomainError):
+                cn.random_bignat(5, base, make_rng(4))
+
     def test_digits_to_int_matches_str(self):
         rng = make_rng(5)
         digits = rng.integers(0, 10, size=2000)
