@@ -12,7 +12,6 @@ import json
 import math
 from dataclasses import dataclass
 
-import mpmath
 import numpy as np
 
 from .core_numeric import DomainError, leading_digit
@@ -144,6 +143,8 @@ def z_statistics(hist: DigitHistogram) -> TestReport:
     at 30 digits and compared with the exact value of the float 0.95.  With
     no degree of freedom (base 2) it always accepts.
     """
+    import mpmath   # at first use, so that importing this module loads none
+
     n = hist.total
     if n == 0:
         raise DomainError("z_statistics needs a nonempty histogram")

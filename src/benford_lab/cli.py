@@ -13,8 +13,12 @@ payload) or ``table`` (aligned text for eyeballing).  ``main`` alone maps
 exceptions to exit codes: 0 on success, 1 when an internal assertion fails,
 2 with ``error: <message>`` and empty stdout on configuration errors, paths
 that cannot be opened, bases above ``MAX_BASE``, worker counts above
-``MAX_WORKERS`` and sizes (``--count``, ``--limit``, ``--samples``,
-``--digits``) above ``MAX_ITEMS``.
+``MAX_WORKERS``, sizes (``--count``, ``--limit``, ``--samples``,
+``--digits``) above ``MAX_ITEMS``, ``--et-m`` above ``MAX_ET_M`` and
+``--dps`` above ``MAX_DPS``.
+
+Importing this module loads neither the library modules nor mpmath: each
+command imports the modules it runs when it is first called.
 """
 
 from __future__ import annotations
@@ -27,13 +31,13 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
+from importlib import import_module
 
 import numpy as np
 
 from . import __version__
-from . import benford_stats, collatz, equidist, rmt, zeta
-from .core_numeric import DomainError, _check_digit_base, leading_digit, \
-    random_bignat
+from .core_numeric import DomainError, PrecisionError, _check_digit_base, \
+    leading_digit, random_bignat
 
 DEFAULT_CENSUS_START = 419_753_999_998_525
 DEFAULT_CENSUS_COUNT = 100_000
@@ -44,6 +48,19 @@ MAX_WORKERS = 64      # each worker is one OS thread holding a chunk's matrices
 # --count, --limit, --samples and --digits size arrays of one to a few dozen
 # bytes per item: at 2^24 items one int64 or float64 array takes 128 MB
 MAX_ITEMS = 2 ** 24
+# the Erdos-Turan sum of kalpha costs about 1.0-1.4 ns per point and harmonic
+# on a 2-vCPU x86 host (10^5 points at m = 100 and 1,000), so --et-m 4096
+# takes about 0.5 s at the default 10^5 points and about 100 s at MAX_ITEMS
+MAX_ET_M = 2 ** 12
+# cf and type work at --dps + 20 digits in pure-Python mpmath, and --depth
+# stops at the convergents those digits certify (1,972 for log:2:10 at 2,000):
+# at --dps 2000 and that depth cf takes 0.014 s and type, with its 6 default
+# gammas, 43 s on the same host
+MAX_DPS = 2_000
+
+# collatz.MODES, spelled out so that the parser imports no collatz; a test
+# pins the two equal
+BIGNUM_MODES = ("remove_all_twos", "single_step")
 
 COLLATZ_PRESETS = {
     "ratio-base4": {"kind": "ratio", "base": 4},
@@ -109,6 +126,18 @@ def _rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(seed))
 
 
+_LIBRARY = ("benford_stats", "collatz", "equidist", "rmt", "zeta")
+
+
+def __getattr__(name: str):
+    """``cli.rmt`` and the other library modules, imported when first named.
+    Each command imports the modules it runs, so that importing this module
+    loads none of them and a census command never loads zeta or mpmath."""
+    if name in _LIBRARY:
+        return import_module(f"{__package__}.{name}")
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
 def _resolve_alpha(text: str, dps: int = 480):
     """Accept a finite float literal, 'p/q' (exact rational), or 'log:X:B'
     (integers X >= 1, B >= 2) for log_B(X) at ``dps`` and 20 guard digits,
@@ -122,6 +151,7 @@ def _resolve_alpha(text: str, dps: int = 480):
             if x < 1 or b < 2:
                 raise ConfigError(f"log:X:B needs X >= 1 and B >= 2, "
                                   f"got {text!r}")
+            from . import equidist
             alpha = equidist.log_ratio(x, b, dps + 20)
         elif "/" in text:
             num, den = text.split("/", 1)
@@ -145,8 +175,9 @@ def _number_list(text: str, kind, flag: str) -> list:
                           f"{kind.__name__} values, got {text!r}") from exc
 
 
-def _benford_rows(report: benford_stats.TestReport):
-    """Columns and rows of a digit report against Benford's law."""
+def _benford_rows(report):
+    """Columns and rows of a ``benford_stats.TestReport`` against Benford's
+    law."""
     return (("digit", "observed", "benford", "z"),
             [(d, f"{o:.6f}", f"{p:.6f}", f"{z:.4f}")
              for d, o, p, z in report.per_digit])
@@ -171,14 +202,14 @@ def _decimal_value(text: str) -> Fraction:
     return Fraction(text)
 
 
-def cmd_digits(args, cfg: ExperimentConfig) -> tuple:
-    sys.set_int_max_str_digits(2_000_000)
-    base = _check_digit_base(args.base)
+def _file_digits(path: str, base: int) -> list:
+    """The leading digit of each nonblank line of a UTF-8 file of decimal
+    literals."""
     try:
-        with open(args.file, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8") as fh:
             lines = fh.read().split("\n")
     except UnicodeDecodeError as exc:
-        raise ConfigError(f"{args.file}: not UTF-8 text ({exc.reason})")
+        raise ConfigError(f"{path}: not UTF-8 text ({exc.reason})")
     digits = []
     for ln, line in enumerate(lines, start=1):
         text = line.strip()
@@ -187,11 +218,25 @@ def cmd_digits(args, cfg: ExperimentConfig) -> tuple:
         try:
             digits.append(leading_digit(_decimal_value(text), base))
         except DomainError as exc:  # zero
-            raise ConfigError(f"{args.file}:{ln}: {exc}")
+            raise ConfigError(f"{path}:{ln}: {exc}")
         except ValueError:
-            raise ConfigError(f"{args.file}:{ln}: cannot parse {text!r}")
+            raise ConfigError(f"{path}:{ln}: cannot parse {text!r}")
     if not digits:
-        raise ConfigError(f"{args.file} holds no values")
+        raise ConfigError(f"{path} holds no values")
+    return digits
+
+
+def cmd_digits(args, cfg: ExperimentConfig) -> tuple:
+    from . import benford_stats
+    base = _check_digit_base(args.base)
+    # values of up to 2,000,000 digits, for this file alone: the limit is
+    # the process's own again when the command ends, on error paths too
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(2_000_000)
+    try:
+        digits = _file_digits(args.file, base)
+    finally:
+        sys.set_int_max_str_digits(limit)
     hist = benford_stats.DigitHistogram.from_digits(digits, base)
     report = benford_stats.z_statistics(hist)
     return (*_benford_rows(report), report.to_text_table(),
@@ -199,6 +244,7 @@ def cmd_digits(args, cfg: ExperimentConfig) -> tuple:
 
 
 def _collatz_ratio_run(args, cfg, base) -> tuple:
+    from . import collatz
     cfg.params["base"] = base
     seeds = collatz.census_1mod6(args.start, args.count)
     result = collatz.ratio_digit_experiment(seeds, args.iterations, base)
@@ -209,6 +255,7 @@ def _collatz_ratio_run(args, cfg, base) -> tuple:
 
 
 def _collatz_bignum_run(args, cfg, mode) -> tuple:
+    from . import benford_stats, collatz
     cfg.params["mode"] = mode
     seed_value = random_bignat(args.digits, 10, _rng(cfg.rng_seed))
     result = collatz.iterate_digit_experiment(seed_value, mode,
@@ -237,6 +284,7 @@ def cmd_collatz_experiment(args, cfg: ExperimentConfig) -> tuple:
 
 
 def cmd_collatz_structure(args, cfg: ExperimentConfig) -> tuple:
+    from . import collatz
     ktuple = tuple(_number_list(args.ktuple, int, "--ktuple"))
     try:
         pred = collatz.inverse_path_bruteforce(ktuple, args.limit)
@@ -251,6 +299,7 @@ def cmd_collatz_structure(args, cfg: ExperimentConfig) -> tuple:
 
 
 def cmd_collatz_kvalues(args, cfg: ExperimentConfig) -> tuple:
+    from . import collatz
     seeds = collatz.census_1mod6(args.start, args.count)
     stats = collatz.kvalue_histogram(collatz.THREE_X_PLUS_1, seeds,
                                      args.iterations)
@@ -269,6 +318,7 @@ def cmd_collatz_kvalues(args, cfg: ExperimentConfig) -> tuple:
 
 
 def cmd_collatz_ratio(args, cfg: ExperimentConfig) -> tuple:
+    from . import collatz
     seeds = collatz.census_1mod6(args.start, args.count)
     result = collatz.ratio_digit_experiment(seeds, args.iterations, args.base)
     fracs = collatz.ratio_fracs(seeds, args.iterations, args.base,
@@ -284,6 +334,7 @@ def cmd_collatz_ratio(args, cfg: ExperimentConfig) -> tuple:
 
 
 def cmd_collatz_model(args, cfg: ExperimentConfig) -> tuple:
+    from . import collatz
     hist = collatz.model_digit_experiment(args.iterations, args.base,
                                           args.samples, _rng(cfg.rng_seed))
     freq = hist.frequencies()
@@ -296,6 +347,7 @@ def cmd_collatz_model(args, cfg: ExperimentConfig) -> tuple:
 
 
 def cmd_zeta(args, cfg: ExperimentConfig) -> tuple:
+    from . import benford_stats, zeta
     params = dict(t_start=args.t_start, t_end=args.t_end, step=args.step,
                   sigma=args.sigma, base=args.base)
     if args.preset:
@@ -327,6 +379,7 @@ def cmd_zeta(args, cfg: ExperimentConfig) -> tuple:
 
 
 def cmd_cue(args, cfg: ExperimentConfig) -> tuple:
+    from . import benford_stats, rmt
     result = rmt.cue_experiment(args.dim, args.samples, args.base,
                                 _rng(cfg.rng_seed), workers=cfg.workers)
     stat, dof = benford_stats.chi_square(result.histogram)
@@ -340,6 +393,7 @@ def cmd_cue(args, cfg: ExperimentConfig) -> tuple:
 
 
 def cmd_equidist_kalpha(args, cfg: ExperimentConfig) -> tuple:
+    from . import benford_stats, equidist
     alpha = _resolve_alpha(args.alpha)
     pts = equidist.kalpha_points(alpha, args.count)
     report = benford_stats.discrepancy_report(pts, m=args.et_m)
@@ -350,6 +404,7 @@ def cmd_equidist_kalpha(args, cfg: ExperimentConfig) -> tuple:
 
 
 def cmd_equidist_cf(args, cfg: ExperimentConfig) -> tuple:
+    from . import equidist
     alpha = _resolve_alpha(args.alpha, args.dps)
     convs = equidist.continued_fraction(alpha, args.depth, dps=args.dps)
     return (("p", "q"), convs, "\n".join(f"{p}/{q}" for p, q in convs),
@@ -357,6 +412,7 @@ def cmd_equidist_cf(args, cfg: ExperimentConfig) -> tuple:
 
 
 def cmd_equidist_type(args, cfg: ExperimentConfig) -> tuple:
+    from . import equidist
     alpha = _resolve_alpha(args.alpha, args.dps)
     gammas = tuple(_number_list(args.gammas, float, "--gammas"))
     probe = equidist.type_probe(alpha, args.depth, gammas, dps=args.dps)
@@ -369,6 +425,7 @@ def cmd_equidist_type(args, cfg: ExperimentConfig) -> tuple:
 
 
 def cmd_poisson_check(args, cfg: ExperimentConfig) -> tuple:
+    from . import equidist
     sigmas = _number_list(args.sigmas, float, "--sigmas")
     rows = []
     worst = 0.0
@@ -424,7 +481,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--count", type=int, default=DEFAULT_CENSUS_COUNT)
     p.add_argument("--iterations", "-m", type=int, default=DEFAULT_M)
     p.add_argument("--base", type=int, default=4)
-    p.add_argument("--mode", choices=collatz.MODES, default=None,
+    p.add_argument("--mode", choices=BIGNUM_MODES, default=None,
                    help="trajectory mode (bignum experiments)")
     p.add_argument("--digits", type=int, default=DEFAULT_BIG_DIGITS,
                    help="decimal size of the random bignum seed")
@@ -512,6 +569,12 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+# every flag whose size sets the work or memory of a command, and its cap
+_CAPS = {"base": MAX_BASE, "count": MAX_ITEMS, "limit": MAX_ITEMS,
+         "samples": MAX_ITEMS, "digits": MAX_ITEMS, "et_m": MAX_ET_M,
+         "dps": MAX_DPS}
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     failure = None
@@ -521,12 +584,10 @@ def main(argv=None) -> int:
                               f"got {args.workers}")
         if args.seed < 0:
             raise ConfigError("seed must be >= 0")
-        if getattr(args, "base", 0) > MAX_BASE:
-            raise ConfigError(f"--base must be <= {MAX_BASE}, got {args.base}")
-        for flag in ("count", "limit", "samples", "digits"):
-            if getattr(args, flag, 0) > MAX_ITEMS:
-                raise ConfigError(f"--{flag} must be <= {MAX_ITEMS}, got "
-                                  f"{getattr(args, flag)}")
+        for flag, cap in _CAPS.items():
+            if getattr(args, flag, 0) > cap:
+                raise ConfigError(f"--{flag.replace('_', '-')} must be <= "
+                                  f"{cap}, got {getattr(args, flag)}")
         params = {k: v for k, v in vars(args).items()
                   if k not in ("func", "seed", "workers", "out", "fmt")
                   and v is not None}
@@ -542,8 +603,7 @@ def main(argv=None) -> int:
             failure, output = exc, exc.output
         if output is not None:
             emit(cfg, *output)
-    except (ConfigError, DomainError, equidist.PrecisionError,
-            OSError) as exc:
+    except (ConfigError, DomainError, PrecisionError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if failure is not None:

@@ -31,12 +31,12 @@ from functools import lru_cache
 from numbers import Integral
 from typing import Union
 
-import mpmath
 import numpy as np
 
 __all__ = [
     "BigNat",
     "DomainError",
+    "PrecisionError",
     "Mantissa",
     "mantissa",
     "leading_digit",
@@ -57,6 +57,10 @@ _TOP_BITS = 50
 
 class DomainError(ValueError):
     """An argument lies outside the domain of the requested operation."""
+
+
+class PrecisionError(ValueError):
+    """Working precision cannot certify the requested output."""
 
 
 @dataclass(frozen=True)
@@ -308,6 +312,8 @@ def log_mantissa(x: Real, base) -> float:
 
 
 def _log_mantissa_big(num: int, den: int, base: float) -> float:
+    import mpmath   # at first use, so that importing this module loads none
+
     # 30 guard digits beyond the size of the integer exponent
     dps = 30 + len(str(max(num.bit_length(), den.bit_length())))
     with mpmath.workdps(dps):

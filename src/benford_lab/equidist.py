@@ -19,7 +19,7 @@ from numbers import Integral
 import mpmath
 import numpy as np
 
-from .core_numeric import DomainError
+from .core_numeric import DomainError, PrecisionError
 
 __all__ = [
     "PrecisionError",
@@ -35,10 +35,6 @@ __all__ = [
 ]
 
 _TWO_PI_SQ = 2.0 * math.pi * math.pi
-
-
-class PrecisionError(ValueError):
-    """Working precision cannot certify the requested output."""
 
 
 def log_ratio(x, base, dps: int = 500) -> mpmath.mpf:

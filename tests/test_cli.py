@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import textwrap
 import time
 import warnings
 
@@ -85,6 +86,22 @@ class TestDigitsCommand:
         assert code == 2 and out == ""
         assert err.startswith(f"error: {f}")
 
+    @pytest.mark.parametrize("text, want", [("12\n", 0), ("12\n0\n", 2)])
+    def test_int_str_limit_restored(self, text, want, tmp_path, capsys):
+        # the command lifts the int/str digit limit for its own file only:
+        # after a good file, and after one that holds a zero, the process
+        # has the limit it had before
+        f = tmp_path / "vals.txt"
+        f.write_text(text)
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(5000)
+        try:
+            code = run_cli(["digits", str(f)], capsys)[0]
+            after = sys.get_int_max_str_digits()
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert (code, after) == (want, 5000)
+
     @pytest.mark.parametrize("text,digit", [
         ("2.99999999999999999", 2),  # 3.0 as a float
         ("1.99999999999999999e5", 1),
@@ -147,6 +164,16 @@ class TestCollatzCommands:
         assert code == 0
         doc = json.loads(out)
         assert doc["observed"][2] == 0.0  # digit 3 unreachable in base 8
+
+    def test_parser_modes_are_collatz_modes(self):
+        # the parser names the trajectory modes itself, so that building it
+        # imports no collatz
+        from benford_lab import collatz
+        assert cli.BIGNUM_MODES == collatz.MODES
+        for mode in collatz.MODES:
+            args = cli.build_parser().parse_args(
+                ["collatz", "experiment", "--mode", mode])
+            assert args.mode == mode
 
     def test_bignum_preset_tiny(self, capsys):
         code, out, _ = run_cli(
@@ -415,6 +442,29 @@ class TestEquidistCommands:
         assert code == 0
         assert "empirical_type" in json.loads(out)
 
+    @pytest.mark.parametrize("args, kernel, flag, cap", [
+        (["kalpha", "--alpha", "0.3"], "kalpha_points", "--et-m", "MAX_ET_M"),
+        (["cf", "--alpha", "0.3"], "continued_fraction", "--dps", "MAX_DPS"),
+        (["type", "--alpha", "0.3"], "type_probe", "--dps", "MAX_DPS"),
+    ])
+    def test_cost_flag_above_cap_refused_before_any_work(
+            self, args, kernel, flag, cap, monkeypatch, capsys):
+        # --et-m sets an O(count * m) sum and --dps the precision of cf and
+        # type: the cap reaches the kernel, one more is refused before it
+        class Entered(Exception):
+            pass
+
+        def entered(*args, **kwargs):
+            raise Entered
+        monkeypatch.setattr(cli.equidist, kernel, entered)
+        cap = getattr(cli, cap)
+        with pytest.raises(Entered):
+            cli.main(["equidist", *args, flag, str(cap)])
+        code, out, err = run_cli(["equidist", *args, flag, str(cap + 1)],
+                                 capsys)
+        assert code == 2 and out == ""
+        assert err == f"error: {flag} must be <= {cap}, got {cap + 1}\n"
+
     @pytest.mark.parametrize("args", [
         ["kalpha", "--alpha", "log:a:10"],
         ["kalpha", "--alpha", "1/0"],
@@ -514,16 +564,40 @@ def _src_env() -> dict:
 
 
 def test_cold_start_imports_no_scipy_and_builds_no_table():
-    # the residue table of trajectory blocks is built at first use, and
-    # neither the import nor a digit report loads scipy
-    code = ("import io, sys, contextlib, benford_lab.cli\n"
-            "from benford_lab import collatz\n"
-            "assert collatz._residue_table.cache_info().currsize == 0\n"
-            "with contextlib.redirect_stdout(io.StringIO()):\n"
-            "    assert benford_lab.cli.main(\n"
-            "        ['cue', '--dim', '4', '--samples', '100']) == 0\n"
-            "assert not [m for m in sys.modules if m.split('.')[0] == "
-            "'scipy'], 'scipy imported'\n")
+    # importing the CLI and building its parser load no library module, no
+    # mpmath and no thread pool; a census command loads only the modules it
+    # runs; the package names its modules all the same; the residue table of
+    # trajectory blocks is built at first use; and neither the import nor a
+    # digit report loads scipy
+    code = textwrap.dedent("""\
+        import io, sys, contextlib, benford_lab.cli
+
+        def loaded(*names):
+            return [n for n in names if n in sys.modules]
+
+        census = ['mpmath', 'benford_lab.zeta', 'benford_lab.rmt',
+                  'benford_lab.equidist']
+        cold = census + ['benford_lab.collatz', 'benford_lab.benford_stats',
+                         'concurrent.futures']
+        benford_lab.cli.build_parser()
+        assert not loaded(*cold), loaded(*cold)
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert benford_lab.cli.main(
+                ['collatz', 'kvalues', '--count', '2000']) == 0
+        assert not loaded(*census), loaded(*census)
+        from benford_lab import collatz
+        assert collatz._residue_table.cache_info().currsize == 0
+        import benford_lab
+        assert benford_lab.zeta is sys.modules['benford_lab.zeta']
+        assert not hasattr(benford_lab, 'nope')
+        from benford_lab import rmt
+        assert rmt is sys.modules['benford_lab.rmt']
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert benford_lab.cli.main(
+                ['cue', '--dim', '4', '--samples', '100']) == 0
+        assert not [m for m in sys.modules if m.split('.')[0] == 'scipy'], \\
+            'scipy imported'
+        """)
     proc = subprocess.run([sys.executable, "-c", code], env=_src_env(),
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
