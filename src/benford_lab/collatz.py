@@ -19,18 +19,18 @@ u = g*x + h(1), k counted as the ones of (u & -u) - 1, and x = u >> k.
 Digit decisions are never made from a float that could sit on a digit
 boundary.
 
-Trajectories of big seeds advance by blocks.  The next k steps of the 3x+1
-map depend only on x mod 2**k (Terras 1976; Lagarias 1985), so a block is
-simulated on the low 1,024 bits, giving each block iterate as
-(3**a * x + c) / 2**e, and is applied to the big integer with one
-multiply-add-shift.  The simulation takes most of its steps by lookups in a
-table of the steps each odd residue mod 2**12 decides, built at first use,
-and c follows from the simulation's end value.  Digits are decided a few
-thousand iterates at a time, over several blocks and the small iterates
-stepped exactly after them, in one pass: one log bracket of the block start
-values and small iterates, a block iterate's log as log_base x plus
-a*log_base 3 - e*log_base 2 inside a certified band, one digit rule, and an
-exact fallback where a band touches a cell boundary.
+Trajectories advance by blocks down to 128-bit iterates.  The next k steps
+of the 3x+1 map depend only on x mod 2**k (Terras 1976; Lagarias 1985), so
+a block is simulated on the low min(1,024, n - 64) bits of an n-bit
+iterate, giving each block iterate as (3**a * x + c) / 2**e, and is applied
+to the big integer with one multiply-add-shift.  The simulation takes most
+of its steps by lookups in a table of the steps each odd residue mod 2**12
+decides, built at first use, and c follows from the simulation's end value.
+Digits are decided a few thousand iterates at a time, over several blocks
+and the small iterates stepped exactly after them, in one pass: one log
+bracket of the block start values and small iterates, a block iterate's log
+as log_base x plus a*log_base 3 - e*log_base 2 inside a certified band, one
+digit rule, and an exact fallback where a band touches a cell boundary.
 """
 
 from __future__ import annotations
@@ -637,24 +637,27 @@ def ks_distance(a, b) -> float:
 
 MODES = ("remove_all_twos", "single_step")
 
-# A block of the map is simulated on the low _BLOCK_BITS bits of an iterate,
-# and blocks run while the iterate has n > _BLOCK_MIN_BITS bits.  A block
-# iterate takes e < _BLOCK_BITS halvings, so the carry term of
-# ``_batch_logs``, 2**(e - n + 1), is at most 2**-65: far under the 5e-16
-# pad of the log bracket.  Each block pays its low-bit simulation and one
-# multiply-add-shift, and each iterate of at most _BLOCK_MIN_BITS bits one
-# exact step; digits are decided in batches (see _BATCH).  On 10^4- and
-# 3*10^4-digit trajectories, with one numpy digit pass per block, 1,024-bit
-# blocks ran 5-40% faster than 256, 512 or 2,048 bits, and a minimum just
-# above the block size 10% faster than twice it; with batches, 512 to 2,048
-# bits and a minimum of twice the block size ran within the host's noise.
+# A block of the map is simulated on the low w = min(_BLOCK_BITS, n - 64)
+# bits of an odd n-bit iterate, down to w = _BLOCK_FLOOR bits: every block
+# start has at least 64 bits above its window.  A block iterate takes
+# e < w halvings, so the carry term of ``_batch_logs``, 2**(e - n + 1), is
+# under 2**-63: far under the 5e-16 pad of the log bracket.  Each block
+# pays its low-bit simulation and one multiply-add-shift, and each iterate
+# of fewer than _BLOCK_FLOOR + 64 bits one exact step; digits are decided
+# in batches (see _BATCH).  On 10^4- and 3*10^4-digit trajectories, with
+# one numpy digit pass per block, 1,024-bit blocks ran 5-40% faster than
+# 256, 512 or 2,048 bits; with batches, 512 to 2,048 bits ran within the
+# host's noise.  Narrowing the window under 1,024 bits, instead of stepping
+# the last thousand bits exactly, made 300- and 1,000-digit runs 2.3 to 5
+# times faster in-process; of floors from 16 to 96 bits, 48 and 64 ran
+# fastest.
 _BLOCK_BITS = 1024
-_BLOCK_MIN_BITS = _BLOCK_BITS + 64
+_BLOCK_FLOOR = 64
 # Blocks and small exact iterates queue until about _BATCH iterates wait;
 # then one numpy pass decides all their digits (``_decide``).  A block
-# records 500 to 1,500 iterates, so the fixed cost of the numpy calls is
-# paid a few times less often, and the tail below _BLOCK_MIN_BITS shares the
-# pass instead of taking a ``leading_digit`` per iterate.
+# records up to 1,500 iterates, so the fixed cost of the numpy calls is
+# paid a few times less often, and the exact steps under _BLOCK_FLOOR + 64
+# bits share the pass instead of taking a ``leading_digit`` per iterate.
 _BATCH = 4096
 # the residue table of ``_block`` covers the odd residues mod 2**_TABLE_BITS
 _TABLE_BITS = 12
@@ -701,16 +704,16 @@ def _residue_table() -> tuple:
     return tuple(table)
 
 
-def _block(low: int, steps: int) -> tuple[array, int, int]:
+def _block(low: int, bits: int, steps: int) -> tuple[array, int, int]:
     """Up to ``steps`` accelerated steps x -> (3x+1)/2**k from an odd x whose
-    low _BLOCK_BITS bits are ``low``, as far as those bits decide them: the
+    low ``bits`` bits are ``low``, as far as those bits decide them: the
     multiplicities ks, the end value y and e = sum(ks).  ks is an
-    ``array("H")``: each k is below _BLOCK_BITS, and a batch reads the
-    blocks' bytes into numpy in one call.
+    ``array("H")``: each k is below ``bits`` (at most _BLOCK_BITS), and a
+    batch reads the blocks' bytes into numpy in one call.
 
     After j steps y = (3**j * low + c_j) / 2**e_j is an exact integer
-    congruent to the j-th iterate mod 2**(_BLOCK_BITS - e_j), so the next
-    multiplicity k is decided while e_j + k < _BLOCK_BITS.  While at least
+    congruent to the j-th iterate mod 2**(bits - e_j), so the next
+    multiplicity k is decided while e_j + k < bits.  While at least
     _TABLE_BITS of those bits remain, one lookup of y's low bits in the
     residue table takes every step they decide.  The plain loop takes a
     step the table leaves undecided and the last steps of the block, where
@@ -721,7 +724,7 @@ def _block(low: int, steps: int) -> tuple[array, int, int]:
     ks = array("H")
     y, e = low, 0
     # an entry holds fewer than _TABLE_BITS steps, so each one fits here
-    while e <= _BLOCK_BITS - _TABLE_BITS and len(ks) < steps - _TABLE_BITS:
+    while e <= bits - _TABLE_BITS and len(ks) < steps - _TABLE_BITS:
         tks, t, c, te = table[y & mask]
         if tks:
             y, e = (t * y + c) >> te, e + te
@@ -729,10 +732,10 @@ def _block(low: int, steps: int) -> tuple[array, int, int]:
             continue
         # the residue leaves its first multiplicity undecided: one plain step
         n = len(ks)
-        y, e = _steps(y, e, ks, _BLOCK_BITS, n + 1)
+        y, e = _steps(y, e, ks, bits, n + 1)
         if len(ks) == n:
             break
-    y, e = _steps(y, e, ks, _BLOCK_BITS, steps)
+    y, e = _steps(y, e, ks, bits, steps)
     return ks, y, e
 
 
@@ -772,6 +775,7 @@ def _block_iterate(x: int, low: int, block, j: int, e: int) -> int:
     """
     ks, y, ey = block
     if j < len(ks):
+        # the first j steps are the same at any width that decided them
         y, ey = _steps(low, 0, [], _BLOCK_BITS, j)
     t = 3 ** j
     u = t * x + ((y << ey) - t * low)
@@ -790,22 +794,21 @@ def _batch_logs(starts, tail: list, a: np.ndarray, e: np.ndarray,
     a_i log_base 3 - e_i log_base 2 + delta_i, where 0 <= delta_i =
     log_base(1 + c / (3**a_i x)) < 2**(e_i - n + 1) / ln(base) for an n-bit
     x (c / 3**a_i is at most a sum of distinct powers 2**e_j / 3 with
-    e_j <= e_i), so a block iterate's band adds to the pad for log_base x a
-    few ulps for each product and sum, and that correction.
+    e_j <= e_i).  A block runs on at most n - 64 bits of x, so e_i <= n - 65
+    and delta_i < 2**-64 / ln(base).  A block iterate's band adds to the pad
+    for log_base x a few ulps for each product and sum, and 2**-63 / ln(base)
+    for that correction.
     """
-    v, pad, n = _log_brackets([*starts, *tail], base)
+    v, pad = _log_brackets([*starts, *tail], base)
     v -= np.floor(v)
     lb = math.log(base)
     l3, l2 = math.log(3.0) / lb, _LN2 / lb
     a3, e2 = a * l3, e * l2
     g = v[ids] + (a3 - e2)
     # g - floor(g) is np.mod(g, 1.0) bit for bit (fmod is exact, and both
-    # round the same g - floor(g) when g < 0) at a tenth of the cost, and
-    # ldexp gives the same powers about eight times faster from int32
-    # exponents than from int64 ones
+    # round the same g - floor(g) when g < 0) at a tenth of the cost
     f = g - np.floor(g)
-    band = pad[ids] + (2.0 + a3 + e2) * 2.0 ** -48 \
-        + np.ldexp(1.0, (e - n[ids] + 1).astype(np.int32)) / lb
+    band = pad[ids] + (2.0 + a3 + e2) * 2.0 ** -48 + 2.0 ** -63 / lb
     m = len(starts)
     return np.concatenate([f, v[m:]]), np.concatenate([band, pad[m:]])
 
@@ -817,10 +820,10 @@ def _decide(queue: list, tail: list, single: bool, base: int,
 
     A queued block is (x, low, block, n): its start iterate, the low bits
     and ``_block`` result it ran on, and the n iterates it records; ``tail``
-    holds exact iterates of at most _BLOCK_MIN_BITS bits.  One band each
-    (``_batch_logs``) and one ``digits_from_log`` call decide every digit; a
-    digit whose band touches a boundary is recomputed exactly, from the
-    iterate's own block (counted) or from the tail int itself.
+    holds exact iterates of fewer than _BLOCK_FLOOR + 64 bits.  One band
+    each (``_batch_logs``) and one ``digits_from_log`` call decide every
+    digit; a digit whose band touches a boundary is recomputed exactly, from
+    the iterate's own block (counted) or from the tail int itself.
     """
     starts, lows, blocks, ns = zip(*queue) if queue else ((),) * 4
     a, e = _batch_exponents(blocks, ns, single)
@@ -849,15 +852,17 @@ def iterate_digit_experiment(x0: BigNat, mode: str, base: int = 10,
     ``single_step`` applies 3x+1 to odd x and x/2 to even x.  Iteration
     stops at 1 or after ``max_iters`` recorded values.
 
-    Iterates of more than _BLOCK_MIN_BITS bits advance a block at a time:
-    the next steps depend only on the low bits (Terras 1976), so a block is
-    simulated on the low _BLOCK_BITS (1,024) bits, mostly by lookups in the
-    residue table (see ``_block``), and applied to the big integer with one
-    multiply-add-shift.  Smaller iterates take one exact step each.  The
-    digits wait in a queue and are decided _BATCH (4,096) iterates at a time
-    in one pass (see ``_decide``), each from a certified log band, or where
-    the band touches a boundary exactly: a block iterate's from its own
-    block, counted in ``n_refined``, a small iterate's from itself.
+    Odd iterates of n >= _BLOCK_FLOOR + 64 (128) bits advance a block at a
+    time: the next steps depend only on the low bits (Terras 1976), so a
+    block is simulated on the low min(_BLOCK_BITS, n - 64) bits (at most
+    1,024), mostly by lookups in the residue table (see ``_block``), and
+    applied to the big integer with one multiply-add-shift.  Smaller
+    iterates take one exact step each, as do even ones and an odd one
+    whose first multiplicity its window cannot decide.  The digits wait in
+    a queue and are decided _BATCH (4,096) iterates at a time in one pass
+    (see ``_decide``), each from a certified log band, or where the band
+    touches a boundary exactly: a block iterate's from its own block,
+    counted in ``n_refined``, a small iterate's from itself.
     """
     if mode not in MODES:
         raise DomainError(f"mode must be one of {MODES}")
@@ -874,11 +879,11 @@ def iterate_digit_experiment(x0: BigNat, mode: str, base: int = 10,
     n_refined = 0
     queue, tail = [], []    # waiting blocks and small exact iterates
     n_queued = 0
-    mask = (1 << _BLOCK_BITS) - 1
     while x != 1 and n_rec < max_iters:
         room = max_iters - n_rec
-        if x & 1 and x.bit_length() > _BLOCK_MIN_BITS and \
-                (block := _block(low := x & mask, room))[0]:
+        w = min(_BLOCK_BITS, x.bit_length() - 64)
+        if x & 1 and w >= _BLOCK_FLOOR and \
+                (block := _block(low := x & ((1 << w) - 1), w, room))[0]:
             ks, _, e = block
             n = min(len(ks) + e, room) if single else len(ks)
             queue.append((x, low, block, n))
@@ -898,7 +903,7 @@ def iterate_digit_experiment(x0: BigNat, mode: str, base: int = 10,
             n_rec += 1
             # decided at once, not queued: in single steps a seed such as
             # 2**N * odd would otherwise hold up to _BATCH huge ints
-            if x.bit_length() > _BLOCK_MIN_BITS:
+            if x.bit_length() >= _BLOCK_FLOOR + 64:
                 counts[leading_digit(x, base) - 1] += 1
                 continue
             tail.append(x)

@@ -197,16 +197,14 @@ def _log_values(xs, base: float) -> tuple[np.ndarray, np.ndarray]:
     return v, n
 
 
-def _log_brackets(xs, base: float
-                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _log_brackets(xs, base: float) -> tuple[np.ndarray, np.ndarray]:
     """``_log_bracket(x, 1, base)`` of each positive int in ``xs``, element
-    for element the same float operations, and the bit lengths of the
-    ints, which the bracket computes on the way."""
+    for element the same float operations."""
     v, n = _log_values(xs, base)
     w = np.minimum(n, _TOP_BITS)
     margin = (np.abs(v) + (n - w) + 16.0) * 2.5e-16 \
         + np.ldexp(1.0, 1 - w) / math.log(base)
-    return v, margin + 5e-16, n
+    return v, margin + 5e-16
 
 
 # B**g increases with g, so floor(B**g) is one digit on a whole band of g
@@ -278,19 +276,23 @@ def digits_from_log(f, band, base: int) -> tuple[np.ndarray, np.ndarray]:
     (the pad and its derivation are at ``_EXP_PAD``); an end past the float
     range certifies nothing.  Every digit is the mid digit
     ``floor(exp(f ln B))`` kept within [1, min(B - 1, 2**62)] (nan goes to
-    the top), which lies between the two ends and so equals their common
-    floor where they agree; callers re-derive uncertified digits some other
-    way.  ``f`` and ``band`` broadcast against each other.
+    the top); callers re-derive uncertified digits some other way.  The
+    mid point lies at least ``_EXP_PAD`` (1e-14) from both ends, so its
+    floor is their common floor where they agree: a certified digit is the
+    lower end's, and exp runs at the mid point only where the ends differ.
+    ``f`` and ``band`` broadcast against each other.
     """
     f = np.asarray(f, dtype=np.float64)
     p = band + _EXP_PAD
     lb = math.log(base)
     with np.errstate(over="ignore"):
-        lo, mid, hi = (np.floor(np.exp(g * lb)) for g in (f - p, f, f + p))
-    certified = (p < f) & (f < 1.0 - p) & (lo == hi) & (hi < np.inf)
+        lo, hi = (np.floor(np.exp(g * lb)) for g in (f - p, f + p))
+        certified = (p < f) & (f < 1.0 - p) & (lo == hi) & (hi < np.inf)
+        digits, rest = np.asarray(lo), ~certified
+        mid = np.floor(np.exp(np.broadcast_to(f, rest.shape)[rest] * lb))
     # a float bound, so int64 holds every clipped digit of any base
-    top = min(base - 1, 2.0 ** 62)
-    return np.fmax(np.fmin(mid, top), 1.0).astype(np.int64), certified
+    digits[rest] = np.fmax(np.fmin(mid, min(base - 1, 2.0 ** 62)), 1.0)
+    return digits.astype(np.int64), certified
 
 
 def log_mantissa(x: Real, base) -> float:

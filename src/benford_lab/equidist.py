@@ -183,18 +183,24 @@ _SLOPE_TREND = -0.05  # log-log slope below this counts as "tends to 0"
 def type_probe(alpha, depth: int, gamma_grid, dps: int = 500
                ) -> IrrationalProbe:
     convs = continued_fraction(alpha, depth, dps=dps)
+    quality, logs = {}, {}
     with mpmath.workdps(dps + 20):
         a = mpmath.mpf(alpha)
         errs = [abs(a - mpmath.mpf(p) / q) for p, q in convs]
-        quality = {}
         for g in gamma_grid:
-            quality[float(g)] = [
-                float(mpmath.mpf(q) ** (g + 1.0) * e)
-                for (_, q), e in zip(convs, errs)]
+            vals = [mpmath.mpf(q) ** (g + 1.0) * e
+                    for (_, q), e in zip(convs, errs)]
+            floats = np.array([float(v) for v in vals])
+            # on deep convergents the float underflows to 0.0 or a
+            # subnormal: its log comes from mpmath, the others' from np.log
+            tiny = floats < np.finfo(np.float64).smallest_normal
+            logv = np.log(np.where(tiny, 1.0, floats))
+            for i in np.flatnonzero(tiny).tolist():
+                logv[i] = float(mpmath.log(vals[i]))
+            quality[float(g)], logs[float(g)] = floats.tolist(), logv
     logq = np.array([math.log(q) for _, q in convs])
     slopes = {}
-    for g, vals in quality.items():
-        logv = np.log(np.asarray(vals))
+    for g, logv in logs.items():
         slopes[g] = float(np.polyfit(logq, logv, 1)[0]) if len(convs) > 1 else 0.0
     trending = [g for g, s in slopes.items() if s < _SLOPE_TREND]
     with mpmath.workdps(50):

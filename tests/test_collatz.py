@@ -710,19 +710,20 @@ def stepwise_digits(x, mode, base, max_iters):
     return counts, n, x == 1
 
 
-def two_blocks(single):
-    """Two consecutive blocks of an odd 2,536-bit iterate queued as
-    ``iterate_digit_experiment`` queues them, the second cut short by a
-    room of 300 iterates, and the iterates they record, stepped plainly."""
-    x = 3 ** 1600 + 2 ** 1400
-    mask = (1 << cz._BLOCK_BITS) - 1
+def queued_blocks(x, single, rooms):
+    """Consecutive blocks from the odd iterate x, one per room, queued as
+    ``iterate_digit_experiment`` queues them, each on the low
+    min(_BLOCK_BITS, n - 64) bits of its n-bit start, and the iterates
+    they record, stepped plainly."""
     queue, iterates = [], []
-    for room in (10 ** 6, 300):
-        assert x.bit_length() > cz._BLOCK_MIN_BITS
-        block = cz._block(x & mask, room)
+    for room in rooms:
+        w = min(cz._BLOCK_BITS, x.bit_length() - 64)
+        assert w >= cz._BLOCK_FLOOR
+        low = x & ((1 << w) - 1)
+        block = cz._block(low, w, room)
         ks, _, e = block
         n = min(len(ks) + e, room) if single else len(ks)
-        queue.append((x, x & mask, block, n))
+        queue.append((x, low, block, n))
         y = x
         for _ in range(n):
             if single:
@@ -731,7 +732,17 @@ def two_blocks(single):
                 u = 3 * y + 1
                 y = u >> ((u & -u).bit_length() - 1)
             iterates.append(y)
-        x = cz._block_iterate(x, x & mask, block, len(ks), e)
+        x = cz._block_iterate(x, low, block, len(ks), e)
+    return queue, iterates
+
+
+def two_blocks(single):
+    """Two consecutive full-width blocks of an odd 2,536-bit iterate, the
+    second cut short by a room of 300 iterates (see ``queued_blocks``)."""
+    x = 3 ** 1600 + 2 ** 1400
+    queue, iterates = queued_blocks(x, single, (10 ** 6, 300))
+    assert all(start.bit_length() >= cz._BLOCK_BITS + 64
+               for start, *_ in queue)
     return queue, iterates
 
 
@@ -785,13 +796,21 @@ class TestResidueTable:
                 assert (t * x + c) // 2 ** e == (path_its[-1] if ks else x)
 
     @given(st.integers(0, 2 ** cz._BLOCK_BITS - 1).map(lambda v: v | 1),
-           st.integers(0, 700), st.integers(-3, 3))
-    @example(_undecided_low(), 10 ** 6, 0)
-    @example((2 ** cz._BLOCK_BITS - 1) // 3, 10 ** 6, 0)  # no step decided
-    @example(1, 10 ** 6, 0)
+           st.integers(0, 700), st.integers(-3, 3),
+           st.sampled_from([cz._BLOCK_FLOOR, cz._BLOCK_FLOOR + 1, 100, 537,
+                            cz._BLOCK_BITS]))
+    @example(_undecided_low(), 10 ** 6, 0, cz._BLOCK_BITS)
+    @example(_undecided_low(), 10 ** 6, 0, cz._BLOCK_FLOOR)
+    # no step decided
+    @example((2 ** cz._BLOCK_BITS - 1) // 3, 10 ** 6, 0, cz._BLOCK_BITS)
+    @example((2 ** cz._BLOCK_FLOOR - 1) // 3, 10 ** 6, 0, cz._BLOCK_FLOOR)
+    @example(1, 10 ** 6, 0, cz._BLOCK_BITS)
     @settings(max_examples=60, deadline=None)
-    def test_block_matches_plain_loop(self, low, steps, shift):
-        bits, w = cz._BLOCK_BITS, cz._TABLE_BITS
+    def test_block_matches_plain_loop(self, low, steps, shift, bits):
+        # a block runs on the low ``bits`` bits of an iterate, any width
+        # from _BLOCK_FLOOR to _BLOCK_BITS
+        low &= (1 << bits) - 1
+        w = cz._TABLE_BITS
         full = plain_block(low, 10 ** 6, bits)
         # the step after which fewer than _TABLE_BITS bits remain: lookups
         # end there and the plain loop takes over
@@ -799,12 +818,12 @@ class TestResidueTable:
         edge = int(np.argmax(es > bits - w)) if es[-1] > bits - w \
             else len(full[0])
         for cut in (steps, max(edge + shift, 0), 10 ** 6):
-            ks, y, e = cz._block(low, cut)
+            ks, y, e = cz._block(low, bits, cut)
             assert (ks.tolist(), y, e) == plain_block(low, cut, bits)
 
 
 class TestBlockTrajectory:
-    @given(st.integers(2, 3 * cz._BLOCK_MIN_BITS + 2000).flatmap(
+    @given(st.integers(2, 5264).flatmap(
                lambda b: st.integers(2 ** (b - 1), 2 ** b - 1)),
            st.integers(0, 40), st.sampled_from(cz.MODES),
            st.integers(2, 16), st.integers(1, 60_000))
@@ -827,6 +846,38 @@ class TestBlockTrajectory:
         counts, n, reached = stepwise_digits(x0, mode, base, max_iters)
         assert res.histogram.counts.tolist() == counts
         assert (res.n_recorded, res.reached_one) == (n, reached)
+
+    # the switch points of the block path: blocks stop under
+    # _BLOCK_FLOOR + 64 bits and reach their full width at 1,088 bits
+    @pytest.mark.parametrize("bits", [cz._BLOCK_FLOOR + 63,
+                                      cz._BLOCK_FLOOR + 64,
+                                      cz._BLOCK_FLOOR + 65, 1087, 1088, 1089])
+    @pytest.mark.parametrize("mode", cz.MODES)
+    @pytest.mark.parametrize("base", [2, 10, 16])
+    def test_switch_points_match_stepwise_oracle(self, bits, mode, base,
+                                                 monkeypatch):
+        widths = []
+        block = cz._block
+
+        def spy(low, w, steps):
+            widths.append(w)
+            return block(low, w, steps)
+
+        monkeypatch.setattr(cz, "_block", spy)
+        rng = make_rng(bits)
+        odd = int(rng.integers(0, 2 ** 62)) << (bits - 63) | 1 | 1 << bits - 1
+        for x0 in (2 ** (bits - 1) + 1, 2 ** bits - 1, odd, odd + 1):
+            assert x0.bit_length() == bits
+            widths.clear()
+            res = cz.iterate_digit_experiment(x0, mode, base)
+            counts, n, reached = stepwise_digits(x0, mode, base, 10 ** 7)
+            assert res.histogram.counts.tolist() == counts
+            assert (res.n_recorded, res.reached_one) == (n, reached)
+            assert all(cz._BLOCK_FLOOR <= w <= cz._BLOCK_BITS for w in widths)
+            # an odd seed of _BLOCK_FLOOR + 64 bits or more starts with a
+            # block on its low min(_BLOCK_BITS, bits - 64) bits
+            if x0 & 1 and bits >= cz._BLOCK_FLOOR + 64:
+                assert widths[0] == min(cz._BLOCK_BITS, bits - 64)
 
     @pytest.mark.parametrize("single", [False, True])
     @pytest.mark.parametrize("base", [3, 10, 16])
@@ -853,7 +904,7 @@ class TestBlockTrajectory:
     def test_batch_exponents_restart_at_each_block(self, single):
         # the last block is cut short by a room of 20 iterates
         x = 3 ** 1600 + 2 ** 1400
-        blocks = [cz._block(low, room) for low, room in
+        blocks = [cz._block(low, cz._BLOCK_BITS, room) for low, room in
                   ((x & ((1 << cz._BLOCK_BITS) - 1), 10 ** 6), (27, 10 ** 6),
                    ((2 ** 40 - 1) // 3, 20))]
         ns = [len(ks) + e if single else len(ks) for ks, _, e in blocks]
@@ -908,7 +959,7 @@ class TestBlockTrajectory:
     ], ids=["single-below", "single-above", "remove2-below",
             "remove2-above"])
     def test_boundary_iterate_is_refined(self, mode, x0):
-        assert x0.bit_length() > cz._BLOCK_MIN_BITS
+        assert x0.bit_length() >= cz._BLOCK_BITS + 64    # full-width blocks
         res = cz.iterate_digit_experiment(x0, mode, 10, max_iters=2)
         counts, n, _ = stepwise_digits(x0, mode, 10, 2)
         assert res.histogram.counts.tolist() == counts and n == 2
@@ -955,20 +1006,56 @@ class TestDecide:
         assert n_refined >= (1 if iterates else 0)
 
 
+    @pytest.mark.parametrize("single", [False, True])
+    def test_refined_digit_of_a_narrow_block(self, single, monkeypatch):
+        # a 600-bit iterate runs its block on its low 536 bits; the digits
+        # of its first, middle and last iterates lose their certificates
+        # and must be recomputed from iterates rebuilt exactly, the first
+        # two by replaying the block's steps to theirs
+        x = 3 ** 378 + 2 ** 590
+        queue, iterates = queued_blocks(x, single, (10 ** 6,))
+        (_, low, block, n), = queue
+        assert x.bit_length() == 600 and low.bit_length() <= 536
+        assert n == len(iterates) > 200
+        spoiled = [0, n // 2, n - 1]
+        decide, exact, rebuilt = cz.digits_from_log, cz.leading_digit, []
+
+        def spoil(f, band, base):
+            digits, certified = decide(f, band, base)
+            assert certified[spoiled].all()
+            digits[spoiled] = np.where(digits[spoiled] == 9, 1, 9)
+            certified[spoiled] = False
+            return digits, certified
+
+        def recompute(v, base):
+            rebuilt.append(v)
+            return exact(v, base)
+
+        monkeypatch.setattr(cz, "digits_from_log", spoil)
+        monkeypatch.setattr(cz, "leading_digit", recompute)
+        counts = np.zeros(9, dtype=np.int64)
+        n_refined = cz._decide(queue, [], single, 10, counts)
+        assert rebuilt == [iterates[i] for i in spoiled]
+        assert n_refined == len(spoiled)
+        want = [exact(v, 10) for v in iterates]
+        assert counts.tolist() == np.bincount(np.subtract(want, 1),
+                                              minlength=9).tolist()
+
+
 class TestTailDigits:
     @pytest.mark.parametrize("base", list(range(2, 17)) + [65536])
     def test_bracket_against_exact_floor_log(self, base):
-        # d B^k - 1, d B^k and d B^k + 1 for every B^k the tail can hold
+        # d B^k - 1, d B^k and d B^k + 1 for every B^k under 2**1088, far
+        # past the ints of fewer than _BLOCK_FLOOR + 64 bits the tail holds
         ds = range(1, base) if base <= 16 else (1, 2, 255, 256, 65535)
         xs, k = [], 0
-        while base ** k < 2 ** cz._BLOCK_MIN_BITS:
+        while base ** k < 2 ** 1088:
             xs += [d * base ** k + h for d in ds for h in (-1, 0, 1)]
             k += 1
         xs = [x for x in xs if x >= 1]
         exact = np.array([a // b for _, a, b in
                           (_exact_floor_log(x, base) for x in xs)])
-        v, pad, n = _log_brackets(xs, base)
-        assert n.tolist() == [x.bit_length() for x in xs]
+        v, pad = _log_brackets(xs, base)
         none = np.zeros(0, dtype=np.int64)
         f, band = cz._batch_logs((), xs, none, none, none, base)
         assert np.array_equal(f, v - np.floor(v))

@@ -192,18 +192,19 @@ class TestDigitsFromLog:
               3 ** 700, 10 ** 300 + 1, 2 ** 1088 - 1]
         xs += [int(rng.integers(1, 2 ** 62)) << int(s)
                for s in rng.integers(0, 3000, 200)]
-        v, pad, n = cn._log_brackets(xs, base)
+        v, pad = cn._log_brackets(xs, base)
         scalar = [cn._log_bracket(x, 1, base) for x in xs]
         assert list(zip(v.tolist(), pad.tolist())) == scalar
+        n = cn._log_values(xs, base)[1]
         assert n.tolist() == [x.bit_length() for x in xs]
 
     def test_ints_either_side_of_2_63(self):
         # numpy reads such a list as float64; the bracket reads the ints
         xs = [2 ** 63, 5, 2 ** 64 - 1, 2 ** 63 - 1]
-        v, pad, n = cn._log_brackets(xs, 10)
+        v, pad = cn._log_brackets(xs, 10)
         assert list(zip(v.tolist(), pad.tolist())) \
             == [cn._log_bracket(x, 1, 10) for x in xs]
-        assert n.tolist() == [64, 3, 64, 63]
+        assert cn._log_values(xs, 10)[1].tolist() == [64, 3, 64, 63]
 
 
     def test_cells_match_the_full_bound_table(self):
@@ -306,6 +307,52 @@ class TestDigitsFromLog:
             assert cn.leading_digit(x, base) == a // b
             m = cn.mantissa(x, base)
             assert (int(m.significand), m.exponent) == (a // b, e)
+
+    @pytest.mark.parametrize("base", [2, 3, 10, 16, 1000, 65536, 10 ** 400,
+                                      2 ** 1100],
+                             ids=lambda b: f"{b}" if b < 2 ** 53 else
+                             f"{b.bit_length()}-bit")
+    def test_two_ends_give_the_three_exp_digits(self, base):
+        # the pass evaluates exp at the band ends, and at the mid point only
+        # where they disagree: digits and certificates are those of the
+        # formula that evaluates all three points everywhere
+        rng = make_rng(5)
+        lb = math.log(base)
+        t = np.log(np.arange(1, min(base, 4096))) / lb
+        f = np.concatenate([
+            rng.random(4000), t, np.nextafter(t, 1.0), np.nextafter(t, 0.0),
+            t - 5e-14, t + 5e-14,
+            [0.0, 5e-324, math.nextafter(1.0, 0.0), 1.0, -0.25, math.nan]])
+        bands = [0.0, 2e-16, 1e-13, 1e-10, 1e-4, math.inf,
+                 rng.random(f.size) * 1e-9,
+                 np.where(rng.random(f.size) < 0.1, math.inf, 1e-15)]
+        for band in bands:
+            digits, certified = cn.digits_from_log(f, band, base)
+            want, want_certified = three_exp_digits(f, band, base)
+            assert np.array_equal(certified, want_certified)
+            assert np.array_equal(digits, want)
+            assert digits.dtype == np.int64
+        # f and band broadcast against each other either way round (the
+        # three-exp formula gave one mid digit for a scalar f)
+        for f0, band in ((0.5, np.array([0.0, 1e-10, math.inf])),
+                         (np.array([0.2, math.nan]), 1e-12)):
+            digits, certified = cn.digits_from_log(f0, band, base)
+            want, want_certified = three_exp_digits(f0, band, base)
+            assert np.array_equal(certified, want_certified)
+            assert np.array_equal(digits, np.broadcast_to(want, digits.shape))
+
+
+def three_exp_digits(f, band, base):
+    """``digits_from_log`` as floor(exp(g ln B)) at all three of f - p, f and
+    f + p, with the mid digit clipped to [1, min(B - 1, 2**62)]."""
+    f = np.asarray(f, dtype=np.float64)
+    p = band + cn._EXP_PAD
+    lb = math.log(base)
+    with np.errstate(over="ignore"):
+        lo, mid, hi = (np.floor(np.exp(g * lb)) for g in (f - p, f, f + p))
+    certified = (p < f) & (f < 1.0 - p) & (lo == hi) & (hi < np.inf)
+    top = min(base - 1, 2.0 ** 62)
+    return np.fmax(np.fmin(mid, top), 1.0).astype(np.int64), certified
 
 
 def per_element_log_values(xs, base):

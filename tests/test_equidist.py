@@ -1,4 +1,5 @@
 import math
+import warnings
 from fractions import Fraction
 
 import mpmath
@@ -145,6 +146,26 @@ class TestTypeProbe:
     def test_rational_rejected(self):
         with pytest.raises(DomainError):
             eq.type_probe(Fraction(1, 3), 5, (0.5,))
+
+    def test_quality_below_the_float_range_keeps_a_finite_slope(self):
+        # alpha = [0; A, A, ...] with A = 10^200: q passes 10^800 by the
+        # fifth convergent, and q^1.5 |alpha - p/q| ~ q^0.5 / q' underflows
+        # the float from the third on; its log comes from mpmath
+        big = 10 ** 200
+        with mpmath.workdps(3000):
+            alpha = mpmath.mpf(0)
+            for _ in range(12):
+                alpha = 1 / (big + alpha)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            probe = eq.type_probe(alpha, 5, (0.5, 1.0), dps=2500)
+        assert probe.convergents[-1][1] > 10 ** 800
+        assert probe.quality[0.5][2:] == [0.0, 0.0, 0.0]
+        assert all(math.isfinite(s) for s in probe.slopes.values())
+        # q_(k+1) = A q_k + q_(k-1): the slope is -1/2 at gamma = 1/2 and
+        # 0 at gamma = 1
+        assert probe.slopes[0.5] == pytest.approx(-0.5, abs=1e-9)
+        assert probe.slopes[1.0] == pytest.approx(0.0, abs=1e-9)
 
     def test_csv_rows(self):
         probe = eq.type_probe(eq.log_ratio(2, 10), 6, (0.5, 1.0))
