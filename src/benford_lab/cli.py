@@ -31,7 +31,6 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from importlib import import_module
 
 import numpy as np
 
@@ -124,18 +123,6 @@ def emit(cfg: ExperimentConfig, columns, rows, table_text: str,
 
 def _rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(seed))
-
-
-_LIBRARY = ("benford_stats", "collatz", "equidist", "rmt", "zeta")
-
-
-def __getattr__(name: str):
-    """``cli.rmt`` and the other library modules, imported when first named.
-    Each command imports the modules it runs, so that importing this module
-    loads none of them and a census command never loads zeta or mpmath."""
-    if name in _LIBRARY:
-        return import_module(f"{__package__}.{name}")
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _resolve_alpha(text: str, dps: int = 480):

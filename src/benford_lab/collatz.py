@@ -183,8 +183,9 @@ def path(dmap: DghMap, x0: BigNat, m: int) -> PathRecord:
         except DomainError as exc:
             raise IterationDomainError(
                 f"domain violation at step {i}: {exc}", index=i) from exc
-        # exact reconstruction guard: g*x + h == y * d**k
-        assert dmap.g * x + dmap.h_at(dmap.g * x) == y * dmap.d ** k
+        # exact reconstruction guard, kept under python -O
+        if dmap.g * x + dmap.h_at(dmap.g * x) != y * dmap.d ** k:
+            raise AssertionError(f"step {i}: g*x + h != y * d**k")
         x = y
         ks.append(k)
         iterates.append(y)
@@ -779,8 +780,9 @@ def _block_iterate(x: int, low: int, block, j: int, e: int) -> int:
         y, ey = _steps(low, 0, [], _BLOCK_BITS, j)
     t = 3 ** j
     u = t * x + ((y << ey) - t * low)
-    # exact reconstruction guard: 2**e divides 3**j x + c
-    assert u & ((1 << e) - 1) == 0
+    # exact reconstruction guard, kept under python -O
+    if u & ((1 << e) - 1):
+        raise AssertionError(f"2**{e} does not divide 3**j x + c")
     return u >> e
 
 

@@ -16,9 +16,11 @@ digit from a fractional log ``f`` and such a margin: ``B**g`` increases with
 ``g``, so the digit is certified when ``floor(B**g)`` agrees at both ends of
 the padded band around ``f``, and is that common floor.  The rule is stated
 once and spelled twice, :func:`_certified_digit` for one value and
-:func:`digits_from_log` for arrays.  Whenever a band is not certified (it
-comes within the pad of a digit boundary or of an integer exponent) the
-answer is recomputed with exact integer comparisons against powers of B.
+:func:`digits_from_log` for arrays, with one contract: both return 0 where
+the band is not certified (it comes within the pad of a digit boundary or
+of an integer exponent).  Here such a digit is recomputed with exact
+integer comparisons against powers of B; array callers decide their zeros
+themselves.
 """
 
 from __future__ import annotations
@@ -243,8 +245,6 @@ def _certified_digit(f: float, pad: float, base: int) -> int:
 def _ratio_digit(num: int, den: int, base: int) -> int:
     """Leading digit of ``num/den`` for positive ints: the bracket's digit
     when certified, else the exact integer decision."""
-    if den == 1 and num < base:
-        return num
     v, pad = _log_bracket(num, den, base)
     d = _certified_digit(v - math.floor(v), pad, base)
     if d:
@@ -268,31 +268,19 @@ def leading_digit(x: Real, base: int = 10) -> int:
 
 
 def digits_from_log(f, band, base: int) -> tuple[np.ndarray, np.ndarray]:
-    """Leading digits from fractional logs ``f = log_base(x) mod 1``.
-
-    The rule of :func:`_certified_digit`, in numpy: with
-    ``p = band + _EXP_PAD``, a digit is certified where ``p < f < 1 - p``
-    and ``floor(exp((f - p) ln B))`` equals ``floor(exp((f + p) ln B))``
-    (the pad and its derivation are at ``_EXP_PAD``); an end past the float
-    range certifies nothing.  Every digit is the mid digit
-    ``floor(exp(f ln B))`` kept within [1, min(B - 1, 2**62)] (nan goes to
-    the top); callers re-derive uncertified digits some other way.  The
-    mid point lies at least ``_EXP_PAD`` (1e-14) from both ends, so its
-    floor is their common floor where they agree: a certified digit is the
-    lower end's, and exp runs at the mid point only where the ends differ.
-    ``f`` and ``band`` broadcast against each other.
+    """Leading digits from fractional logs ``f = log_base(x) mod 1``, with
+    the mask ``digits > 0``: each entry is :func:`_certified_digit` of its
+    ``f`` and ``band``, the common floor of ``exp((f -+ p) ln B)`` for
+    ``p = band + _EXP_PAD``, or 0 where the band is not certified (nan
+    included) and the caller decides.  ``f`` and ``band`` broadcast.
     """
     f = np.asarray(f, dtype=np.float64)
     p = band + _EXP_PAD
     lb = math.log(base)
     with np.errstate(over="ignore"):
         lo, hi = (np.floor(np.exp(g * lb)) for g in (f - p, f + p))
-        certified = (p < f) & (f < 1.0 - p) & (lo == hi) & (hi < np.inf)
-        digits, rest = np.asarray(lo), ~certified
-        mid = np.floor(np.exp(np.broadcast_to(f, rest.shape)[rest] * lb))
-    # a float bound, so int64 holds every clipped digit of any base
-    digits[rest] = np.fmax(np.fmin(mid, min(base - 1, 2.0 ** 62)), 1.0)
-    return digits.astype(np.int64), certified
+    certified = (p < f) & (f < 1.0 - p) & (lo == hi) & (hi < np.inf)
+    return np.where(certified, lo, 0.0).astype(np.int64), certified
 
 
 def log_mantissa(x: Real, base) -> float:

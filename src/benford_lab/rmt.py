@@ -32,6 +32,11 @@ linear algebra then runs on slices of at most 1 MB of complex entries, which
 bounds the memory without changing the draws or any sample's value.  Larger
 slices run no faster, and with two worker threads they fragment glibc's
 per-thread arenas, so peak RSS creeps up over repeated runs in one process.
+
+A sample's leading digit is that of ``digits_from_log`` at band 0, which
+takes log|Z| as exact; a sample that band leaves undecided (within about
+1e-14 of a digit boundary) takes the float digit floor(B^f) at its own
+fractional log f.  Certifying these digits is ROADMAP item 3.
 """
 
 from __future__ import annotations
@@ -203,8 +208,13 @@ def _cue_chunk(n, count, base, gen):
         thetas[idx] = gen.uniform(0.0, 2.0 * math.pi, size=idx.size)
         log_abs[idx], bad[idx] = _charpolys_from_normals(
             re[idx], im[idx], thetas[idx])
-    digits, _ = digits_from_log(np.mod(log_abs / math.log(base), 1.0), 0.0,
-                                base)
+    f = np.mod(log_abs / math.log(base), 1.0)
+    digits, certified = digits_from_log(f, 0.0, base)
+    # a sample band 0 leaves undecided takes its float digit floor(B**f),
+    # clipped (ROADMAP item 3 is to certify it instead)
+    rest = ~certified
+    guess = np.floor(np.exp(f[rest] * math.log(base)))
+    digits[rest] = np.fmax(np.fmin(guess, min(base - 1, 2.0 ** 62)), 1.0)
     counts = np.bincount(digits, minlength=base)[1:base]
     return thetas, log_abs, counts, resampled
 

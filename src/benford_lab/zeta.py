@@ -743,7 +743,6 @@ def scan_line(t_start: float, t_end: float, step: float, mode: SigmaMode,
     ok = np.isfinite(errs) & np.isfinite(vals.real)
     abs_vals = np.abs(vals)
     digits = np.zeros(count, dtype=np.int64)
-    certified = np.zeros(count, dtype=bool)
     lb = math.log(base)
 
     def certify(idx):
@@ -754,18 +753,18 @@ def scan_line(t_start: float, t_end: float, step: float, mode: SigmaMode,
         eps = np.minimum(errs[idx] / a, 1.0)
         with np.errstate(divide="ignore"):
             band = -np.log1p(-eps) / lb + 1e-13
-        digits[idx], certified[idx] = digits_from_log(
-            np.mod(np.log(a) / lb, 1.0), band, base)
+        digits[idx], _ = digits_from_log(np.mod(np.log(a) / lb, 1.0), band,
+                                         base)
 
     certify(ok)
     near_zero = ok & (abs_vals < 10.0 * errs)
-    refine = ok & (~certified | near_zero)
+    refine = ok & ((digits == 0) | near_zero)
     vals[refine], errs[refine] = _euler_maclaurin_many(sigmas[refine],
                                                        ts[refine])
     abs_vals[refine] = np.abs(vals[refine])
     certify(refine)
 
-    keep = ok & certified & (abs_vals >= 10.0 * errs)
+    keep = ok & (digits > 0) & (abs_vals >= 10.0 * errs)
     skip = ok & ~keep
     return ScanResult(ts[keep], sigmas[keep], vals[keep], abs_vals[keep],
                       digits[keep], errs[keep],

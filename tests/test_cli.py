@@ -10,7 +10,7 @@ import mpmath
 import pytest
 
 import benford_lab
-from benford_lab import cli
+from benford_lab import cli, equidist, rmt
 
 
 def run_cli(args, capsys):
@@ -370,7 +370,7 @@ class TestCueCommand:
         # exists, so the experiment is never entered
         def no_work(*args, **kwargs):
             raise AssertionError("cue_experiment ran")
-        monkeypatch.setattr(cli.rmt, "cue_experiment", no_work)
+        monkeypatch.setattr(rmt, "cue_experiment", no_work)
         code, out, err = run_cli(
             ["cue", "--dim", "4", "--samples", "10",
              "--workers", str(cli.MAX_WORKERS + 1)], capsys)
@@ -456,7 +456,7 @@ class TestEquidistCommands:
 
         def entered(*args, **kwargs):
             raise Entered
-        monkeypatch.setattr(cli.equidist, kernel, entered)
+        monkeypatch.setattr(equidist, kernel, entered)
         cap = getattr(cli, cap)
         with pytest.raises(Entered):
             cli.main(["equidist", *args, flag, str(cap)])
@@ -549,7 +549,7 @@ def test_refused_quickly(args, tmp_path, capsys):
 
 
 def test_failed_check_prints_its_rows_first(monkeypatch, capsys):
-    monkeypatch.setattr(cli.equidist, "theta_identity_residual",
+    monkeypatch.setattr(equidist, "theta_identity_residual",
                         lambda sigma: 1.0)
     code, out, err = run_cli(
         ["poisson-check", "--sigmas", "0.5", "--format", "csv"], capsys)

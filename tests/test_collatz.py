@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
 
 import mpmath
@@ -111,6 +115,38 @@ class TestPath:
         assert exc.value.index == 0
         with pytest.raises(DomainError):
             cz.ratio_statistic(x, 3, 10)
+
+    def test_reconstruction_guards_run_under_python_O(self):
+        # a block iterate asked for one halving too many, and a path whose
+        # step reports a wrong multiplicity, raise AssertionError even
+        # when python -O strips assert statements
+        code = textwrap.dedent("""\
+            import sys
+            from benford_lab import collatz as cz
+            if not sys.flags.optimize:
+                sys.exit("not running under -O")
+            x = 3 ** 1600 + 2 ** 1400       # odd, 2,536 bits
+            low = x & ((1 << cz._BLOCK_BITS) - 1)
+            block = cz._block(low, cz._BLOCK_BITS, 10 ** 6)
+            ks, _, e = block
+            try:
+                cz._block_iterate(x, low, block, len(ks), e + 1)
+                sys.exit("_block_iterate returned")
+            except AssertionError:
+                pass
+            exact = cz.shift_out_factor
+            cz.shift_out_factor = lambda u, d: (exact(u, d)[0], 1)
+            try:
+                cz.path(cz.THREE_X_PLUS_1, 7, 3)
+                sys.exit("path returned")
+            except AssertionError:
+                pass
+            """)
+        src = os.path.dirname(os.path.dirname(os.path.abspath(cz.__file__)))
+        proc = subprocess.run([sys.executable, "-O", "-c", code],
+                              env=dict(os.environ, PYTHONPATH=src),
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestStructure:

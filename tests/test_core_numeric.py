@@ -79,6 +79,14 @@ class TestLeadingDigit:
         assert cn.leading_digit(10 ** 500 - 1, 10) == 9
         assert cn.leading_digit(2 ** 3000, 2) == 1
 
+    @pytest.mark.parametrize("base", [*range(2, 17), 255, 256, 257, 1000,
+                                      65536])
+    def test_every_int_below_the_base_is_its_own_digit(self, base):
+        # the bracket decides these, and the exact path where it touches a
+        # boundary (x = 1 always does: its log is 0)
+        assert [cn.leading_digit(x, base) for x in range(1, base)] \
+            == list(range(1, base))
+
     def test_zero_rejected(self):
         with pytest.raises(cn.DomainError):
             cn.leading_digit(0, 10)
@@ -226,21 +234,20 @@ class TestDigitsFromLog:
             f = f[(f >= 0.0) & (f < 1.0)]
             exact, dist = exact_cells(f, hi, lo)
             for pad in (0.0, 2e-16, 1e-10, math.inf):
-                scalar = np.array([cn._certified_digit(x, pad, base)
-                                   for x in f.tolist()])
+                scalar = scalar_digits(f, pad, base)
                 digits, certified = cn.digits_from_log(f, pad, base)
+                # both spellings give the same digit or the same 0
+                assert np.array_equal(digits, scalar), (base, pad)
+                assert np.array_equal(certified, scalar != 0), (base, pad)
                 # a certified digit is exact across the whole band, and a
                 # band clear of every bound by more than the rounding pads
                 # is certified
                 must = dist > pad + 3 * cn._EXP_PAD
                 assert must.any() == (pad < math.inf)
-                for ok, got in ((scalar != 0, scalar), (certified, digits)):
-                    assert (got[ok] == exact[ok]).all(), (base, pad)
-                    assert (dist[ok] > pad).all(), (base, pad)
-                    assert ok[must].all(), (base, pad)
-                # the mid digit is exact away from the bounds
-                clear = dist > 1e-15
-                assert (digits[clear] == exact[clear]).all(), base
+                ok = scalar != 0
+                assert (scalar[ok] == exact[ok]).all(), (base, pad)
+                assert (dist[ok] > pad).all(), (base, pad)
+                assert ok[must].all(), (base, pad)
 
     @settings(max_examples=200, deadline=None)
     @given(st.integers(2, 2 ** 16), st.data())
@@ -266,10 +273,9 @@ class TestDigitsFromLog:
                     for s in (-1, 1)] if pad < math.inf else [0, 0]
         got = cn._certified_digit(f, pad, base)
         digits, certified = cn.digits_from_log(np.array([f]), pad, base)
-        for c, digit in ((got != 0, got), (certified[0], digits[0])):
-            assert not c or ends == [digit, digit]
-            assert c or dist <= pad + 3 * cn._EXP_PAD
-        assert dist <= 1e-15 or digits[0] == cell
+        assert (digits.tolist(), certified.tolist()) == ([got], [got != 0])
+        assert not got or ends == [got, got] == [cell, cell]
+        assert got or dist <= pad + 3 * cn._EXP_PAD
 
     def test_no_certificate_outside_the_unit_interval(self):
         # B**f has agreeing floors here, but f is no fractional log
@@ -290,8 +296,9 @@ class TestDigitsFromLog:
         f = np.array([0.001, 0.5, 0.99, 1.0 - 1e-9])
         digits, certified = cn.digits_from_log(f, 0.0, base)
         assert certified.tolist() == [True, False, False, False]
-        # B**0.001 is 10**0.4 or 2**1.1; the top clip is a float bound
-        assert digits.tolist() == [2] + [2 ** 62] * 3
+        # B**0.001 is 10**0.4 or 2**1.1; the other ends overflow
+        assert digits.tolist() == [2, 0, 0, 0]
+        assert np.array_equal(digits, scalar_digits(f, 0.0, base))
         # the float-valued functions refuse such a base instead of
         # overflowing in float(base)
         for fn in (cn.mantissa, cn.log_mantissa):
@@ -312,10 +319,10 @@ class TestDigitsFromLog:
                                       2 ** 1100],
                              ids=lambda b: f"{b}" if b < 2 ** 53 else
                              f"{b.bit_length()}-bit")
-    def test_two_ends_give_the_three_exp_digits(self, base):
-        # the pass evaluates exp at the band ends, and at the mid point only
-        # where they disagree: digits and certificates are those of the
-        # formula that evaluates all three points everywhere
+    def test_array_rule_is_the_scalar_rule(self, base):
+        # digits and certificates are _certified_digit's, entry for entry,
+        # zeros included: on random f, at and beside the digit bounds,
+        # outside [0, 1) and nan, with bands from 0 to infinity
         rng = make_rng(5)
         lb = math.log(base)
         t = np.log(np.arange(1, min(base, 4096))) / lb
@@ -328,31 +335,28 @@ class TestDigitsFromLog:
                  np.where(rng.random(f.size) < 0.1, math.inf, 1e-15)]
         for band in bands:
             digits, certified = cn.digits_from_log(f, band, base)
-            want, want_certified = three_exp_digits(f, band, base)
-            assert np.array_equal(certified, want_certified)
+            want = scalar_digits(f, band, base)
             assert np.array_equal(digits, want)
+            assert np.array_equal(certified, want != 0)
             assert digits.dtype == np.int64
-        # f and band broadcast against each other either way round (the
-        # three-exp formula gave one mid digit for a scalar f)
+        # f and band broadcast against each other either way round
         for f0, band in ((0.5, np.array([0.0, 1e-10, math.inf])),
                          (np.array([0.2, math.nan]), 1e-12)):
             digits, certified = cn.digits_from_log(f0, band, base)
-            want, want_certified = three_exp_digits(f0, band, base)
-            assert np.array_equal(certified, want_certified)
-            assert np.array_equal(digits, np.broadcast_to(want, digits.shape))
+            want = scalar_digits(f0, band, base)
+            assert digits.shape == want.shape == (np.size(f0 + band),)
+            assert np.array_equal(digits, want)
+            assert np.array_equal(certified, want != 0)
 
 
-def three_exp_digits(f, band, base):
-    """``digits_from_log`` as floor(exp(g ln B)) at all three of f - p, f and
-    f + p, with the mid digit clipped to [1, min(B - 1, 2**62)]."""
-    f = np.asarray(f, dtype=np.float64)
-    p = band + cn._EXP_PAD
-    lb = math.log(base)
-    with np.errstate(over="ignore"):
-        lo, mid, hi = (np.floor(np.exp(g * lb)) for g in (f - p, f, f + p))
-    certified = (p < f) & (f < 1.0 - p) & (lo == hi) & (hi < np.inf)
-    top = min(base - 1, 2.0 ** 62)
-    return np.fmax(np.fmin(mid, top), 1.0).astype(np.int64), certified
+def scalar_digits(f, band, base):
+    """``_certified_digit`` at each entry of ``f`` and ``band`` broadcast
+    together: the oracle of ``digits_from_log``."""
+    f, band = np.broadcast_arrays(np.asarray(f, dtype=np.float64), band)
+    return np.array([cn._certified_digit(x, p, base)
+                     for x, p in zip(f.ravel().tolist(),
+                                     band.ravel().tolist())],
+                    dtype=np.int64).reshape(f.shape)
 
 
 def per_element_log_values(xs, base):

@@ -8,7 +8,7 @@ import pytest
 from scipy.special import polygamma
 
 from benford_lab import rmt
-from benford_lab.core_numeric import DomainError
+from benford_lab.core_numeric import DomainError, digits_from_log
 
 from conftest import csv_fields, make_rng
 
@@ -223,6 +223,34 @@ class TestRFactorRule:
         assert not bad.any()
         ref = mp_log_abs_charpolys(re[0], im[0], thetas.tolist())
         assert np.abs(log_abs - ref).max() < 1e-9, (log_abs, ref)
+
+
+class TestChunkDigits:
+    @pytest.mark.parametrize("base", [2, 3, 10, 16, 65536])
+    def test_undecided_sample_takes_the_float_digit(self, base, monkeypatch):
+        # log|Z| on, one ulp beside, 1e-15 beside and mid-way between the
+        # digit bounds: every sample is counted, a certified one with its
+        # digit and one that band 0 leaves undecided with floor(B**f),
+        # kept within [1, B - 1]
+        lb = math.log(base)
+        ds = np.arange(1, min(base, 200))
+        bounds = np.concatenate([np.log(ds) + k * lb for k in (-3, 0, 2)])
+        log_abs = np.concatenate([
+            bounds, np.nextafter(bounds, -np.inf),
+            np.nextafter(bounds, np.inf), bounds - 1e-15, bounds + 1e-15,
+            bounds + math.log1p(0.5 / ds[-1])])
+
+        def charpolys(re, im, thetas):
+            return log_abs.copy(), np.zeros(log_abs.size, dtype=bool)
+        monkeypatch.setattr(rmt, "_charpolys_from_normals", charpolys)
+        counts = rmt._cue_chunk(2, log_abs.size, base, stream(26))[2]
+        f = np.mod(log_abs / lb, 1.0)
+        want = np.clip(np.floor(np.exp(f * lb)), 1, base - 1).astype(int)
+        assert counts.tolist() \
+            == np.bincount(want, minlength=base)[1:].tolist()
+        digits, certified = digits_from_log(f, 0.0, base)
+        assert certified.any() and not certified.all()
+        assert np.array_equal(digits[certified], want[certified])
 
 
 class TestQ2Variance:
