@@ -45,7 +45,7 @@ import numpy as np
 
 from .benford_stats import DigitHistogram, benford_probabilities
 from .core_numeric import BigNat, DomainError, _check_base, \
-    _check_digit_base, _exact_floor_log, _log_brackets, _log_values, \
+    _check_digit_base, _exact_floor_log, _log_bracket, _log_values, \
     _ratio_digit, digits_from_log, leading_digit, shift_out_factor
 
 __all__ = [
@@ -558,7 +558,7 @@ def _ulog2(seeds, xm, s_tot, m: int) -> np.ndarray:
     """log2 u over a 3x+1 census, where u = x_m 2^S / (3^m x_0) >= 1 is the
     factor by which the ratio exceeds its lattice point 2^(2m - S)."""
     # the difference of the two logs is taken first, so huge seeds cancel
-    return (_log_values(xm, 2.0)[0] - _log_values(seeds, 2.0)[0]) \
+    return (_log_values(xm, 2.0) - _log_values(seeds, 2.0)) \
         + s_tot - m * math.log2(3.0)
 
 
@@ -790,7 +790,7 @@ def _batch_logs(starts, tail: list, a: np.ndarray, e: np.ndarray,
                 ids: np.ndarray, base: int):
     """log_base mod 1 and a band that holds each true value, for the block
     iterates (3**a_i * x + c) / 2**e_i with x = starts[ids_i], then for the
-    ints of ``tail``, from one ``_log_brackets`` call over both.
+    ints of ``tail``, from the ``_log_bracket`` of each start and tail int.
 
     A tail int's band is its bracket's pad.  log_base x_i = log_base x +
     a_i log_base 3 - e_i log_base 2 + delta_i, where 0 <= delta_i =
@@ -801,7 +801,7 @@ def _batch_logs(starts, tail: list, a: np.ndarray, e: np.ndarray,
     for log_base x a few ulps for each product and sum, and 2**-63 / ln(base)
     for that correction.
     """
-    v, pad = _log_brackets([*starts, *tail], base)
+    v, pad = np.array([_log_bracket(x, 1, base) for x in (*starts, *tail)]).T
     v -= np.floor(v)
     lb = math.log(base)
     l3, l2 = math.log(3.0) / lb, _LN2 / lb
@@ -824,16 +824,17 @@ def _decide(queue: list, tail: list, single: bool, base: int,
     and ``_block`` result it ran on, and the n iterates it records; ``tail``
     holds exact iterates of fewer than _BLOCK_FLOOR + 64 bits.  One band
     each (``_batch_logs``) and one ``digits_from_log`` call decide every
-    digit; a digit whose band touches a boundary is recomputed exactly, from
-    the iterate's own block (counted) or from the tail int itself.
+    digit; a digit it leaves 0 (undecided) is recomputed exactly, from the
+    iterate's own block (counted) or from the tail int itself.
     """
     starts, lows, blocks, ns = zip(*queue) if queue else ((),) * 4
     a, e = _batch_exponents(blocks, ns, single)
     ids = np.repeat(np.arange(len(starts)), ns)
-    digits, certified = digits_from_log(
-        *_batch_logs(starts, tail, a, e, ids, base), base)
+    digits = digits_from_log(*_batch_logs(starts, tail, a, e, ids, base),
+                             base)
     n_blocks = len(ids)
-    for i in np.flatnonzero(~certified).tolist():
+    undecided = np.flatnonzero(digits == 0)
+    for i in undecided.tolist():
         if i < n_blocks:
             b = ids[i]
             x = _block_iterate(starts[b], lows[b], blocks[b], int(a[i]),
@@ -842,7 +843,7 @@ def _decide(queue: list, tail: list, single: bool, base: int,
             x = tail[i - n_blocks]
         digits[i] = leading_digit(x, base)
     counts += np.bincount(digits - 1, minlength=base - 1)
-    return int(np.count_nonzero(~certified[:n_blocks]))
+    return int(np.count_nonzero(undecided < n_blocks))
 
 
 def iterate_digit_experiment(x0: BigNat, mode: str, base: int = 10,

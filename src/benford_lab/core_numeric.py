@@ -11,16 +11,17 @@ Digit extraction never trusts a bare floating-point logarithm.  Every real
 input is an exact ratio ``num/den`` of integers (a float is its binary value
 ``m * 2**q``; a Fraction, e.g. parsed decimal text, is itself).  The fast
 path brackets ``log_B(num/den)`` from the bit lengths plus the top 50 bits,
-carrying a rigorous rounding-error margin.  One monotone rule decides a
-digit from a fractional log ``f`` and such a margin: ``B**g`` increases with
-``g``, so the digit is certified when ``floor(B**g)`` agrees at both ends of
-the padded band around ``f``, and is that common floor.  The rule is stated
+carrying a rigorous rounding-error margin; :func:`_log_bracket` is the one
+place that margin is written.  One monotone rule decides a digit from a
+fractional log ``f`` and such a margin: ``B**g`` increases with ``g``, so
+the digit is certified when ``floor(B**g)`` agrees at both ends of the
+padded band around ``f``, and is that common floor.  The rule is stated
 once and spelled twice, :func:`_certified_digit` for one value and
-:func:`digits_from_log` for arrays, with one contract: both return 0 where
-the band is not certified (it comes within the pad of a digit boundary or
-of an integer exponent).  Here such a digit is recomputed with exact
-integer comparisons against powers of B; array callers decide their zeros
-themselves.
+:func:`digits_from_log` for arrays, with one contract: a digit of 0 is the
+one signal that the band is not certified (it comes within the pad of a
+digit boundary or of an integer exponent).  Here such a digit is
+recomputed with exact integer comparisons against powers of B; array
+callers decide their zeros themselves.
 """
 
 from __future__ import annotations
@@ -169,9 +170,9 @@ def _log_bracket(num: int, den: int, base: float) -> tuple[float, float]:
     return v, margin + 5e-16
 
 
-def _log_values(xs, base: float) -> tuple[np.ndarray, np.ndarray]:
+def _log_values(xs, base: float) -> np.ndarray:
     """The value ``_log_parts`` gives for each positive int in ``xs``,
-    element for element the same float operations, and the bit lengths.
+    element for element the same float operations.
 
     An int64 array takes its bit lengths, its shifts to at most _TOP_BITS
     bits and the floats of those top bits in numpy, all exactly (below
@@ -194,19 +195,8 @@ def _log_values(xs, base: float) -> tuple[np.ndarray, np.ndarray]:
         for i in np.flatnonzero(shift).tolist():
             tops[i] >>= int(shift[i])
     lb = math.log(base)
-    v = shift * (_LN2 / lb) \
+    return shift * (_LN2 / lb) \
         + np.fromiter(map(math.log, tops), np.float64, len(tops)) / lb
-    return v, n
-
-
-def _log_brackets(xs, base: float) -> tuple[np.ndarray, np.ndarray]:
-    """``_log_bracket(x, 1, base)`` of each positive int in ``xs``, element
-    for element the same float operations."""
-    v, n = _log_values(xs, base)
-    w = np.minimum(n, _TOP_BITS)
-    margin = (np.abs(v) + (n - w) + 16.0) * 2.5e-16 \
-        + np.ldexp(1.0, 1 - w) / math.log(base)
-    return v, margin + 5e-16
 
 
 # B**g increases with g, so floor(B**g) is one digit on a whole band of g
@@ -267,12 +257,12 @@ def leading_digit(x: Real, base: int = 10) -> int:
     return _ratio_digit(num, den, b)
 
 
-def digits_from_log(f, band, base: int) -> tuple[np.ndarray, np.ndarray]:
-    """Leading digits from fractional logs ``f = log_base(x) mod 1``, with
-    the mask ``digits > 0``: each entry is :func:`_certified_digit` of its
-    ``f`` and ``band``, the common floor of ``exp((f -+ p) ln B)`` for
-    ``p = band + _EXP_PAD``, or 0 where the band is not certified (nan
-    included) and the caller decides.  ``f`` and ``band`` broadcast.
+def digits_from_log(f, band, base: int) -> np.ndarray:
+    """Leading digits from fractional logs ``f = log_base(x) mod 1``: each
+    entry is :func:`_certified_digit` of its ``f`` and ``band``, the common
+    floor of ``exp((f -+ p) ln B)`` for ``p = band + _EXP_PAD``, or 0 where
+    the band is not certified (nan included) and the caller decides.
+    ``f`` and ``band`` broadcast.
     """
     f = np.asarray(f, dtype=np.float64)
     p = band + _EXP_PAD
@@ -280,7 +270,7 @@ def digits_from_log(f, band, base: int) -> tuple[np.ndarray, np.ndarray]:
     with np.errstate(over="ignore"):
         lo, hi = (np.floor(np.exp(g * lb)) for g in (f - p, f + p))
     certified = (p < f) & (f < 1.0 - p) & (lo == hi) & (hi < np.inf)
-    return np.where(certified, lo, 0.0).astype(np.int64), certified
+    return np.where(certified, lo, 0.0).astype(np.int64)
 
 
 def log_mantissa(x: Real, base) -> float:

@@ -182,6 +182,8 @@ _SLOPE_TREND = -0.05  # log-log slope below this counts as "tends to 0"
 
 def type_probe(alpha, depth: int, gamma_grid, dps: int = 500
                ) -> IrrationalProbe:
+    if not all(map(math.isfinite, gamma_grid)):
+        raise DomainError("gammas must be finite")
     convs = continued_fraction(alpha, depth, dps=dps)
     quality, logs = {}, {}
     with mpmath.workdps(dps + 20):
@@ -191,17 +193,18 @@ def type_probe(alpha, depth: int, gamma_grid, dps: int = 500
             vals = [mpmath.mpf(q) ** (g + 1.0) * e
                     for (_, q), e in zip(convs, errs)]
             floats = np.array([float(v) for v in vals])
-            # on deep convergents the float underflows to 0.0 or a
-            # subnormal: its log comes from mpmath, the others' from np.log
-            tiny = floats < np.finfo(np.float64).smallest_normal
-            logv = np.log(np.where(tiny, 1.0, floats))
-            for i in np.flatnonzero(tiny).tolist():
+            # a float past the normal range (0.0 or a subnormal on deep
+            # convergents, inf at a huge gamma) takes its log from mpmath
+            outside = (floats < np.finfo(float).tiny) | (floats == np.inf)
+            logv = np.log(np.where(outside, 1.0, floats))
+            for i in np.flatnonzero(outside).tolist():
                 logv[i] = float(mpmath.log(vals[i]))
             quality[float(g)], logs[float(g)] = floats.tolist(), logv
     logq = np.array([math.log(q) for _, q in convs])
-    slopes = {}
-    for g, logv in logs.items():
-        slopes[g] = float(np.polyfit(logq, logv, 1)[0]) if len(convs) > 1 else 0.0
+    slopes = {g: float(np.polyfit(logq, logv, 1)[0]) if len(convs) > 1
+              else 0.0 for g, logv in logs.items()}
+    if not all(map(math.isfinite, slopes.values())):
+        raise DomainError("a gamma puts the log quality past the float range")
     trending = [g for g, s in slopes.items() if s < _SLOPE_TREND]
     with mpmath.workdps(50):
         alpha_repr = mpmath.nstr(mpmath.mpf(alpha), 40)

@@ -209,10 +209,10 @@ def _cue_chunk(n, count, base, gen):
         log_abs[idx], bad[idx] = _charpolys_from_normals(
             re[idx], im[idx], thetas[idx])
     f = np.mod(log_abs / math.log(base), 1.0)
-    digits, certified = digits_from_log(f, 0.0, base)
+    digits = digits_from_log(f, 0.0, base)
     # a sample band 0 leaves undecided takes its float digit floor(B**f),
     # clipped (ROADMAP item 3 is to certify it instead)
-    rest = ~certified
+    rest = digits == 0
     guess = np.floor(np.exp(f[rest] * math.log(base)))
     digits[rest] = np.fmax(np.fmin(guess, min(base - 1, 2.0 ** 62)), 1.0)
     counts = np.bincount(digits, minlength=base)[1:base]
@@ -234,8 +234,8 @@ def cue_experiment(n: int, n_samples: int, base: int,
     base = _check_digit_base(base)
     if n < 2:
         raise DomainError("the digit experiment needs n >= 2")
-    if n_samples < 1:
-        raise DomainError("n_samples must be >= 1")
+    if n_samples < 2:
+        raise DomainError("n_samples must be >= 2")
     sizes = [_CHUNK] * (n_samples // _CHUNK)
     if n_samples % _CHUNK:
         sizes.append(n_samples % _CHUNK)

@@ -31,9 +31,9 @@ and ``scan_line`` both call it.  ``_blocks`` is the single place where points
 are batched, so no route's memory grows with the scan.
 
 A sample's leading digit is never taken from a value whose certified error
-band straddles a digit boundary: such points (and points indistinguishable
-from zeros) are re-evaluated with the refinement route, and only then
-recorded or excluded.
+band straddles a digit boundary (or zero, within ten error bounds): such a
+point, if a Riemann-Siegel route served it, is re-evaluated with the
+refinement route, and only then recorded or excluded.
 """
 
 from __future__ import annotations
@@ -677,8 +677,8 @@ class ScanResult:
     |zeta - value|.  ``histogram`` counts ``digits``; ``skipped`` holds the
     t of points excluded as indistinguishable from a zero or with a digit
     still uncertified after refinement; ``failures`` lists (t, reason) for
-    points not evaluated (the pole); ``refined`` counts the points
-    re-evaluated by Euler-Maclaurin."""
+    points not evaluated (the pole); ``refined`` counts the points a
+    Riemann-Siegel route left undecided, re-evaluated by Euler-Maclaurin."""
 
     t: np.ndarray
     sigma: np.ndarray
@@ -707,9 +707,9 @@ def scan_line(t_start: float, t_end: float, step: float, mode: SigmaMode,
     """Evaluate |zeta| on a t grid, extract certified leading digits, and
     accumulate their histogram.
 
-    Ambiguous digits (error band straddling a boundary) and near-zero values
-    trigger re-evaluation with the Euler-Maclaurin route; points still
-    indistinguishable from zero afterwards are excluded and reported.
+    A digit is undecided (0) when its band straddles a boundary or, at
+    |zeta| < 10 err, is infinite.  Riemann-Siegel points left undecided are
+    re-evaluated by Euler-Maclaurin; points still undecided are skipped.
     """
     base = _check_digit_base(base)
     if not all(map(math.isfinite, (t_start, t_end, step))):
@@ -748,23 +748,24 @@ def scan_line(t_start: float, t_end: float, step: float, mode: SigmaMode,
     def certify(idx):
         # the certified error of |zeta| becomes a band on log_base|zeta|:
         # |zeta| >= a(1 - eps) reaches -log1p(-eps)/ln B below log_B a,
-        # farther than eps/ln B; eps >= 1 leaves an infinite band
+        # farther than eps/ln B; eps = 1, as within 10 err of zero, leaves
+        # an infinite band and digit 0
         a = np.maximum(abs_vals[idx], 1e-300)
-        eps = np.minimum(errs[idx] / a, 1.0)
+        eps = np.where(abs_vals[idx] < 10.0 * errs[idx], 1.0,
+                       np.minimum(errs[idx] / a, 1.0))
         with np.errstate(divide="ignore"):
             band = -np.log1p(-eps) / lb + 1e-13
-        digits[idx], _ = digits_from_log(np.mod(np.log(a) / lb, 1.0), band,
-                                         base)
+        digits[idx] = digits_from_log(np.mod(np.log(a) / lb, 1.0), band, base)
 
     certify(ok)
-    near_zero = ok & (abs_vals < 10.0 * errs)
-    refine = ok & ((digits == 0) | near_zero)
+    # Euler-Maclaurin already served the points outside both RS regions
+    refine = ok & (digits == 0) & np.logical_or(*_rs_regions(sigmas, ts))
     vals[refine], errs[refine] = _euler_maclaurin_many(sigmas[refine],
                                                        ts[refine])
     abs_vals[refine] = np.abs(vals[refine])
     certify(refine)
 
-    keep = ok & (digits > 0) & (abs_vals >= 10.0 * errs)
+    keep = ok & (digits > 0)
     skip = ok & ~keep
     return ScanResult(ts[keep], sigmas[keep], vals[keep], abs_vals[keep],
                       digits[keep], errs[keep],

@@ -19,6 +19,10 @@ def run_cli(args, capsys):
     return code, out.out, out.err
 
 
+def reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
 class TestDigitsCommand:
     def test_uniform_digits_histogram(self, tmp_path, capsys):
         f = tmp_path / "vals.txt"
@@ -55,11 +59,7 @@ class TestDigitsCommand:
             code, out, _ = run_cli(["digits", str(f), "--base", "2",
                                     "--format", "json"], capsys)
         assert code == 0
-
-        def reject(name):
-            raise ValueError(f"{name} is not JSON")
-
-        report = json.loads(out, parse_constant=reject)["report"]
+        report = json.loads(out, parse_constant=reject_constant)["report"]
         assert report["per_digit"] == [
             {"digit": 1, "observed": 1.0, "benford": 1.0, "z": 0.0}]
         assert report["chi_square"] == 0.0 and report["dof"] == 0
@@ -383,6 +383,15 @@ class TestCueCommand:
             ["cue", "--dim", "4", "--samples", "10", "--base", base], capsys)
         assert code == 2 and out == "" and err.startswith("error: ")
 
+    @pytest.mark.parametrize("samples", ["1", "0"])
+    def test_fewer_than_two_samples_refused(self, samples, capsys):
+        # the sample variance and the moments need two samples
+        code, out, err = run_cli(
+            ["cue", "--dim", "4", "--samples", samples, "--format", "json"],
+            capsys)
+        assert code == 2 and out == ""
+        assert err == "error: n_samples must be >= 2\n"
+
 
 class TestEquidistCommands:
     def test_kalpha_log_form(self, capsys):
@@ -481,6 +490,11 @@ class TestEquidistCommands:
         ["cf", "--alpha", "log:2:0"],
         ["cf", "--alpha", "log:0:10"],
         ["type", "--alpha", "log:2:0"],
+        # a gamma whose log quality leaves the float range has no slope
+        ["type", "--alpha", "log:2:10", "--gammas", "nan"],
+        ["type", "--alpha", "log:2:10", "--gammas", "inf"],
+        ["type", "--alpha", "log:2:10", "--gammas", "0.5,inf"],
+        ["type", "--alpha", "log:2:10", "--gammas", "1e307"],
     ])
     def test_malformed_argument_is_config_error(self, args, capsys):
         code, out, err = run_cli(["equidist"] + args, capsys)
@@ -514,6 +528,44 @@ class TestPoissonCheck:
     def test_bad_sigma_or_cutoff_is_config_error(self, args, capsys):
         code, out, err = run_cli(["poisson-check"] + args, capsys)
         assert code == 2 and out == "" and err.startswith("error: ")
+
+
+# every command at a small size, with the smallest CUE run that has moments
+# (two samples) and gamma = 1e300, whose quality overflows a float
+_JSON_RUNS = [
+    ["digits", "{tmp}/pows.txt"],
+    ["collatz", "experiment", "--preset", "ratio-base10", "--count", "500"],
+    ["collatz", "experiment", "--base", "7", "--count", "500"],
+    ["collatz", "experiment", "--mode", "single_step", "--digits", "300"],
+    ["collatz", "experiment", "--mode", "remove_all_twos", "--digits", "300"],
+    ["collatz", "structure", "--ktuple", "2,1", "--limit", "2000"],
+    ["collatz", "kvalues", "--count", "500"],
+    ["collatz", "ratio", "--count", "500"],
+    ["collatz", "model", "--samples", "500"],
+    ["zeta", "--t-start", "0", "--t-end", "40", "--sigma", "0"],
+    ["zeta", "--t-start", "190", "--t-end", "210"],
+    ["cue", "--dim", "4", "--samples", "2"],
+    ["equidist", "kalpha", "--alpha", "log:2:10", "--count", "1000"],
+    ["equidist", "cf", "--alpha", "log:2:10", "--depth", "10"],
+    ["equidist", "type", "--alpha", "log:2:10", "--depth", "12"],
+    ["equidist", "type", "--alpha", "log:2:10", "--depth", "12",
+     "--gammas", "1e300,0.5"],
+    ["poisson-check"],
+]
+
+
+@pytest.mark.parametrize("args", _JSON_RUNS, ids=lambda a: " ".join(a[:3]))
+def test_json_output_is_valid_json(args, tmp_path, capsys):
+    # RFC 8259 has no NaN or Infinity: a run that cannot give a number
+    # refuses its input instead
+    (tmp_path / "pows.txt").write_text(
+        "\n".join(str(2 ** k) for k in range(1, 300)))
+    argv = [a.format(tmp=tmp_path) for a in args] + ["--format", "json"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, out, _ = run_cli(argv, capsys)
+    assert code == 0
+    assert json.loads(out, parse_constant=reject_constant)
 
 
 def test_out_file(tmp_path, capsys):

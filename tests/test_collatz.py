@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from benford_lab import collatz as cz
 from benford_lab.core_numeric import DomainError, _exact_floor_log, \
-    _log_brackets, digits_from_log, leading_digit, log_mantissa
+    _log_bracket, digits_from_log, leading_digit, log_mantissa
 
 from conftest import make_rng
 
@@ -962,8 +962,8 @@ class TestBlockTrajectory:
     @pytest.mark.parametrize("mode", cz.MODES)
     def test_refined_digit_is_rebuilt_from_its_own_block(self, mode,
                                                          monkeypatch):
-        # clear the certificate of every 97th digit a batch decides: each
-        # such digit must be rebuilt exactly from the block that holds it
+        # set every 97th digit a batch decides to 0, undecided: each such
+        # digit must be rebuilt exactly from the block that holds it
         x0 = 3 ** 12700 + 2                 # 20,130 bits, seven batches
         honest = cz.iterate_digit_experiment(x0, mode, 10, 30_000)
         decide = cz.digits_from_log
@@ -971,11 +971,11 @@ class TestBlockTrajectory:
 
         def faulty(f, band, base):
             nonlocal cleared, uncertified
-            digits, certified = decide(f, band, base)
-            cleared += int(np.count_nonzero(certified[96::97]))
-            certified[96::97] = False
-            uncertified += int(np.count_nonzero(~certified))
-            return digits, certified
+            digits = decide(f, band, base)
+            cleared += int(np.count_nonzero(digits[96::97]))
+            digits[96::97] = 0
+            uncertified += int(np.count_nonzero(digits == 0))
+            return digits
 
         monkeypatch.setattr(cz, "digits_from_log", faulty)
         res = cz.iterate_digit_experiment(x0, mode, 10, 30_000)
@@ -1018,34 +1018,33 @@ class TestDecide:
         decide, calls = cz.digits_from_log, []
 
         def spoil(f, band, base):
-            # a wrong digit with its certificate cleared, in the first
-            # block iterate and in the first tail int, must be recomputed
-            digits, certified = decide(f, band, base)
+            # a certified digit set to 0, in the first block iterate and in
+            # the first tail int, must be recomputed
+            digits = decide(f, band, base)
             for i in ([0] if iterates else []) + ([len(iterates)]
                                                   if tail else []):
-                assert certified[i]
-                digits[i] = 9 if digits[i] != 9 else 1
-                certified[i] = False
-            calls.append((digits, certified.copy()))
-            return digits, certified
+                assert digits[i] > 0
+                digits[i] = 0
+            calls.append((digits, digits == 0))
+            return digits
 
         monkeypatch.setattr(cz, "digits_from_log", spoil)
         counts = np.zeros(9, dtype=np.int64)
         n_refined = cz._decide(queue, tail, single, 10, counts)
-        (digits, certified), = calls        # one digit pass per batch
+        (digits, undecided), = calls        # one digit pass per batch
         want = [leading_digit(v, 10) for v in iterates + tail]
         assert digits.tolist() == want
         assert counts.tolist() == np.bincount(np.subtract(want, 1),
                                               minlength=9).tolist()
         # only block digits count as refined
-        assert n_refined == np.count_nonzero(~certified[:len(iterates)])
+        assert n_refined == np.count_nonzero(undecided[:len(iterates)])
         assert n_refined >= (1 if iterates else 0)
 
 
     @pytest.mark.parametrize("single", [False, True])
     def test_refined_digit_of_a_narrow_block(self, single, monkeypatch):
         # a 600-bit iterate runs its block on its low 536 bits; the digits
-        # of its first, middle and last iterates lose their certificates
+        # of its first, middle and last iterates are set to 0, undecided,
         # and must be recomputed from iterates rebuilt exactly, the first
         # two by replaying the block's steps to theirs
         x = 3 ** 378 + 2 ** 590
@@ -1057,11 +1056,10 @@ class TestDecide:
         decide, exact, rebuilt = cz.digits_from_log, cz.leading_digit, []
 
         def spoil(f, band, base):
-            digits, certified = decide(f, band, base)
-            assert certified[spoiled].all()
-            digits[spoiled] = np.where(digits[spoiled] == 9, 1, 9)
-            certified[spoiled] = False
-            return digits, certified
+            digits = decide(f, band, base)
+            assert (digits[spoiled] > 0).all()
+            digits[spoiled] = 0
+            return digits
 
         def recompute(v, base):
             rebuilt.append(v)
@@ -1091,12 +1089,13 @@ class TestTailDigits:
         xs = [x for x in xs if x >= 1]
         exact = np.array([a // b for _, a, b in
                           (_exact_floor_log(x, base) for x in xs)])
-        v, pad = _log_brackets(xs, base)
+        brackets = [_log_bracket(x, 1, base) for x in xs]
         none = np.zeros(0, dtype=np.int64)
         f, band = cz._batch_logs((), xs, none, none, none, base)
-        assert np.array_equal(f, v - np.floor(v))
-        assert np.array_equal(band, pad)
-        digits, certified = digits_from_log(f, band, base)
+        assert f.tolist() == [v - math.floor(v) for v, _ in brackets]
+        assert band.tolist() == [pad for _, pad in brackets]
+        digits = digits_from_log(f, band, base)
+        certified = digits > 0
         assert np.array_equal(digits[certified], exact[certified])
         counts = np.zeros(base - 1, dtype=np.int64)
         assert cz._decide([], xs, False, base, counts) == 0

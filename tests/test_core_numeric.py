@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from benford_lab import collatz as cz
 from benford_lab import core_numeric as cn
 
 from conftest import make_rng
@@ -185,34 +186,25 @@ class TestDigitsFromLog:
                 v, margin = cn._log_parts(x, base)
                 f.append(v - math.floor(v))
                 band.append(margin + 5e-16)
-            digits, certified = cn.digits_from_log(np.array(f),
-                                                   np.array(band), base)
+            digits = cn.digits_from_log(np.array(f), np.array(band), base)
+            certified = digits > 0
             assert np.array_equal(digits[certified], exact[certified])
             assert [cn.leading_digit(x, base) for x in xs] == exact.tolist()
             n_certified += int(certified.sum())
             n_open += int((~certified).sum())
         assert n_certified > 0 and n_open > 0
 
-    @pytest.mark.parametrize("base", [2, 2.0, 3, 10, 65536, 2.5])
-    def test_vector_bracket_is_the_scalar_one(self, base):
-        rng = np.random.default_rng(11)
-        xs = [1, 2, 3, 7, 2 ** 49 - 1, 2 ** 50, 2 ** 50 + 1, 2 ** 53 + 1,
-              3 ** 700, 10 ** 300 + 1, 2 ** 1088 - 1]
-        xs += [int(rng.integers(1, 2 ** 62)) << int(s)
-               for s in rng.integers(0, 3000, 200)]
-        v, pad = cn._log_brackets(xs, base)
-        scalar = [cn._log_bracket(x, 1, base) for x in xs]
-        assert list(zip(v.tolist(), pad.tolist())) == scalar
-        n = cn._log_values(xs, base)[1]
-        assert n.tolist() == [x.bit_length() for x in xs]
-
     def test_ints_either_side_of_2_63(self):
-        # numpy reads such a list as float64; the bracket reads the ints
+        # numpy reads such a list as float64; the values and the tail bands
+        # read the ints
         xs = [2 ** 63, 5, 2 ** 64 - 1, 2 ** 63 - 1]
-        v, pad = cn._log_brackets(xs, 10)
-        assert list(zip(v.tolist(), pad.tolist())) \
-            == [cn._log_bracket(x, 1, 10) for x in xs]
-        assert cn._log_values(xs, 10)[1].tolist() == [64, 3, 64, 63]
+        assert cn._log_values(xs, 10).tolist() \
+            == [cn._log_parts(x, 10)[0] for x in xs]
+        none = np.array([], dtype=np.int64)
+        f, band = cz._batch_logs((), xs, none, none, none, 10)
+        brackets = [cn._log_bracket(x, 1, 10) for x in xs]
+        assert f.tolist() == [v - math.floor(v) for v, _ in brackets]
+        assert band.tolist() == [pad for _, pad in brackets]
 
 
     def test_cells_match_the_full_bound_table(self):
@@ -235,10 +227,9 @@ class TestDigitsFromLog:
             exact, dist = exact_cells(f, hi, lo)
             for pad in (0.0, 2e-16, 1e-10, math.inf):
                 scalar = scalar_digits(f, pad, base)
-                digits, certified = cn.digits_from_log(f, pad, base)
+                digits = cn.digits_from_log(f, pad, base)
                 # both spellings give the same digit or the same 0
                 assert np.array_equal(digits, scalar), (base, pad)
-                assert np.array_equal(certified, scalar != 0), (base, pad)
                 # a certified digit is exact across the whole band, and a
                 # band clear of every bound by more than the rounding pads
                 # is certified
@@ -272,8 +263,7 @@ class TestDigitsFromLog:
             ends = [int(mpmath.floor(b ** (mpmath.mpf(f) + s * pad)))
                     for s in (-1, 1)] if pad < math.inf else [0, 0]
         got = cn._certified_digit(f, pad, base)
-        digits, certified = cn.digits_from_log(np.array([f]), pad, base)
-        assert (digits.tolist(), certified.tolist()) == ([got], [got != 0])
+        assert cn.digits_from_log(np.array([f]), pad, base).tolist() == [got]
         assert not got or ends == [got, got] == [cell, cell]
         assert got or dist <= pad + 3 * cn._EXP_PAD
 
@@ -282,7 +272,7 @@ class TestDigitsFromLog:
         for base in (2, 10):
             f = [-0.5, -1e-9, 1.0, 1.5]
             assert [cn._certified_digit(x, 0.0, base) for x in f] == [0] * 4
-            assert not cn.digits_from_log(np.array(f), 0.0, base)[1].any()
+            assert not cn.digits_from_log(np.array(f), 0.0, base).any()
 
     @pytest.mark.parametrize("base", [10 ** 400, 2 ** 1100])
     def test_integer_base_beyond_the_float_range(self, base):
@@ -294,8 +284,7 @@ class TestDigitsFromLog:
             e, a, b = cn._exact_floor_log(x, base)
             assert cn.leading_digit(x, base) == a // b
         f = np.array([0.001, 0.5, 0.99, 1.0 - 1e-9])
-        digits, certified = cn.digits_from_log(f, 0.0, base)
-        assert certified.tolist() == [True, False, False, False]
+        digits = cn.digits_from_log(f, 0.0, base)
         # B**0.001 is 10**0.4 or 2**1.1; the other ends overflow
         assert digits.tolist() == [2, 0, 0, 0]
         assert np.array_equal(digits, scalar_digits(f, 0.0, base))
@@ -320,9 +309,9 @@ class TestDigitsFromLog:
                              ids=lambda b: f"{b}" if b < 2 ** 53 else
                              f"{b.bit_length()}-bit")
     def test_array_rule_is_the_scalar_rule(self, base):
-        # digits and certificates are _certified_digit's, entry for entry,
-        # zeros included: on random f, at and beside the digit bounds,
-        # outside [0, 1) and nan, with bands from 0 to infinity
+        # digits are _certified_digit's, entry for entry, zeros included:
+        # on random f, at and beside the digit bounds, outside [0, 1) and
+        # nan, with bands from 0 to infinity
         rng = make_rng(5)
         lb = math.log(base)
         t = np.log(np.arange(1, min(base, 4096))) / lb
@@ -334,19 +323,16 @@ class TestDigitsFromLog:
                  rng.random(f.size) * 1e-9,
                  np.where(rng.random(f.size) < 0.1, math.inf, 1e-15)]
         for band in bands:
-            digits, certified = cn.digits_from_log(f, band, base)
-            want = scalar_digits(f, band, base)
-            assert np.array_equal(digits, want)
-            assert np.array_equal(certified, want != 0)
+            digits = cn.digits_from_log(f, band, base)
+            assert np.array_equal(digits, scalar_digits(f, band, base))
             assert digits.dtype == np.int64
         # f and band broadcast against each other either way round
         for f0, band in ((0.5, np.array([0.0, 1e-10, math.inf])),
                          (np.array([0.2, math.nan]), 1e-12)):
-            digits, certified = cn.digits_from_log(f0, band, base)
+            digits = cn.digits_from_log(f0, band, base)
             want = scalar_digits(f0, band, base)
             assert digits.shape == want.shape == (np.size(f0 + band),)
             assert np.array_equal(digits, want)
-            assert np.array_equal(certified, want != 0)
 
 
 def scalar_digits(f, band, base):
@@ -368,9 +354,8 @@ def per_element_log_values(xs, base):
     for i in np.flatnonzero(shift).tolist():
         vals[i] >>= int(shift[i])
     lb = math.log(base)
-    v = shift * (cn._LN2 / lb) \
+    return shift * (cn._LN2 / lb) \
         + np.fromiter(map(math.log, vals), np.float64, len(vals)) / lb
-    return v, n
 
 
 # 2**k - 1, 2**k and 2**k + 1 where the top bits are cut (2**50), where a
@@ -388,22 +373,19 @@ class TestLogValues:
     @example(POWER_EDGES, 10)
     @settings(max_examples=200, deadline=None)
     def test_int64_path_is_the_per_element_path(self, xs, base):
-        v, n = cn._log_values(np.array(xs, dtype=np.int64), base)
-        ref_v, ref_n = per_element_log_values(xs, base)
-        assert n.tolist() == [x.bit_length() for x in xs] == ref_n.tolist()
-        assert v.tolist() == ref_v.tolist()
+        v = cn._log_values(np.array(xs, dtype=np.int64), base)
+        assert v.tolist() == per_element_log_values(xs, base).tolist()
         # the object path too, and each value is _log_parts's
-        ov, on = cn._log_values(np.array(xs, dtype=object), base)
-        assert ov.tolist() == ref_v.tolist() and on.tolist() == n.tolist()
+        ov = cn._log_values(np.array(xs, dtype=object), base)
+        assert ov.tolist() == v.tolist()
         assert v.tolist() == [cn._log_parts(x, base)[0] for x in xs]
 
     def test_random_census_values(self):
         xs = make_rng(23).integers(1, 2 ** 63 - 1, 20_000, dtype=np.int64) \
             >> make_rng(24).integers(0, 63, 20_000)
         xs = np.maximum(xs, 1)
-        v, n = cn._log_values(xs, 2.0)
-        ref_v, ref_n = per_element_log_values(xs.tolist(), 2.0)
-        assert np.array_equal(n, ref_n) and v.tolist() == ref_v.tolist()
+        v = cn._log_values(xs, 2.0)
+        assert v.tolist() == per_element_log_values(xs.tolist(), 2.0).tolist()
 
 
 class TestExactFloorLog:

@@ -480,6 +480,46 @@ class TestScan:
         assert res.histogram.total == 0 and res.skipped.tolist() == [10.0]
         assert list(res.csv_rows()) == []
 
+    def test_euler_maclaurin_points_are_not_refined(self, monkeypatch):
+        # sigma = 0 is Euler-Maclaurin's region at every t: t = 0, where
+        # |zeta(0)| = 1/2 sits on the boundary of digit 5, is skipped after
+        # the scan's one evaluation of each point
+        calls = []
+        em = zt._euler_maclaurin_many
+
+        def counted(sigmas, ts):
+            calls.append(len(ts))
+            return em(sigmas, ts)
+        monkeypatch.setattr(zt, "_euler_maclaurin_many", counted)
+        res = zt.scan_line(0.0, 40.0, 0.25, zt.SigmaMode.fixed(0.0))
+        assert sum(calls) == 161
+        assert res.refined == 0 and res.skipped.tolist() == [0.0]
+        assert res.histogram.total == 160
+
+    @pytest.mark.parametrize("below", [True, False])
+    def test_near_zero_point_is_undecided(self, below, monkeypatch):
+        # an on-line point the Riemann-Siegel route serves, err = 1/8: at
+        # |zeta| = 1.25 = 10 err the band of eps = 0.1 gives digit 1; one
+        # ulp lower the band is infinite, so Euler-Maclaurin refines the
+        # point, finds it as close to zero, and the point is skipped
+        a = math.nextafter(1.25, 0.0) if below else 1.25
+        calls = []
+
+        def fake(sigmas, ts):
+            calls.append(len(ts))
+            return np.full(len(ts), a, dtype=complex), np.full(len(ts), 0.125)
+
+        monkeypatch.setattr(zt, "_zeta_many", fake)
+        monkeypatch.setattr(zt, "_euler_maclaurin_many", fake)
+        res = zt.scan_line(300.0, 300.0, 1.0, zt.SigmaMode.fixed(0.5))
+        if below:
+            assert sum(calls) == 2 and res.refined == 1
+            assert res.histogram.total == 0
+            assert res.skipped.tolist() == [300.0]
+        else:
+            assert sum(calls) == 1 and res.refined == 0
+            assert res.digits.tolist() == [1] and len(res.skipped) == 0
+
     def test_near_critical_mode(self):
         res = zt.scan_line(10.0, 60.0, 1.0, zt.SigmaMode.near_critical(0.5))
         assert res.histogram.total == len(res.t) == 51
