@@ -12,7 +12,7 @@ modulo one.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from numbers import Integral
 
@@ -169,12 +169,20 @@ class IrrationalProbe:
     quality: dict          # gamma -> list of floats along the convergents
     slopes: dict           # gamma -> fitted d log(quality) / d log(q)
     empirical_type: float | None
+    # (gamma, i) -> the mpmath value of a quality whose float lies outside
+    # the normal range (0.0 or a subnormal, or inf)
+    _exact: dict = field(default_factory=dict, repr=False, compare=False)
 
     def to_csv_rows(self):
+        """Each quality as ``%.6e``; one outside the float's normal range
+        from its mpmath value, in the same shape with a wider exponent."""
         yield ["p", "q"] + [f"gamma={g:g}" for g in self.gamma_grid]
         for i, (p, q) in enumerate(self.convergents):
-            yield [str(p), str(q)] + [f"{self.quality[g][i]:.6e}"
-                                      for g in self.gamma_grid]
+            yield [str(p), str(q)] + [
+                mpmath.nstr(self._exact[g, i], 7, strip_zeros=False,
+                            min_fixed=0, max_fixed=0)
+                if (g, i) in self._exact else f"{self.quality[g][i]:.6e}"
+                for g in self.gamma_grid]
 
 
 _SLOPE_TREND = -0.05  # log-log slope below this counts as "tends to 0"
@@ -185,7 +193,7 @@ def type_probe(alpha, depth: int, gamma_grid, dps: int = 500
     if not all(map(math.isfinite, gamma_grid)):
         raise DomainError("gammas must be finite")
     convs = continued_fraction(alpha, depth, dps=dps)
-    quality, logs = {}, {}
+    quality, logs, exact = {}, {}, {}
     with mpmath.workdps(dps + 20):
         a = mpmath.mpf(alpha)
         errs = [abs(a - mpmath.mpf(p) / q) for p, q in convs]
@@ -199,6 +207,7 @@ def type_probe(alpha, depth: int, gamma_grid, dps: int = 500
             logv = np.log(np.where(outside, 1.0, floats))
             for i in np.flatnonzero(outside).tolist():
                 logv[i] = float(mpmath.log(vals[i]))
+                exact[float(g), i] = vals[i]
             quality[float(g)], logs[float(g)] = floats.tolist(), logv
     logq = np.array([math.log(q) for _, q in convs])
     slopes = {g: float(np.polyfit(logq, logv, 1)[0]) if len(convs) > 1
@@ -215,6 +224,7 @@ def type_probe(alpha, depth: int, gamma_grid, dps: int = 500
         quality=quality,
         slopes=slopes,
         empirical_type=max(trending) if trending else None,
+        _exact=exact,
     )
 
 

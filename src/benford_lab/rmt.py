@@ -30,8 +30,15 @@ streams spawned up front, so results are reproducible and independent of
 the worker count.  A chunk draws all its normals and angles first; the
 linear algebra then runs on slices of at most 1 MB of complex entries, which
 bounds the memory without changing the draws or any sample's value.  Larger
-slices run no faster, and with two worker threads they fragment glibc's
-per-thread arenas, so peak RSS creeps up over repeated runs in one process.
+slices run no faster.  Each worker owns one workspace for the whole
+experiment: the float64 normals of the largest chunk, which every chunk it
+runs draws into in place (the same stream and values as fresh arrays), and
+one complex slice in which A is assembled.  At most min(workers, chunks)
+workspaces exist, and they are freed when the pool closes, so the normals
+take workers x 2 x min(samples, 1,024) x N^2 x 8 bytes: 67 MB per worker at
+N = 64 and 4.3 GB at N = 512.  Fresh normals for every chunk let peak RSS
+creep up over repeated runs in one process; reused ones stop the creep from
+the second run on.
 
 A sample's leading digit is that of ``digits_from_log`` at band 0, which
 takes log|Z| as exact; a sample that band leaves undecided (within about
@@ -43,6 +50,7 @@ from __future__ import annotations
 
 import json
 import math
+import queue
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -87,9 +95,14 @@ def _check_dim(n: int) -> None:
         raise DomainError(f"dimension must lie in [1, {_MAX_DIM}]")
 
 
+def _slice_len(n: int) -> int:
+    """Matrices per slice: max(1, 2^16 // n^2)."""
+    return max(1, _SLICE_ENTRIES // (n * n))
+
+
 def _slices(count: int, n: int) -> list:
     """Slices of at most max(1, 2^16 // n^2) matrices covering range(count)."""
-    step = max(1, _SLICE_ENTRIES // (n * n))
+    step = _slice_len(n)
     return [slice(lo, lo + step) for lo in range(0, count, step)]
 
 
@@ -170,12 +183,27 @@ class CueResult:
                            (self.thetas, self.log_abs, self.log_abs / scale))
 
 
-def _log_abs_from_normals(re, im, thetas):
+class _Workspace:
+    """One CUE worker's buffers, reused by every chunk it runs: float64
+    normals for a chunk of up to ``count`` samples and one complex slice in
+    which A is assembled."""
+
+    def __init__(self, n: int, count: int):
+        self.re = np.empty((count, n, n))
+        self.im = np.empty((count, n, n))
+        self.a = np.empty((min(count, _slice_len(n)), n, n), dtype=complex)
+
+
+def _log_abs_from_normals(re, im, thetas, buf=None):
     """log|det(I - U e^(-i theta))| for the Haar unitaries U of stacks of
     normals, from R and A = re + i im by the identity in the module
     docstring, plus a mask of the samples whose theta lies on an
-    eigenangle (log|Z| not finite or below _LOG_FLOOR)."""
-    a = re + 1j * im
+    eigenangle (log|Z| not finite or below _LOG_FLOOR).  A is assembled in
+    ``buf`` (complex, at least len(thetas) matrices) when it is given."""
+    a = np.empty(re.shape, dtype=complex) if buf is None \
+        else buf[:len(thetas)]
+    a.real = re
+    a.imag = im
     r = np.linalg.qr(a, mode="r")
     diag = np.diagonal(r, axis1=-2, axis2=-1)
     abs_diag = np.abs(diag)
@@ -186,28 +214,34 @@ def _log_abs_from_normals(re, im, thetas):
     return log_abs, ~np.isfinite(log_abs) | (log_abs < _LOG_FLOOR)
 
 
-def _charpolys_from_normals(re, im, thetas):
-    """_log_abs_from_normals one slice at a time; each value depends on
-    its own sample alone."""
+def _charpolys_from_normals(re, im, thetas, buf=None):
+    """_log_abs_from_normals one slice at a time, each assembled in ``buf``
+    when it is given; each value depends on its own sample alone."""
     log_abs = np.empty(len(thetas))
     bad = np.empty(len(thetas), dtype=bool)
     for s in _slices(len(thetas), re.shape[-1]):
-        log_abs[s], bad[s] = _log_abs_from_normals(re[s], im[s], thetas[s])
+        log_abs[s], bad[s] = _log_abs_from_normals(re[s], im[s], thetas[s],
+                                                   buf)
     return log_abs, bad
 
 
-def _cue_chunk(n, count, base, gen):
-    re = gen.standard_normal((count, n, n))
-    im = gen.standard_normal((count, n, n))
+def _cue_chunk(n, count, base, gen, ws=None):
+    """One chunk of ``count`` samples drawn from ``gen`` into the workspace
+    ``ws`` (a fresh one by default): thetas, log|Z|, digit counts and the
+    number of resampled thetas."""
+    if ws is None:
+        ws = _Workspace(n, count)
+    re = gen.standard_normal(out=ws.re[:count])
+    im = gen.standard_normal(out=ws.im[:count])
     thetas = gen.uniform(0.0, 2.0 * math.pi, size=count)
-    log_abs, bad = _charpolys_from_normals(re, im, thetas)
+    log_abs, bad = _charpolys_from_normals(re, im, thetas, ws.a)
     resampled = 0
     while bad.any():
         idx = np.flatnonzero(bad)
         resampled += idx.size
         thetas[idx] = gen.uniform(0.0, 2.0 * math.pi, size=idx.size)
         log_abs[idx], bad[idx] = _charpolys_from_normals(
-            re[idx], im[idx], thetas[idx])
+            re[idx], im[idx], thetas[idx], ws.a)
     f = np.mod(log_abs / math.log(base), 1.0)
     digits = digits_from_log(f, 0.0, base)
     # a sample band 0 leaves undecided takes its float digit floor(B**f),
@@ -240,10 +274,21 @@ def cue_experiment(n: int, n_samples: int, base: int,
     if n_samples % _CHUNK:
         sizes.append(n_samples % _CHUNK)
     streams = rng.spawn(len(sizes))
-    with ThreadPoolExecutor(max_workers=min(workers, len(sizes))) as pool:
-        results = list(pool.map(
-            lambda gen, count: _cue_chunk(n, count, base, gen),
-            streams, sizes))
+    threads = min(workers, len(sizes))
+    # one workspace per thread, taken by a chunk and handed back after it
+    spaces = queue.SimpleQueue()
+    for _ in range(threads):
+        spaces.put(_Workspace(n, sizes[0]))
+
+    def run(gen, count):
+        ws = spaces.get()
+        try:
+            return _cue_chunk(n, count, base, gen, ws)
+        finally:
+            spaces.put(ws)
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        results = list(pool.map(run, streams, sizes))
+    del spaces   # the workspaces go with the pool
 
     thetas = np.concatenate([r[0] for r in results])
     log_abs = np.concatenate([r[1] for r in results])

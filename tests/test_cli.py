@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -450,6 +451,23 @@ class TestEquidistCommands:
              "--gammas", "0.5,1.0", "--format", "json"], capsys)
         assert code == 0
         assert "empirical_type" in json.loads(out)
+
+    @pytest.mark.parametrize("gammas", ["1e300,0.5", "-0.9,0.5"])
+    @pytest.mark.parametrize("fmt", ["csv", "table"])
+    def test_type_cells_outside_the_float_range(self, gammas, fmt, capsys):
+        # a quality that overflows (gamma = 1e300) or underflows (gamma =
+        # -0.9, deep convergents) prints its mpmath value, never inf or 0
+        code, out, _ = run_cli(
+            ["equidist", "type", "--alpha", "log:2:10", "--depth",
+             "6" if gammas.startswith("1e300") else "400",
+             f"--gammas={gammas}", "--format", fmt], capsys)
+        assert code == 0
+        lines = [line for line in out.splitlines()
+                 if line[:1].isdigit()]
+        cells = [c for line in lines for c in line.split(",")[2:]]
+        assert len(lines) in (6, 400) and len(cells) == 2 * len(lines)
+        assert all(re.fullmatch(r"[1-9]\.\d{6}e[+-]\d{2,}", c)
+                   for c in cells), cells
 
     @pytest.mark.parametrize("args, kernel, flag, cap", [
         (["kalpha", "--alpha", "0.3"], "kalpha_points", "--et-m", "MAX_ET_M"),

@@ -1,5 +1,6 @@
 import cmath
 import math
+import sys
 import tracemalloc
 
 import mpmath
@@ -171,9 +172,9 @@ class TestSlices:
         targets = first[[3, 17, 64, 129]]   # in four slices, the last partial
         real = rmt._log_abs_from_normals
 
-        def flag_once(re, im, thetas):
+        def flag_once(re, im, thetas, buf=None):
             # a flagged sample draws a new theta, so it is flagged once
-            log_abs, bad = real(re, im, thetas)
+            log_abs, bad = real(re, im, thetas, buf)
             return log_abs, bad | np.isin(thetas, targets)
         _, thetas, log_abs, resampled = whole_chunk(n, count, stream(22),
                                                     flag_once)
@@ -194,6 +195,83 @@ class TestSlices:
         finally:
             tracemalloc.stop()
         assert peak <= normals + 32 * 2 ** 20
+
+
+def fresh_experiment(n, n_samples, base, rng, chunk):
+    """cue_experiment's chunks with fresh arrays for every draw: thetas,
+    log|Z|, digit counts and resampled, concatenated over the spawned
+    streams."""
+    sizes = [chunk] * (n_samples // chunk) + [n_samples % chunk] * \
+        bool(n_samples % chunk)
+    thetas, log_abs, counts, resampled = [], [], np.zeros(base - 1, int), 0
+    for gen, count in zip(rng.spawn(len(sizes)), sizes):
+        _, th, la, res = whole_chunk(n, count, gen)
+        f = np.mod(la / math.log(base), 1.0)
+        digits = digits_from_log(f, 0.0, base)
+        rest = digits == 0
+        digits[rest] = np.clip(np.floor(np.exp(f[rest] * math.log(base))),
+                               1, base - 1)
+        thetas.append(th)
+        log_abs.append(la)
+        counts += np.bincount(digits, minlength=base)[1:]
+        resampled += res
+    return np.concatenate(thetas), np.concatenate(log_abs), counts, resampled
+
+
+class TestWorkspace:
+    # every chunk a worker runs draws into that worker's workspace; chunks
+    # of 9 samples at N = 5 (41 samples: four full, one of 5) and of 20 at
+    # N = 64 (47 samples: two full, one of 7; slices of 16)
+    @pytest.mark.parametrize("n, n_samples, chunk", [(5, 41, 9),
+                                                     (64, 47, 20)])
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_bit_identical_to_fresh_draws(self, n, n_samples, chunk,
+                                          workers, monkeypatch):
+        monkeypatch.setattr(rmt, "_CHUNK", chunk)
+        thetas, log_abs, counts, resampled = fresh_experiment(
+            n, n_samples, 10, make_rng(27), chunk)
+        got = rmt.cue_experiment(n, n_samples, 10, make_rng(27),
+                                 workers=workers)
+        assert np.array_equal(got.thetas, thetas)
+        assert np.array_equal(got.log_abs, log_abs)
+        assert got.histogram.counts.tolist() == counts.tolist()
+        assert got.resampled == resampled
+
+    @pytest.mark.parametrize("workers, n_samples", [(1, 41), (2, 41),
+                                                    (3, 41), (4, 41),
+                                                    (4, 18), (3, 5)])
+    def test_at_most_one_workspace_per_thread(self, workers, n_samples,
+                                              monkeypatch):
+        # chunks of 9: 41 samples make five chunks, 18 two and 5 one
+        monkeypatch.setattr(rmt, "_CHUNK", 9)
+        built = []
+
+        class Counted(rmt._Workspace):
+            def __init__(self, n, count):
+                built.append(count)
+                super().__init__(n, count)
+        monkeypatch.setattr(rmt, "_Workspace", Counted)
+        rmt.cue_experiment(5, n_samples, 10, make_rng(28), workers=workers)
+        chunks = -(-n_samples // 9)
+        assert 1 <= len(built) <= min(workers, chunks)
+        # each is sized for the largest chunk
+        assert set(built) == {min(n_samples, 9)}
+
+    def test_no_workspace_is_shared_under_thread_switches(self, monkeypatch):
+        # 8 threads on 21 chunks with a thread switch every microsecond: a
+        # chunk that drew into a workspace another chunk was using would
+        # change that chunk's samples
+        monkeypatch.setattr(rmt, "_CHUNK", 3)
+        want = rmt.cue_experiment(5, 61, 10, make_rng(29), workers=1)
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = rmt.cue_experiment(5, 61, 10, make_rng(29), workers=8)
+        finally:
+            sys.setswitchinterval(switch)
+        assert np.array_equal(got.thetas, want.thetas)
+        assert np.array_equal(got.log_abs, want.log_abs)
+        assert np.array_equal(got.histogram.counts, want.histogram.counts)
 
 
 class TestRFactorRule:
@@ -240,7 +318,7 @@ class TestChunkDigits:
             np.nextafter(bounds, np.inf), bounds - 1e-15, bounds + 1e-15,
             bounds + math.log1p(0.5 / ds[-1])])
 
-        def charpolys(re, im, thetas):
+        def charpolys(re, im, thetas, buf=None):
             return log_abs.copy(), np.zeros(log_abs.size, dtype=bool)
         monkeypatch.setattr(rmt, "_charpolys_from_normals", charpolys)
         counts = rmt._cue_chunk(2, log_abs.size, base, stream(26))[2]
