@@ -14,8 +14,8 @@ exceptions to exit codes: 0 on success, 1 when an internal assertion fails,
 2 with ``error: <message>`` and empty stdout on configuration errors, paths
 that cannot be opened, bases above ``MAX_BASE``, worker counts above
 ``MAX_WORKERS``, sizes (``--count``, ``--limit``, ``--samples``,
-``--digits``) above ``MAX_ITEMS``, ``--et-m`` above ``MAX_ET_M`` and
-``--dps`` above ``MAX_DPS``.
+``--digits``) above ``MAX_ITEMS``, ``--et-m`` above ``MAX_ET_M``,
+``--iterations`` above ``MAX_ITERATIONS`` and ``--dps`` above ``MAX_DPS``.
 
 Importing this module loads neither the library modules nor mpmath: each
 command imports the modules it runs when it is first called.
@@ -51,6 +51,12 @@ MAX_ITEMS = 2 ** 24
 # on a 2-vCPU x86 host (10^5 points at m = 100 and 1,000), so --et-m 4096
 # takes about 0.5 s at the default 10^5 points and about 100 s at MAX_ITEMS
 MAX_ET_M = 2 ** 12
+# --iterations (-m) steps every census seed or model sample m times: at
+# -m 4096 the default 10^5 seeds take 46 s in kvalues and 57 s in ratio, one
+# seed 0.08 s, and model 0.02 s at its default 10^5 samples and 1.6 s at
+# MAX_ITEMS, on the same host.  The cap bounds m, not count * m: kvalues and
+# ratio at MAX_ITEMS seeds and -m 4096 would take about 2 and 2.7 hours
+MAX_ITERATIONS = 2 ** 12
 # cf and type work at --dps + 20 digits in pure-Python mpmath, and --depth
 # stops at the convergents those digits certify (1,972 for log:2:10 at 2,000):
 # at --dps 2000 and that depth cf takes 0.014 s and type, with its 6 default
@@ -559,7 +565,7 @@ def build_parser() -> argparse.ArgumentParser:
 # every flag whose size sets the work or memory of a command, and its cap
 _CAPS = {"base": MAX_BASE, "count": MAX_ITEMS, "limit": MAX_ITEMS,
          "samples": MAX_ITEMS, "digits": MAX_ITEMS, "et_m": MAX_ET_M,
-         "dps": MAX_DPS}
+         "iterations": MAX_ITERATIONS, "dps": MAX_DPS}
 
 
 def main(argv=None) -> int:

@@ -198,8 +198,9 @@ def type_probe(alpha, depth: int, gamma_grid, dps: int = 500
         a = mpmath.mpf(alpha)
         errs = [abs(a - mpmath.mpf(p) / q) for p, q in convs]
         for g in gamma_grid:
-            vals = [mpmath.mpf(q) ** (g + 1.0) * e
-                    for (_, q), e in zip(convs, errs)]
+            # gamma + 1 exactly: in float, 1e300 + 1 would round to 1e300
+            g1 = mpmath.fadd(g, 1, exact=True)
+            vals = [mpmath.mpf(q) ** g1 * e for (_, q), e in zip(convs, errs)]
             floats = np.array([float(v) for v in vals])
             # a float past the normal range (0.0 or a subnormal on deep
             # convergents, inf at a huge gamma) takes its log from mpmath

@@ -194,14 +194,13 @@ class _Workspace:
         self.a = np.empty((min(count, _slice_len(n)), n, n), dtype=complex)
 
 
-def _log_abs_from_normals(re, im, thetas, buf=None):
+def _log_abs_from_normals(re, im, thetas, buf):
     """log|det(I - U e^(-i theta))| for the Haar unitaries U of stacks of
     normals, from R and A = re + i im by the identity in the module
     docstring, plus a mask of the samples whose theta lies on an
     eigenangle (log|Z| not finite or below _LOG_FLOOR).  A is assembled in
-    ``buf`` (complex, at least len(thetas) matrices) when it is given."""
-    a = np.empty(re.shape, dtype=complex) if buf is None \
-        else buf[:len(thetas)]
+    ``buf`` (complex, at least len(thetas) matrices)."""
+    a = buf[:len(thetas)]
     a.real = re
     a.imag = im
     r = np.linalg.qr(a, mode="r")
@@ -214,9 +213,10 @@ def _log_abs_from_normals(re, im, thetas, buf=None):
     return log_abs, ~np.isfinite(log_abs) | (log_abs < _LOG_FLOOR)
 
 
-def _charpolys_from_normals(re, im, thetas, buf=None):
+def _charpolys_from_normals(re, im, thetas, buf):
     """_log_abs_from_normals one slice at a time, each assembled in ``buf``
-    when it is given; each value depends on its own sample alone."""
+    (complex, at least one slice of matrices); each value depends on its
+    own sample alone."""
     log_abs = np.empty(len(thetas))
     bad = np.empty(len(thetas), dtype=bool)
     for s in _slices(len(thetas), re.shape[-1]):
@@ -225,12 +225,10 @@ def _charpolys_from_normals(re, im, thetas, buf=None):
     return log_abs, bad
 
 
-def _cue_chunk(n, count, base, gen, ws=None):
+def _cue_chunk(n, count, base, gen, ws):
     """One chunk of ``count`` samples drawn from ``gen`` into the workspace
-    ``ws`` (a fresh one by default): thetas, log|Z|, digit counts and the
-    number of resampled thetas."""
-    if ws is None:
-        ws = _Workspace(n, count)
+    ``ws`` (sized for at least ``count``): thetas, log|Z|, digit counts and
+    the number of resampled thetas."""
     re = gen.standard_normal(out=ws.re[:count])
     im = gen.standard_normal(out=ws.im[:count])
     thetas = gen.uniform(0.0, 2.0 * math.pi, size=count)

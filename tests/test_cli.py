@@ -7,11 +7,10 @@ import textwrap
 import time
 import warnings
 
-import mpmath
 import pytest
 
 import benford_lab
-from benford_lab import cli, equidist, rmt
+from benford_lab import cli, collatz, equidist, rmt
 
 
 def run_cli(args, capsys):
@@ -22,6 +21,23 @@ def run_cli(args, capsys):
 
 def reject_constant(name):
     raise ValueError(f"{name} is not JSON")
+
+
+def assert_cap_reaches_kernel(args, module, kernel, flag, cap, monkeypatch,
+                              capsys):
+    """``flag`` at ``cap`` reaches ``module.kernel``, replaced by a stub that
+    raises; one more is refused before it."""
+    class Entered(Exception):
+        pass
+
+    def entered(*args, **kwargs):
+        raise Entered
+    monkeypatch.setattr(module, kernel, entered)
+    with pytest.raises(Entered):
+        cli.main([*args, flag, str(cap)])
+    code, out, err = run_cli([*args, flag, str(cap + 1)], capsys)
+    assert code == 2 and out == ""
+    assert err == f"error: {flag} must be <= {cap}, got {cap + 1}\n"
 
 
 class TestDigitsCommand:
@@ -189,6 +205,17 @@ class TestCollatzCommands:
         code, _, err = run_cli(
             ["collatz", "experiment", "--preset", "nope"], capsys)
         assert code == 2 and "unknown preset" in err
+
+    @pytest.mark.parametrize("command, kernel", [
+        ("kvalues", "kvalue_histogram"), ("ratio", "ratio_digit_experiment"),
+        ("model", "model_digit_experiment"),
+        ("experiment", "ratio_digit_experiment")])
+    def test_iterations_above_cap_refused_before_any_work(
+            self, command, kernel, monkeypatch, capsys):
+        # -m steps every seed or sample m times
+        assert_cap_reaches_kernel(["collatz", command], collatz, kernel,
+                                  "--iterations", cli.MAX_ITERATIONS,
+                                  monkeypatch, capsys)
 
     @pytest.mark.parametrize("args", [
         ["kvalues", "--start", "-5", "--count", "100"],
@@ -422,24 +449,6 @@ class TestEquidistCommands:
         doc = json.loads(out)
         assert ["1", "3"] in doc["convergents"]
 
-    @pytest.mark.parametrize("depth, dps", [(600, 700), (1000, 1200)])
-    def test_cf_holds_past_500_digits(self, depth, dps, capsys):
-        # log:X:B is evaluated at dps and guard digits, so convergents that
-        # 500 digits cannot determine are still log10(2)'s own
-        code, out, _ = run_cli(
-            ["equidist", "cf", "--alpha", "log:2:10", "--depth", str(depth),
-             "--dps", str(dps), "--format", "json"], capsys)
-        assert code == 0
-        want, (p, p0, q, q0) = [], (1, 0, 0, 1)
-        with mpmath.workdps(2 * dps):
-            a = mpmath.log(2) / mpmath.log(10)
-            for _ in range(depth):
-                k = int(mpmath.floor(a))
-                a = 1 / (a - k)
-                p, p0, q, q0 = k * p + p0, p, k * q + q0, q
-                want.append([str(p), str(q)])
-        assert json.loads(out)["convergents"] == want
-
     def test_cf_rational_rejected(self, capsys):
         code, _, err = run_cli(
             ["equidist", "cf", "--alpha", "3/7", "--depth", "8"], capsys)
@@ -477,20 +486,9 @@ class TestEquidistCommands:
     def test_cost_flag_above_cap_refused_before_any_work(
             self, args, kernel, flag, cap, monkeypatch, capsys):
         # --et-m sets an O(count * m) sum and --dps the precision of cf and
-        # type: the cap reaches the kernel, one more is refused before it
-        class Entered(Exception):
-            pass
-
-        def entered(*args, **kwargs):
-            raise Entered
-        monkeypatch.setattr(equidist, kernel, entered)
-        cap = getattr(cli, cap)
-        with pytest.raises(Entered):
-            cli.main(["equidist", *args, flag, str(cap)])
-        code, out, err = run_cli(["equidist", *args, flag, str(cap + 1)],
-                                 capsys)
-        assert code == 2 and out == ""
-        assert err == f"error: {flag} must be <= {cap}, got {cap + 1}\n"
+        # type
+        assert_cap_reaches_kernel(["equidist", *args], equidist, kernel,
+                                  flag, getattr(cli, cap), monkeypatch, capsys)
 
     @pytest.mark.parametrize("args", [
         ["kalpha", "--alpha", "log:a:10"],
@@ -735,6 +733,10 @@ _PARSER_REUSE_RUNS = [
     ["zeta", "--t-start", "1000", "--t-end", "1010",
      "--near-critical-delta", "0.5", "--format", "json"],
     ["zeta", "--t-start", "1000", "--t-end", "1010", "--format", "json"],
+    # the headline census commands, each run twice in one process
+    *[["collatz", *command, "--start", "419753999998525", "--count", "100000",
+       "-m", "10", "--format", "json"]
+      for command in (["ratio", "--base", "10"], ["kvalues"])] * 2,
 ]
 
 
@@ -755,5 +757,5 @@ def test_parser_reuse_matches_fresh_processes(capsys):
         assert (code, out, err) == (proc.returncode, proc.stdout,
                                     proc.stderr), args
         codes.append(code)
-    assert codes == [2, 2, 0, 0, 0, 0]
+    assert codes == [2, 2] + [0] * 8
     assert cli.build_parser.cache_info().misses == 1

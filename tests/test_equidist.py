@@ -174,18 +174,18 @@ class TestTypeProbe:
         assert len(rows) == 7
 
     @pytest.mark.parametrize("depth, gammas, outside", [
-        # q^(1e300 + 1) |alpha - p/q| overflows from q = 3 on, and at
-        # gamma = -0.9 the quality leaves the normal range deep in the
-        # expansion, while gamma = 0.5 stays inside it in both
+        # q^(1e300 + 1) |alpha - p/q| overflows from q = 3 on (there
+        # 3.309970e+477..., a third of which a float gamma + 1 = 1e300
+        # would give), and at gamma = -0.9 the quality leaves the normal
+        # range deep in the expansion, while gamma = 0.5 stays inside it
         (6, (1e300, 0.5), 5),
         (400, (-0.9, 0.5), 69),
     ])
     def test_csv_cells_outside_the_float_range(self, depth, gammas,
                                                outside):
         # every cell reads as %.6e of q^(gamma+1) |alpha - p/q| taken at
-        # 1,000 digits (gamma + 1 as the float type_probe raises q to), with
-        # a signed exponent of any width; a cell inside the float's normal
-        # range is the float's own %.6e
+        # 1,000 digits, with a signed exponent of any width; a cell inside
+        # the float's normal range is the float's own %.6e
         alpha = eq.log_ratio(2, 10, 520)
         probe = eq.type_probe(alpha, depth, gammas, dps=500)
         rows = list(probe.to_csv_rows())[1:]
@@ -195,7 +195,7 @@ class TestTypeProbe:
             for (p, q), row in zip(probe.convergents, rows):
                 err = abs(mpmath.mpf(alpha) - mpmath.mpf(p) / q)
                 for g, cell in zip(gammas, row[2:]):
-                    v = mpmath.mpf(q) ** (g + 1.0) * err
+                    v = mpmath.mpf(q) ** (mpmath.mpf(g) + 1) * err
                     if tiny <= float(v) < math.inf:
                         assert cell == f"{float(v):.6e}"
                         continue

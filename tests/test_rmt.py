@@ -29,9 +29,10 @@ def whole_chunk(n, count, gen, rule=rmt._log_abs_from_normals):
     re = gen.standard_normal((count, n, n))
     im = gen.standard_normal((count, n, n))
     thetas = gen.uniform(0.0, 2.0 * math.pi, size=count)
+    buf = np.empty(re.shape, dtype=complex)
     resampled = 0
     while True:
-        log_abs, bad = rule(re, im, thetas)
+        log_abs, bad = rule(re, im, thetas, buf)
         if not bad.any():
             return (re, im), thetas, log_abs, resampled
         resampled += int(bad.sum())
@@ -155,7 +156,8 @@ class TestSlices:
     def test_bit_identical_to_the_whole_chunk(self, n, count):
         normals, thetas, log_abs, resampled = whole_chunk(n, count,
                                                           stream(21))
-        got = rmt._cue_chunk(n, count, 10, stream(21))
+        got = rmt._cue_chunk(n, count, 10, stream(21),
+                             rmt._Workspace(n, count))
         assert np.array_equal(got[0], thetas)
         assert np.array_equal(got[1], log_abs)
         assert got[3] == resampled
@@ -172,14 +174,15 @@ class TestSlices:
         targets = first[[3, 17, 64, 129]]   # in four slices, the last partial
         real = rmt._log_abs_from_normals
 
-        def flag_once(re, im, thetas, buf=None):
+        def flag_once(re, im, thetas, buf):
             # a flagged sample draws a new theta, so it is flagged once
             log_abs, bad = real(re, im, thetas, buf)
             return log_abs, bad | np.isin(thetas, targets)
         _, thetas, log_abs, resampled = whole_chunk(n, count, stream(22),
                                                     flag_once)
         monkeypatch.setattr(rmt, "_log_abs_from_normals", flag_once)
-        got = rmt._cue_chunk(n, count, 10, stream(22))
+        got = rmt._cue_chunk(n, count, 10, stream(22),
+                             rmt._Workspace(n, count))
         assert resampled == got[3] == 4
         assert not np.isin(thetas, targets).any()
         assert np.array_equal(got[0], thetas)
@@ -190,7 +193,7 @@ class TestSlices:
         normals = 2 * count * n * n * 8   # re and im: 32 MiB
         tracemalloc.start()
         try:
-            rmt._cue_chunk(n, count, 10, stream(23))
+            rmt._cue_chunk(n, count, 10, stream(23), rmt._Workspace(n, count))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -279,7 +282,7 @@ class TestRFactorRule:
     # never formed, so both oracles build U from the same normals
     @pytest.mark.parametrize("n", [2, 5, 64])
     def test_agrees_with_the_q_path(self, n):
-        got = rmt._cue_chunk(n, 40, 10, stream(24))
+        got = rmt._cue_chunk(n, 40, 10, stream(24), rmt._Workspace(n, 40))
         gen = stream(24)
         re = gen.standard_normal((40, n, n))
         us = rmt._haar_from_normals(re, gen.standard_normal((40, n, n)))
@@ -297,7 +300,8 @@ class TestRFactorRule:
         thetas = np.array([gen.uniform(0.0, 2.0 * math.pi),
                            angles[0] + 1e-6])
         log_abs, bad = rmt._charpolys_from_normals(
-            np.repeat(re, 2, axis=0), np.repeat(im, 2, axis=0), thetas)
+            np.repeat(re, 2, axis=0), np.repeat(im, 2, axis=0), thetas,
+            np.empty((2, n, n), dtype=complex))
         assert not bad.any()
         ref = mp_log_abs_charpolys(re[0], im[0], thetas.tolist())
         assert np.abs(log_abs - ref).max() < 1e-9, (log_abs, ref)
@@ -318,10 +322,11 @@ class TestChunkDigits:
             np.nextafter(bounds, np.inf), bounds - 1e-15, bounds + 1e-15,
             bounds + math.log1p(0.5 / ds[-1])])
 
-        def charpolys(re, im, thetas, buf=None):
+        def charpolys(re, im, thetas, buf):
             return log_abs.copy(), np.zeros(log_abs.size, dtype=bool)
         monkeypatch.setattr(rmt, "_charpolys_from_normals", charpolys)
-        counts = rmt._cue_chunk(2, log_abs.size, base, stream(26))[2]
+        counts = rmt._cue_chunk(2, log_abs.size, base, stream(26),
+                                rmt._Workspace(2, log_abs.size))[2]
         f = np.mod(log_abs / lb, 1.0)
         want = np.clip(np.floor(np.exp(f * lb)), 1, base - 1).astype(int)
         assert counts.tolist() \
