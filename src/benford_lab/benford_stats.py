@@ -8,7 +8,6 @@ exact maxima over the finite critical set of the sorted sample, O(N log N).
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -97,32 +96,10 @@ class TestReport:
 
     base: int
     total: int
-    per_digit: list  # rows (digit, observed_freq, benford_prob, z_stat)
+    per_digit: list  # rows (digit, observed frequency, Benford p, z)
     chi_square: float
     dof: int
     verdict_alpha05: bool
-
-    def to_json(self) -> str:
-        return json.dumps({
-            "base": self.base,
-            "total": self.total,
-            "per_digit": [
-                {"digit": d, "observed": o, "benford": p, "z": z}
-                for d, o, p, z in self.per_digit
-            ],
-            "chi_square": self.chi_square,
-            "dof": self.dof,
-            "verdict_alpha05": self.verdict_alpha05,
-        })
-
-    def to_text_table(self) -> str:
-        lines = [f"{'First Digit':>11} {'Observed':>10} {'Benford':>10} "
-                 f"{'z-statistic':>12}"]
-        for d, o, p, z in self.per_digit:
-            lines.append(f"{d:>11d} {o:>10.4f} {p:>10.4f} {z:>12.2f}")
-        lines.append(f"chi-square = {self.chi_square:.2f} on {self.dof} dof "
-                     f"(alpha=.05 {'accept' if self.verdict_alpha05 else 'reject'})")
-        return "\n".join(lines)
 
 
 def chi_square(hist: DigitHistogram) -> tuple[float, int]:
@@ -276,19 +253,6 @@ class DiscrepancyReport:
     extreme: float
     erdos_turan: float
     m_used: int
-
-    def to_json(self) -> str:
-        return json.dumps({
-            "n_points": self.n_points, "star": self.star,
-            "extreme": self.extreme, "erdos_turan": self.erdos_turan,
-            "m_used": self.m_used,
-        })
-
-    def to_text_table(self) -> str:
-        return (f"{'N':>10} {'D*_N':>14} {'D_N':>14} {'ET bound':>14} {'m':>6}\n"
-                f"{self.n_points:>10d} {self.star:>14.6e} "
-                f"{self.extreme:>14.6e} {self.erdos_turan:>14.6e} "
-                f"{self.m_used:>6d}")
 
 
 def discrepancy_report(points, m: int = 100) -> DiscrepancyReport:

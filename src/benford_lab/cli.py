@@ -6,9 +6,10 @@ chunks whose streams are spawned up front, and output formatting is
 deterministic, so reruns with the same seed produce identical bytes; the
 worker count shows only in the echoed metadata, never in the results.
 
-Each ``cmd_*`` returns (columns, rows, table text, JSON payload), and
-``main`` alone writes it through ``emit`` as ``csv`` (one '#'-prefixed JSON
-metadata line, then a header and rows), ``json`` (metadata plus the
+The library returns data only, and this module renders all of it: each
+``cmd_*`` turns its results into (columns, rows, table text, JSON payload),
+and ``main`` alone writes that through ``emit`` as ``csv`` (one '#'-prefixed
+JSON metadata line, then a header and rows), ``json`` (metadata plus the
 payload) or ``table`` (aligned text for eyeballing).  ``main`` alone maps
 exceptions to exit codes: 0 on success, 1 when an internal assertion fails,
 2 with ``error: <message>`` and empty stdout on configuration errors, paths
@@ -25,10 +26,10 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import json
 import math
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 
@@ -36,7 +37,7 @@ import numpy as np
 
 from . import __version__
 from .core_numeric import DomainError, PrecisionError, _check_digit_base, \
-    leading_digit, random_bignat
+    _csv_blocks, leading_digit, random_bignat
 
 DEFAULT_CENSUS_START = 419_753_999_998_525
 DEFAULT_CENSUS_COUNT = 100_000
@@ -95,7 +96,7 @@ class CheckFailed(Exception):
         self.output = output
 
 
-@dataclass
+@dataclasses.dataclass
 class ExperimentConfig:
     command: str
     params: dict
@@ -115,15 +116,15 @@ def emit(cfg: ExperimentConfig, columns, rows, table_text: str,
          json_payload: dict) -> None:
     with open(cfg.out, "w", encoding="utf-8") if cfg.out != "-" \
             else contextlib.nullcontext(sys.stdout) as stream:
-        if cfg.fmt == "csv":
-            print(cfg.meta_line(), file=stream)
-            print(",".join(columns), file=stream)
-            stream.writelines(",".join(map(str, row)) + "\n" for row in rows)
-        elif cfg.fmt == "json":
+        if cfg.fmt == "json":
             doc = {"meta": json.loads(cfg.meta_line()[2:]), **json_payload}
             print(json.dumps(doc, sort_keys=True), file=stream)
+            return
+        print(cfg.meta_line(), file=stream)
+        if cfg.fmt == "csv":
+            print(",".join(columns), file=stream)
+            stream.writelines(",".join(map(str, row)) + "\n" for row in rows)
         else:
-            print(cfg.meta_line(), file=stream)
             print(table_text, file=stream)
 
 
@@ -131,10 +132,27 @@ def _rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(seed))
 
 
+def _rational_log(x: int, b: int):
+    """log_b(x) as a Fraction when x and b are powers of one integer (so
+    when it is rational), else None: Euclid's algorithm on the exponents,
+    each number carrying its log as a combination of log x and log b."""
+    if x == 1:
+        return Fraction(0)
+    u, cu, v, cv = x, (1, 0), b, (0, 1)
+    while u != v:
+        if u < v:
+            u, cu, v, cv = v, cv, u, cu
+        u, rest = divmod(u, v)
+        if rest:
+            return None
+        cu = (cu[0] - cv[0], cu[1] - cv[1])
+    return Fraction(cv[1] - cu[1], cu[0] - cv[0])
+
+
 def _resolve_alpha(text: str, dps: int = 480):
     """Accept a finite float literal, 'p/q' (exact rational), or 'log:X:B'
-    (integers X >= 1, B >= 2) for log_B(X) at ``dps`` and 20 guard digits,
-    500 digits in all by default."""
+    (integers X >= 1, B >= 2) for log_B(X): exact when it is rational, else
+    at ``dps`` and 20 guard digits, 500 digits in all by default."""
     parts = text.split(":")
     if parts[0] == "log" and len(parts) != 3:
         raise ConfigError("log alpha form must look like log:2:10")
@@ -144,6 +162,9 @@ def _resolve_alpha(text: str, dps: int = 480):
             if x < 1 or b < 2:
                 raise ConfigError(f"log:X:B needs X >= 1 and B >= 2, "
                                   f"got {text!r}")
+            exact = _rational_log(x, b)
+            if exact is not None:
+                return exact
             from . import equidist
             alpha = equidist.log_ratio(x, b, dps + 20)
         elif "/" in text:
@@ -168,12 +189,25 @@ def _number_list(text: str, kind, flag: str) -> list:
                           f"{kind.__name__} values, got {text!r}") from exc
 
 
-def _benford_rows(report):
-    """Columns and rows of a ``benford_stats.TestReport`` against Benford's
-    law."""
+def _digit_report(report) -> tuple:
+    """Columns, rows, table text and JSON payload of a
+    ``benford_stats.TestReport`` against Benford's law."""
+    per_digit = report.per_digit
+    verdict = "accept" if report.verdict_alpha05 else "reject"
     return (("digit", "observed", "benford", "z"),
             [(d, f"{o:.6f}", f"{p:.6f}", f"{z:.4f}")
-             for d, o, p, z in report.per_digit])
+             for d, o, p, z in per_digit],
+            "\n".join([f"{'First Digit':>11} {'Observed':>10} {'Benford':>10}"
+                       f" {'z-statistic':>12}"]
+                      + [f"{d:>11d} {o:>10.4f} {p:>10.4f} {z:>12.2f}"
+                         for d, o, p, z in per_digit]
+                      + [f"chi-square = {report.chi_square:.2f} on "
+                         f"{report.dof} dof (alpha=.05 {verdict})"]),
+            {"base": report.base, "total": report.total,
+             "per_digit": [{"digit": d, "observed": o, "benford": p, "z": z}
+                           for d, o, p, z in per_digit],
+             "chi_square": report.chi_square, "dof": report.dof,
+             "verdict_alpha05": report.verdict_alpha05})
 
 
 def _predicted_rows(observed, predicted):
@@ -182,6 +216,48 @@ def _predicted_rows(observed, predicted):
     return (("digit", "observed", "predicted"),
             [(d, f"{o:.6f}", f"{p:.6f}")
              for d, (o, p) in enumerate(zip(observed, predicted), start=1)])
+
+
+def _ratio_report(result) -> tuple:
+    """Observed frequencies, then columns, rows and table text (in percent)
+    of a ``collatz.RatioDigitResult`` against its predicted law."""
+    freq, predicted = result.histogram.frequencies(), result.predicted
+    return (freq, *_predicted_rows(freq, predicted), "\n".join(
+        [f"{'First Digit':>11} {'Observed':>12} {'Predicted':>12}"]
+        + [f"{d:>11d} {100 * o:>11.1f}% {100 * p:>11.1f}%"
+           for d, (o, p) in enumerate(zip(freq, predicted), start=1)]))
+
+
+def _scan_rows(result):
+    """The CSV rows of a ``zeta.ScanResult``, in blocks as ``_csv_blocks``
+    yields them."""
+    return _csv_blocks(
+        "%.6f,%.10f,%.12e,%.12e,%.12e,%.12e,%d,%.3e",
+        (result.t, result.sigma, result.value.real, result.value.imag,
+         result.abs, np.log(result.abs), result.digits, result.cert_err))
+
+
+def _cue_rows(result):
+    """The CSV rows of an ``rmt.CueResult``, log|Z| also standardized by
+    the reference variance, in blocks as ``_csv_blocks`` yields them."""
+    return _csv_blocks(f"{result.dim},%.12f,%.12e,%.12e", (
+        result.thetas, result.log_abs,
+        result.log_abs / math.sqrt(result.moments.q2_reference)))
+
+
+def _type_rows(probe) -> tuple:
+    """Header and rows of an ``equidist.IrrationalProbe``: each quality as
+    ``%.6e``; one outside the float's normal range from its mpmath value,
+    in the same shape with a wider exponent."""
+    import mpmath
+    exact = probe._exact
+    return (["p", "q"] + [f"gamma={g:g}" for g in probe.gamma_grid],
+            [[str(p), str(q)] + [
+                mpmath.nstr(exact[g, i], 7, strip_zeros=False, min_fixed=0,
+                            max_fixed=0)
+                if (g, i) in exact else f"{probe.quality[g][i]:.6e}"
+                for g in probe.gamma_grid]
+             for i, (p, q) in enumerate(probe.convergents)])
 
 
 # ---------------------------------------------------------------- commands --
@@ -231,9 +307,8 @@ def cmd_digits(args, cfg: ExperimentConfig) -> tuple:
     finally:
         sys.set_int_max_str_digits(limit)
     hist = benford_stats.DigitHistogram.from_digits(digits, base)
-    report = benford_stats.z_statistics(hist)
-    return (*_benford_rows(report), report.to_text_table(),
-            {"report": json.loads(report.to_json())})
+    *output, report = _digit_report(benford_stats.z_statistics(hist))
+    return (*output, {"report": report})
 
 
 def _collatz_ratio_run(args, cfg, base) -> tuple:
@@ -241,10 +316,9 @@ def _collatz_ratio_run(args, cfg, base) -> tuple:
     cfg.params["base"] = base
     seeds = collatz.census_1mod6(args.start, args.count)
     result = collatz.ratio_digit_experiment(seeds, args.iterations, base)
-    freq = result.observed_freq()
-    return (*_predicted_rows(freq, result.predicted), result.to_text_table(),
-            {"observed": [float(x) for x in freq],
-             "predicted": [float(x) for x in result.predicted]})
+    freq, *output = _ratio_report(result)
+    return (*output, {"observed": [float(x) for x in freq],
+                      "predicted": [float(x) for x in result.predicted]})
 
 
 def _collatz_bignum_run(args, cfg, mode) -> tuple:
@@ -253,13 +327,13 @@ def _collatz_bignum_run(args, cfg, mode) -> tuple:
     seed_value = random_bignat(args.digits, 10, _rng(cfg.rng_seed))
     result = collatz.iterate_digit_experiment(seed_value, mode,
                                               base=args.base)
-    report = benford_stats.z_statistics(result.histogram)
-    table = (f"iterates recorded: {result.n_recorded} "
-             f"(reached 1: {result.reached_one})\n" + report.to_text_table())
-    return (*_benford_rows(report), table,
+    columns, rows, table, report = _digit_report(
+        benford_stats.z_statistics(result.histogram))
+    return (columns, rows,
+            f"iterates recorded: {result.n_recorded} "
+            f"(reached 1: {result.reached_one})\n" + table,
             {"n_recorded": result.n_recorded,
-             "reached_one": result.reached_one,
-             "report": json.loads(report.to_json())})
+             "reached_one": result.reached_one, "report": report})
 
 
 def cmd_collatz_experiment(args, cfg: ExperimentConfig) -> tuple:
@@ -319,10 +393,9 @@ def cmd_collatz_ratio(args, cfg: ExperimentConfig) -> tuple:
     model = collatz.geometric_model_points(args.iterations, args.base,
                                            len(fracs), _rng(cfg.rng_seed))
     ks = collatz.ks_distance(fracs, model)
-    freq = result.observed_freq()
-    table = result.to_text_table() + \
-        f"\nKS distance to the geometric-sum model: {ks:.5f}"
-    return (*_predicted_rows(freq, result.predicted), table,
+    freq, columns, rows, table = _ratio_report(result)
+    return (columns, rows,
+            table + f"\nKS distance to the geometric-sum model: {ks:.5f}",
             {"observed": [float(x) for x in freq], "ks_vs_model": ks})
 
 
@@ -361,14 +434,16 @@ def cmd_zeta(args, cfg: ExperimentConfig) -> tuple:
             f"evaluated): a point is skipped when |zeta| lies within its "
             f"certified error band of a digit boundary or of zero, as at "
             f"large sigma, where |zeta| -> 1")
-    report = benford_stats.z_statistics(result.histogram)
-    table = (f"points recorded: {result.histogram.total}, "
-             f"skipped: {len(result.skipped)}, refined: {result.refined}\n"
-             + report.to_text_table())
-    return (zeta.ScanResult.CSV_COLUMNS, result.csv_rows(), table,
+    *_, table, report = _digit_report(
+        benford_stats.z_statistics(result.histogram))
+    return (("t", "sigma", "re", "im", "abs", "log_abs", "digit", "cert_err"),
+            _scan_rows(result),
+            f"points recorded: {result.histogram.total}, "
+            f"skipped: {len(result.skipped)}, refined: {result.refined}\n"
+            + table,
             {"histogram": result.histogram.counts.tolist(),
              "skipped": len(result.skipped), "refined": result.refined,
-             "report": json.loads(report.to_json())})
+             "report": report})
 
 
 def cmd_cue(args, cfg: ExperimentConfig) -> tuple:
@@ -376,12 +451,13 @@ def cmd_cue(args, cfg: ExperimentConfig) -> tuple:
     result = rmt.cue_experiment(args.dim, args.samples, args.base,
                                 _rng(cfg.rng_seed), workers=cfg.workers)
     stat, dof = benford_stats.chi_square(result.histogram)
-    table = (f"moments: {result.moments.to_json()}\n"
-             f"digit chi-square: {stat:.3f} on {dof} dof\n"
-             + benford_stats.z_statistics(result.histogram).to_text_table())
-    return (rmt.CueResult.CSV_COLUMNS, result.csv_rows(), table,
-            {"moments": json.loads(result.moments.to_json()),
-             "chi_square": stat, "dof": dof,
+    moments = dataclasses.asdict(result.moments)
+    moments = {"n_samples": moments.pop("n"), **moments}
+    *_, table, _ = _digit_report(benford_stats.z_statistics(result.histogram))
+    return (("dim", "theta", "log_abs", "standardized"), _cue_rows(result),
+            f"moments: {json.dumps(moments)}\n"
+            f"digit chi-square: {stat:.3f} on {dof} dof\n" + table,
+            {"moments": moments, "chi_square": stat, "dof": dof,
              "histogram": result.histogram.counts.tolist()})
 
 
@@ -389,11 +465,14 @@ def cmd_equidist_kalpha(args, cfg: ExperimentConfig) -> tuple:
     from . import benford_stats, equidist
     alpha = _resolve_alpha(args.alpha)
     pts = equidist.kalpha_points(alpha, args.count)
-    report = benford_stats.discrepancy_report(pts, m=args.et_m)
+    r = benford_stats.discrepancy_report(pts, m=args.et_m)
     return (("n_points", "star", "extreme", "erdos_turan", "m"),
-            [(report.n_points, f"{report.star:.8e}", f"{report.extreme:.8e}",
-              f"{report.erdos_turan:.8e}", report.m_used)],
-            report.to_text_table(), {"report": json.loads(report.to_json())})
+            [(r.n_points, f"{r.star:.8e}", f"{r.extreme:.8e}",
+              f"{r.erdos_turan:.8e}", r.m_used)],
+            f"{'N':>10} {'D*_N':>14} {'D_N':>14} {'ET bound':>14} {'m':>6}\n"
+            f"{r.n_points:>10d} {r.star:>14.6e} {r.extreme:>14.6e} "
+            f"{r.erdos_turan:>14.6e} {r.m_used:>6d}",
+            {"report": dataclasses.asdict(r)})
 
 
 def cmd_equidist_cf(args, cfg: ExperimentConfig) -> tuple:
@@ -409,7 +488,7 @@ def cmd_equidist_type(args, cfg: ExperimentConfig) -> tuple:
     alpha = _resolve_alpha(args.alpha, args.dps)
     gammas = tuple(_number_list(args.gammas, float, "--gammas"))
     probe = equidist.type_probe(alpha, args.depth, gammas, dps=args.dps)
-    header, *rows = probe.to_csv_rows()
+    header, rows = _type_rows(probe)
     table = "\n".join(",".join(r) for r in [header] + rows)
     table += f"\nempirical type: {probe.empirical_type}"
     return (header, rows, table,

@@ -490,18 +490,6 @@ class RatioDigitResult:
     census: tuple
     n_exact: int    # seeds whose digit came from the full integer ratio
 
-    def observed_freq(self) -> np.ndarray:
-        return self.histogram.frequencies()
-
-    def to_text_table(self) -> str:
-        header = f"{'First Digit':>11} {'Observed':>12} {'Predicted':>12}"
-        lines = [header]
-        freq = self.observed_freq()
-        for d in range(1, self.base):
-            lines.append(f"{d:>11d} {100 * freq[d - 1]:>11.1f}% "
-                         f"{100 * self.predicted[d - 1]:>11.1f}%")
-        return "\n".join(lines)
-
 
 def limit_law_digit_probabilities(base: int) -> np.ndarray:
     """Limiting digit law of the ratio statistic: uniform on the powers of

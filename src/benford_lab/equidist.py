@@ -57,11 +57,11 @@ def _kalpha_range(alpha, k_start: int, count: int) -> np.ndarray:
     if isinstance(alpha, Fraction):
         q = alpha.denominator
         p = alpha.numerator % q
-        if q <= 2 ** 31:
-            ks = np.arange(k_start, k_start + count, dtype=np.int64)
-            return (((ks % q) * p) % q).astype(np.float64) / q
-        return np.array([((k % q) * p) % q / q
-                         for k in range(k_start, k_start + count)])
+        # k mod q first keeps k * p below q^2: int64 up to q = 2^31
+        k0 = k_start % q
+        ks = np.arange(k0, k0 + count,
+                       dtype=np.int64 if q <= 2 ** 31 else object) % q
+        return (ks * p % q / q).astype(np.float64)
     if k_start + count >= _MAX_POINTS:
         raise DomainError("k range too large for the exact double-double path")
     with mpmath.workdps(60):
@@ -146,9 +146,12 @@ def continued_fraction(alpha, depth: int, dps: int = 500) -> list:
         raise DomainError("alpha must be irrational")
     qs = _bracket_quotients(*_alpha_brackets(alpha, dps), max_terms=depth)
     if len(qs) < depth:
+        advice = ("a float alpha holds 53 bits, which no dps extends; give "
+                  "alpha as p/q or log:X:B" if isinstance(alpha, float)
+                  else "raise dps")
         raise PrecisionError(
             f"only {len(qs)} partial quotients certified at dps={dps}; "
-            f"raise dps to reach depth {depth}")
+            f"{advice} to reach depth {depth}")
     ph, pl = 1, 0  # p_{k-1}, p_{k-2}
     qh, ql = 0, 1
     out = []
@@ -163,7 +166,6 @@ def continued_fraction(alpha, depth: int, dps: int = 500) -> list:
 class IrrationalProbe:
     """q^(gamma+1) |alpha - p/q| along convergents, per gamma in a grid."""
 
-    alpha: str
     convergents: list
     gamma_grid: tuple
     quality: dict          # gamma -> list of floats along the convergents
@@ -172,17 +174,6 @@ class IrrationalProbe:
     # (gamma, i) -> the mpmath value of a quality whose float lies outside
     # the normal range (0.0 or a subnormal, or inf)
     _exact: dict = field(default_factory=dict, repr=False, compare=False)
-
-    def to_csv_rows(self):
-        """Each quality as ``%.6e``; one outside the float's normal range
-        from its mpmath value, in the same shape with a wider exponent."""
-        yield ["p", "q"] + [f"gamma={g:g}" for g in self.gamma_grid]
-        for i, (p, q) in enumerate(self.convergents):
-            yield [str(p), str(q)] + [
-                mpmath.nstr(self._exact[g, i], 7, strip_zeros=False,
-                            min_fixed=0, max_fixed=0)
-                if (g, i) in self._exact else f"{self.quality[g][i]:.6e}"
-                for g in self.gamma_grid]
 
 
 _SLOPE_TREND = -0.05  # log-log slope below this counts as "tends to 0"
@@ -216,10 +207,7 @@ def type_probe(alpha, depth: int, gamma_grid, dps: int = 500
     if not all(map(math.isfinite, slopes.values())):
         raise DomainError("a gamma puts the log quality past the float range")
     trending = [g for g, s in slopes.items() if s < _SLOPE_TREND]
-    with mpmath.workdps(50):
-        alpha_repr = mpmath.nstr(mpmath.mpf(alpha), 40)
     return IrrationalProbe(
-        alpha=alpha_repr,
         convergents=convs,
         gamma_grid=tuple(float(g) for g in gamma_grid),
         quality=quality,

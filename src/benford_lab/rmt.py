@@ -48,7 +48,6 @@ fractional log f.  Certifying these digits is ROADMAP item 3.
 
 from __future__ import annotations
 
-import json
 import math
 import queue
 from concurrent.futures import ThreadPoolExecutor
@@ -57,8 +56,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .benford_stats import DigitHistogram
-from .core_numeric import DomainError, _check_digit_base, _csv_blocks, \
-    digits_from_log
+from .core_numeric import DomainError, _check_digit_base, digits_from_log
 
 __all__ = [
     "EULER_GAMMA",
@@ -156,13 +154,6 @@ class MomentsReport:
     skewness: float
     kurtosis: float
 
-    def to_json(self) -> str:
-        return json.dumps({
-            "n_samples": self.n, "mean": self.mean,
-            "variance": self.variance, "q2_reference": self.q2_reference,
-            "skewness": self.skewness, "kurtosis": self.kurtosis,
-        })
-
 
 @dataclass
 class CueResult:
@@ -173,14 +164,6 @@ class CueResult:
     histogram: DigitHistogram
     moments: MomentsReport
     resampled: int = 0
-
-    CSV_COLUMNS = ("dim", "theta", "log_abs", "standardized")
-
-    def csv_rows(self):
-        """The CSV_COLUMNS rows in blocks, as ``_csv_blocks`` yields them."""
-        scale = math.sqrt(q2_variance(self.dim))
-        return _csv_blocks(f"{self.dim},%.12f,%.12e,%.12e",
-                           (self.thetas, self.log_abs, self.log_abs / scale))
 
 
 class _Workspace:

@@ -47,8 +47,7 @@ import mpmath
 import numpy as np
 
 from .benford_stats import DigitHistogram
-from .core_numeric import DomainError, _check_digit_base, _csv_blocks, \
-    digits_from_log
+from .core_numeric import DomainError, _check_digit_base, digits_from_log
 
 __all__ = [
     "AccuracyError",
@@ -690,16 +689,6 @@ class ScanResult:
     skipped: np.ndarray
     failures: list
     refined: int
-
-    CSV_COLUMNS = ("t", "sigma", "re", "im", "abs", "log_abs", "digit",
-                   "cert_err")
-
-    def csv_rows(self):
-        """The CSV_COLUMNS rows in blocks, as ``_csv_blocks`` yields them."""
-        return _csv_blocks(
-            "%.6f,%.10f,%.12e,%.12e,%.12e,%.12e,%d,%.3e",
-            (self.t, self.sigma, self.value.real, self.value.imag, self.abs,
-             np.log(self.abs), self.digits, self.cert_err))
 
 
 def scan_line(t_start: float, t_end: float, step: float, mode: SigmaMode,

@@ -72,7 +72,7 @@ def cue_runs():
 
 def test_criterion_1_base4_ratio_table(census_seeds):
     result = cz.ratio_digit_experiment(census_seeds, CENSUS_M, 4)
-    freq = 100.0 * result.observed_freq()
+    freq = 100.0 * result.histogram.frequencies()
     assert abs(freq[0] - 50.0) < 1.0, freq
     assert abs(freq[1] - 50.0) < 1.0, freq
     assert result.histogram.counts[2] == 0
@@ -83,13 +83,13 @@ def test_criterion_1_base4_ratio_table(census_seeds):
 
 def test_criterion_2_base8_base16_tables(census_seeds):
     res8 = cz.ratio_digit_experiment(census_seeds, CENSUS_M, 8)
-    f8 = 100.0 * res8.observed_freq()
+    f8 = 100.0 * res8.histogram.frequencies()
     for d in (1, 2, 4):
         assert abs(f8[d - 1] - 100.0 / 3.0) < 1.5, f8
     for d in (3, 5, 6, 7):
         assert res8.histogram.counts[d - 1] == 0
     res16 = cz.ratio_digit_experiment(census_seeds, CENSUS_M, 16)
-    f16 = 100.0 * res16.observed_freq()
+    f16 = 100.0 * res16.histogram.frequencies()
     for d in (1, 2, 4, 8):
         assert abs(f16[d - 1] - 25.0) < 1.5, f16
     for d in range(1, 16):
@@ -102,7 +102,7 @@ def test_criterion_2_base8_base16_tables(census_seeds):
 
 def test_criterion_3_base10_ratio_table(census_seeds):
     result = cz.ratio_digit_experiment(census_seeds, CENSUS_M, 10)
-    freq = result.observed_freq()
+    freq = result.histogram.frequencies()
     assert abs(100.0 * freq[0] - 29.8) < 2.0
     assert abs(100.0 * freq[1] - 17.9) < 2.0
     tv = 0.5 * np.abs(freq - REFERENCE_BASE10_ROW).sum()

@@ -6,6 +6,7 @@ import sys
 import textwrap
 import time
 import warnings
+from fractions import Fraction
 
 import pytest
 
@@ -41,6 +42,19 @@ def assert_cap_reaches_kernel(args, module, kernel, flag, cap, monkeypatch,
 
 
 class TestDigitsCommand:
+    def test_report_rendering(self):
+        from benford_lab import benford_stats
+        h = benford_stats.DigitHistogram(
+            10, [30, 18, 12, 10, 8, 7, 6, 5, 4])
+        report = benford_stats.z_statistics(h)
+        columns, rows, table, payload = cli._digit_report(report)
+        assert columns == ("digit", "observed", "benford", "z")
+        assert [row[0] for row in rows] == list(range(1, 10))
+        assert table.splitlines()[0].split()[-1] == "z-statistic"
+        assert payload["chi_square"] == report.chi_square
+        assert [r["z"] for r in payload["per_digit"]] == \
+            [z for *_, z in report.per_digit]
+
     def test_uniform_digits_histogram(self, tmp_path, capsys):
         f = tmp_path / "vals.txt"
         f.write_text("\n".join(str(d) for d in range(1, 10)))
@@ -453,6 +467,38 @@ class TestEquidistCommands:
         code, _, err = run_cli(
             ["equidist", "cf", "--alpha", "3/7", "--depth", "8"], capsys)
         assert code == 2
+
+    @pytest.mark.parametrize("command", ["cf", "type"])
+    @pytest.mark.parametrize("alpha", ["log:4:2", "log:8:4", "log:1:5",
+                                       "log:1000000:100"])
+    def test_rational_log_rejected(self, command, alpha, capsys):
+        # X and B powers of one integer: log_B X is rational, as p/q is
+        code, out, err = run_cli(
+            ["equidist", command, "--alpha", alpha, "--depth", "3"], capsys)
+        assert (code, out, err) == (2, "", "error: alpha must be irrational\n")
+
+    def test_rational_log_is_exact(self):
+        assert cli._resolve_alpha("log:8:4") == Fraction(3, 2)
+        assert cli._resolve_alpha("log:1:7") == 0
+        assert cli._resolve_alpha("log:12:18") != Fraction(6, 7)
+        for x in range(1, 200):
+            for b in range(2, 200):
+                r = cli._rational_log(x, b)
+                if r is not None:
+                    assert x ** r.denominator == b ** r.numerator
+                elif x in (b ** 2, b ** 3) or b in (x ** 2, x ** 3):
+                    pytest.fail(f"log_{b} {x} is rational")
+
+    @pytest.mark.parametrize("command", ["cf", "type"])
+    def test_float_alpha_depth_advice(self, command, capsys):
+        # a float's 53 bits certify two partial quotients of 0.3 whatever
+        # the dps, so the message does not ask for more dps
+        code, out, err = run_cli(
+            ["equidist", command, "--alpha", "0.3", "--depth", "5", "--dps",
+             "2000"], capsys)
+        assert code == 2 and out == ""
+        assert "53 bits" in err and "p/q or log:X:B" in err
+        assert "raise dps" not in err
 
     def test_type(self, capsys):
         code, out, _ = run_cli(

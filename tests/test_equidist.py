@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from benford_lab import benford_stats as bs
+from benford_lab import cli
 from benford_lab import equidist as eq
 from benford_lab.core_numeric import DomainError
 
@@ -93,6 +94,19 @@ class TestKAlpha:
                                         0.5)
         assert (cnt, expect) == (2, 1.5)
 
+    @pytest.mark.parametrize("alpha", [
+        Fraction(1, 3), Fraction(-123456789, 2 ** 31 - 1),
+        Fraction(2 ** 31, 2 ** 31 + 11), Fraction(10 ** 30 + 7, 2 ** 80 + 3)])
+    def test_rational_block_past_int64(self, alpha):
+        # a block of k past 2^63: each point is the float of the exact
+        # fractional part of k * alpha
+        k0 = 512 * 2 ** 56
+        got = eq._kalpha_range(alpha, k0, 512)
+        want = [float(k * alpha % 1) for k in range(k0, k0 + 512)]
+        assert got.dtype == np.float64 and got.tolist() == want
+        cnt, _ = eq.interval_count(alpha, 512, 2 ** 56, 0.0, 0.5)
+        assert cnt == sum(w < 0.5 for w in want)
+
 
 class TestContinuedFraction:
     def test_log10_2_convergents(self):
@@ -169,9 +183,9 @@ class TestTypeProbe:
 
     def test_csv_rows(self):
         probe = eq.type_probe(eq.log_ratio(2, 10), 6, (0.5, 1.0))
-        rows = list(probe.to_csv_rows())
-        assert rows[0][:2] == ["p", "q"]
-        assert len(rows) == 7
+        header, rows = cli._type_rows(probe)
+        assert header == ["p", "q", "gamma=0.5", "gamma=1"]
+        assert len(rows) == 6
 
     @pytest.mark.parametrize("depth, gammas, outside", [
         # q^(1e300 + 1) |alpha - p/q| overflows from q = 3 on (there
@@ -188,7 +202,7 @@ class TestTypeProbe:
         # the float's normal range is the float's own %.6e
         alpha = eq.log_ratio(2, 10, 520)
         probe = eq.type_probe(alpha, depth, gammas, dps=500)
-        rows = list(probe.to_csv_rows())[1:]
+        _, rows = cli._type_rows(probe)
         tiny = np.finfo(float).tiny
         seen = 0
         with mpmath.workdps(1000):

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from scipy.special import polygamma
 
-from benford_lab import rmt
+from benford_lab import cli, rmt
 from benford_lab.core_numeric import DomainError, digits_from_log
 
 from conftest import csv_fields, make_rng
@@ -387,7 +387,7 @@ class TestCueExperiment:
     def test_standardized_stream(self, monkeypatch):
         monkeypatch.setattr(rmt, "_CHUNK", 32)
         res = rmt.cue_experiment(6, 50, 10, make_rng(17))
-        rows = csv_fields(res.csv_rows())
+        rows = csv_fields(cli._cue_rows(res))
         assert len(rows) == 50
         scale = math.sqrt(rmt.q2_variance(6))
         for row, log_abs in zip(rows[:5], res.log_abs[:5]):

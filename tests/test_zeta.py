@@ -5,6 +5,7 @@ import mpmath
 import numpy as np
 import pytest
 
+from benford_lab import cli
 from benford_lab import zeta as zt
 from benford_lab.core_numeric import _CSV_BLOCK, DomainError
 
@@ -478,7 +479,7 @@ class TestScan:
         monkeypatch.setattr(zt, "_euler_maclaurin_many", fake)
         res = zt.scan_line(10.0, 10.0, 1.0, zt.SigmaMode.fixed(0.5))
         assert res.histogram.total == 0 and res.skipped.tolist() == [10.0]
-        assert list(res.csv_rows()) == []
+        assert list(cli._scan_rows(res)) == []
 
     def test_euler_maclaurin_points_are_not_refined(self, monkeypatch):
         # sigma = 0 is Euler-Maclaurin's region at every t: t = 0, where
@@ -533,9 +534,9 @@ class TestScan:
 
     def test_csv_row_shape(self):
         res = zt.scan_line(2.0, 4.0, 1.0, zt.SigmaMode.fixed(0.5))
-        rows = csv_fields(res.csv_rows())
+        rows = csv_fields(cli._scan_rows(res))
         assert len(rows) == 3
-        assert all(len(row) == len(zt.ScanResult.CSV_COLUMNS) for row in rows)
+        assert all(len(row) == 8 for row in rows)
 
 
 def per_point_row(t, sigma, value, a, digit, err):
@@ -547,7 +548,7 @@ def per_point_row(t, sigma, value, a, digit, err):
 
 class TestScanRows:
     def assert_rows_pinned(self, res):
-        rows = csv_fields(res.csv_rows())
+        rows = csv_fields(cli._scan_rows(res))
         assert len(rows) == res.histogram.total == len(res.t)
         for i, row in enumerate(rows):
             assert row == per_point_row(
